@@ -454,13 +454,16 @@ class DualGraph:
     piece_members: list
     piece_of_vertex: np.ndarray
     piece_side: list
+    fiber_order: np.ndarray  # element ids grouped by vertex, ascending within a vertex
+    fiber_start: np.ndarray  # fiber(u) = fiber_order[fiber_start[u]:fiber_start[u + 1]]
 
     @property
     def n_vertices(self):
         return len(self.keys)
 
     def fiber(self, u):
-        return np.nonzero(self.vertex_of_element == u)[0]
+        """Element ids of the coset u, ascending (a read-only view)."""
+        return self.fiber_order[self.fiber_start[u] : self.fiber_start[u + 1]]
 
     def base(self):
         return int(np.nonzero(self.level == 0)[0][0])
@@ -568,6 +571,11 @@ def build_dual_graph(ctx: AmalgamContext, ball: Ball) -> DualGraph:
     for pid in piece_ids[SIDE_B].values():
         piece_side[pid] = SIDE_B
 
+    fiber_order = np.argsort(vertex_of, kind="stable")
+    fiber_order.flags.writeable = False
+    fiber_start = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(vertex_of, minlength=n), out=fiber_start[1:])
+
     return DualGraph(
         keys=keys,
         key_index=key_index,
@@ -580,6 +588,8 @@ def build_dual_graph(ctx: AmalgamContext, ball: Ball) -> DualGraph:
         piece_members=[sorted(m) for m in piece_members],
         piece_of_vertex=piece_of_vertex,
         piece_side=piece_side,
+        fiber_order=fiber_order,
+        fiber_start=fiber_start,
     )
 
 
@@ -735,26 +745,79 @@ def check_assertion_2_1(ab: AmalgamBall) -> CheckVerdict:
 def check_assertion_2_2(ab: AmalgamBall, sections=None, max_norm=None) -> CheckVerdict:
     """||gamma|| >= d(z_k c, C) for the normal presentation, any sections.
 
+    The prefix z_1...z_j of a normal form depends only on the K-vertex, so
+    one depth-first walk of K's parent tree yields every normal form: per
+    vertex u, h = prefix(parent)^{-1} . rep(u) gives the letter z_u =
+    section(h), and prefix(u)^{-1} = z_u^{-1} . prefix(parent)^{-1}; per
+    element x of the fiber of u, c = prefix(u)^{-1} . x is the tail.  These
+    are the letters and tails of `amalgam_normal_form`, and only the live
+    root-to-vertex path of prefixes is held.  The walk visits elements out
+    of ball order, so a failure reports the lowest failing ball index, with
+    `checked` counting the elements up to it: the verdict of a scan in ball
+    order.  Invariant failures raise as soon as the walk meets them.
+
     Everything here is exact word arithmetic, so the scan covers the whole
     enumerated ball by default.
     """
-    ctx, ball = ab.ctx, ab.ball
+    ctx, ball, dual = ab.ctx, ab.ball, ab.dual
     eng = ctx.engine
-    checked = 0
     limit = ball.radius if max_norm is None else max_norm
-    for i, x in enumerate(ball.elements):
-        if ball.norms[i] > limit:
+    in_scope = ball.norms <= limit
+    # the vertices a normal form of an in-scope element walks through
+    live = np.zeros(dual.n_vertices, dtype=bool)
+    live[dual.vertex_of_element[in_scope]] = True
+    for lvl in range(int(dual.level.max()), 0, -1):
+        live[dual.parent[live & (dual.level == lvl)]] = True
+    children = [[] for _ in range(dual.n_vertices)]
+    for v in np.nonzero(live & (dual.level > 0))[0].tolist():
+        children[int(dual.parent[v])].append(v)
+
+    counted = np.zeros(len(ball), dtype=bool)
+    first_fail = len(ball)
+
+    def scan_fiber(u, inv_prefix, z):
+        nonlocal first_fail
+        for i in dual.fiber(u).tolist():
+            if not in_scope[i]:
+                continue
+            x = ball.elements[i]
+            c = eng.multiply(inv_prefix, x)
+            if not ctx.is_in_c(c):
+                raise AssertionError("normal-form tail not in C")
+            if z is None:
+                continue
+            counted[i] = True
+            if i < first_fail and eng.norm(x) < ctx.dist_to_c(eng.multiply(z, c)):
+                first_fail = i
+
+    base = dual.base()
+    scan_fiber(base, eng.identity, None)
+    stack = [(eng.identity, SIDE_BASE, iter(children[base]))]
+    while stack:
+        inv_prefix, side, kids = stack[-1]
+        v = next(kids, None)
+        if v is None:
+            stack.pop()
             continue
-        nf = amalgam_normal_form(ab, x, sections=sections)
-        if nf.length == 0:
-            continue
-        tail = eng.multiply(nf.letters[-1], nf.c_part)
-        checked += 1
-        if eng.norm(x) < ctx.dist_to_c(tail):
-            return CheckVerdict(
-                "assertion-2.2", False, checked, witness=eng.word_str(x)
-            )
-    return CheckVerdict("assertion-2.2", True, checked)
+        h = eng.multiply(inv_prefix, dual.rep_element[v])
+        v_side = ctx.in_factor(h)
+        if v_side is None:
+            raise AssertionError("dual-graph step does not lie in a factor")
+        if v_side == side:
+            raise AssertionError("normal form letters fail to alternate")
+        z = ctx.section(v_side, h, sections=sections)
+        inv_v = eng.multiply(eng.inverse(z), inv_prefix)
+        scan_fiber(v, inv_v, z)
+        stack.append((inv_v, v_side, iter(children[v])))
+
+    if first_fail < len(ball):
+        return CheckVerdict(
+            "assertion-2.2",
+            False,
+            int(counted[: first_fail + 1].sum()),
+            witness=eng.word_str(ball.elements[first_fail]),
+        )
+    return CheckVerdict("assertion-2.2", True, int(counted.sum()))
 
 
 def compute_D_R(ab: AmalgamBall, u, R, side=None):
@@ -768,21 +831,21 @@ def compute_D_R(ab: AmalgamBall, u, R, side=None):
             "ball cannot certify exact distance-R spheres on its core",
             needed_radius=ab.core_radius + R,
         )
-    field = ab.fiber_field(u)
-    at_R = field == R
     lvl = int(dual.level[u])
+    core = ab.core_mask()
     if lvl == 0:
         if side is None:
             raise InputError("base-vertex D_R needs a side (SIDE_A or SIDE_B)")
-        sides = ab.side_of_elements()
-        mask = at_R & (sides == side)
+        far = ab.side_of_elements() == side
     else:
         if lvl % 2 != 0:
             raise PreconditionError("translate D_R^u defined for even-level u")
-        anc = dual.ancestor_at_level(dual.vertex_of_element, lvl)
-        mask = at_R & (anc == u)
-    mask &= ab.core_mask()
-    return np.nonzero(mask)[0]
+        far = dual.ancestor_at_level(dual.vertex_of_element, lvl) == u
+        # the fiber of u lies at distance 0 < R: without a core element in a
+        # strict descendant coset, D_R^u is empty and needs no BFS
+        if not (far & core & (dual.vertex_of_element != u)).any():
+            return np.empty(0, dtype=np.int64)
+    return np.nonzero((ab.fiber_field(u) == R) & far & core)[0]
 
 
 def beyond_set(ab: AmalgamBall, u, R, side=None, strict=False):

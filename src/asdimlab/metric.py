@@ -164,10 +164,12 @@ class GraphMetric(FiniteMetric):
         key = tuple(sources)
         if not with_sources and key in self._field_cache:
             return self._field_cache[key]
+        # the graph holds both directions of every edge, so a directed BFS
+        # gives the undirected distances without re-symmetrising per call
         if with_sources:
             dist_m, _, src = dijkstra(
                 self.graph,
-                directed=False,
+                directed=True,
                 unweighted=True,
                 indices=sources,
                 min_only=True,
@@ -176,7 +178,7 @@ class GraphMetric(FiniteMetric):
             field = np.where(np.isinf(dist_m), UNREACHED, dist_m)
             return field, src
         dist_m = dijkstra(
-            self.graph, directed=False, unweighted=True, indices=sources, min_only=True
+            self.graph, directed=True, unweighted=True, indices=sources, min_only=True
         )
         field = np.where(np.isinf(dist_m), UNREACHED, dist_m)
         if len(self._field_cache) < 64:

@@ -5,6 +5,8 @@ from asdimlab.amalgam import (
     SIDE_A,
     SIDE_B,
     SIDE_BASE,
+    CheckVerdict,
+    RacgAmalgam,
     amalgam_normal_form,
     check_assertion_2_1,
     check_assertion_2_2,
@@ -20,13 +22,51 @@ from asdimlab.amalgam import (
     TableAmalgam,
 )
 from asdimlab.errors import InputError, OutOfBallError, PreconditionError
+from asdimlab.groups import RacgEngine
 
-from conftest import z_n_group
+from conftest import PATH4, z_n_group
+
+
+def path4_split():
+    """The path-4 RACG split at a: star {a, b}, link K = {b}, rest {b, c, d}."""
+    engine = RacgEngine(PATH4, names=["a", "b", "c", "d"])
+    return RacgAmalgam(engine, n1=[0, 1], knk=[1], n2=[1, 2, 3], name="path4-split")
 
 
 @pytest.fixture(scope="module")
 def dinf_ball(dinf_amalgam):
     return prepare(dinf_amalgam, 8)
+
+
+def reference_assertion_2_2(ab, sections=None, max_norm=None):
+    """Assertion 2.2 as a scan in ball order, one normal form per element."""
+    ctx, ball = ab.ctx, ab.ball
+    eng = ctx.engine
+    checked = 0
+    limit = ball.radius if max_norm is None else max_norm
+    for i, x in enumerate(ball.elements):
+        if ball.norms[i] > limit:
+            continue
+        nf = amalgam_normal_form(ab, x, sections=sections)
+        if nf.length == 0:
+            continue
+        tail = eng.multiply(nf.letters[-1], nf.c_part)
+        checked += 1
+        if eng.norm(x) < ctx.dist_to_c(tail):
+            return CheckVerdict("assertion-2.2", False, checked, witness=eng.word_str(x))
+    return CheckVerdict("assertion-2.2", True, checked)
+
+
+def reference_D_R(ab, u, R, side=None):
+    """D_R^u from the full BFS field of the coset, with no early exit."""
+    dual = ab.dual
+    field = ab.metric.dist_field(np.nonzero(dual.vertex_of_element == u)[0].tolist())
+    lvl = int(dual.level[u])
+    if lvl == 0:
+        far = ab.side_of_elements() == side
+    else:
+        far = dual.ancestor_at_level(dual.vertex_of_element, lvl) == u
+    return np.nonzero((field == R) & far & ab.core_mask())[0]
 
 
 def test_degenerate_amalgam_rejected():
@@ -105,6 +145,93 @@ def test_assertion_2_2_default_and_random_sections(
         ab = prepare(ctx, 8)
         assert check_assertion_2_2(ab).passed
         assert check_assertion_2_2(ab, sections=ctx.random_sections(20240810)).passed
+
+
+@pytest.mark.parametrize(
+    "fixture, radius",
+    [("dinf_amalgam", 10), ("z2z3_amalgam", 12), ("z4z2z4_amalgam", 8), (None, 7)],
+)
+def test_assertion_2_2_walk_matches_per_element_scan(request, fixture, radius):
+    ctx = request.getfixturevalue(fixture) if fixture else path4_split()
+    ab = prepare(ctx, radius)
+    for sections in (None, ctx.random_sections(20240810)):
+        for max_norm in (None, radius - 3):
+            walk = check_assertion_2_2(ab, sections=sections, max_norm=max_norm)
+            ref = reference_assertion_2_2(ab, sections=sections, max_norm=max_norm)
+            assert walk.passed
+            assert walk.line() == ref.line()
+
+
+def _tails(ab, sections):
+    eng = ab.ctx.engine
+    out = {}
+    for i, x in enumerate(ab.ball.elements):
+        nf = amalgam_normal_form(ab, x, sections=sections)
+        if nf.length:
+            out[i] = eng.multiply(nf.letters[-1], nf.c_part)
+    return out
+
+
+@pytest.mark.parametrize("split", ["table", "racg"])
+def test_assertion_2_2_walk_reports_lowest_failing_element(monkeypatch, split):
+    if split == "table":
+        ctx = TableAmalgam(z_n_group(2, "a"), z_n_group(3, "b"), [0], [0])
+        ab = prepare(ctx, 10)
+    else:
+        ctx = path4_split()
+        ab = prepare(ctx, 7)
+    eng, elements = ctx.engine, ab.ball.elements
+    real = ctx.dist_to_c
+    for sections in (None, ctx.random_sections(7)):
+        tails = _tails(ab, sections)
+        classes = {}
+        for i, t in tails.items():
+            classes.setdefault(t, []).append(i)
+        # d(z_k c, C) is faked only for the tails of two chosen elements, so
+        # exactly the elements sharing those tails fail; the walk meets them
+        # out of ball order and must still report the lowest one
+        firsts = sorted(ids[0] for ids in classes.values())
+        for chosen in zip(firsts, firsts[1:]):
+            bad = {tails[i] for i in chosen}
+            monkeypatch.setattr(
+                ctx, "dist_to_c", lambda x: ab.ball.radius + 1 if x in bad else real(x)
+            )
+            walk = check_assertion_2_2(ab, sections=sections)
+            ref = reference_assertion_2_2(ab, sections=sections)
+            checked = sum(1 for i in tails if i <= chosen[0])
+            expected = CheckVerdict(
+                "assertion-2.2", False, checked, witness=eng.word_str(elements[chosen[0]])
+            )
+            assert walk.line() == ref.line() == expected.line()
+
+
+def test_fibers_match_vertex_scan(dinf_amalgam, z2z3_amalgam, z4z2z4_amalgam):
+    for ctx in (dinf_amalgam, z2z3_amalgam, z4z2z4_amalgam, path4_split()):
+        dual = prepare(ctx, 8).dual
+        for u in range(dual.n_vertices):
+            expected = np.nonzero(dual.vertex_of_element == u)[0]
+            assert np.array_equal(dual.fiber(u), expected)
+        assert not dual.fiber(dual.base()).flags.writeable
+
+
+@pytest.mark.parametrize("split, radius", [("z2z3", 16), ("path4", 9)])
+def test_compute_D_R_matches_unfiltered_reference(z2z3_amalgam, split, radius):
+    ctx = z2z3_amalgam if split == "z2z3" else path4_split()
+    sizes = []
+    for big_r in (1, 2):
+        ab = prepare(ctx, radius, core_radius=radius - 3 * big_r)
+        dual = ab.dual
+        base = dual.base()
+        for side in (SIDE_A, SIDE_B):
+            got = compute_D_R(ab, base, big_r, side=side)
+            assert np.array_equal(got, reference_D_R(ab, base, big_r, side=side))
+        for u in np.nonzero((dual.level > 0) & (dual.level % 2 == 0))[0].tolist():
+            got = compute_D_R(ab, u, big_r)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, reference_D_R(ab, u, big_r))
+            sizes.append(len(got))
+    # both the skipped and the computed branch are exercised
+    assert 0 in sizes and max(sizes) > 0
 
 
 def test_assertion_2_2_example_value(dinf_ball, dinf_amalgam):
