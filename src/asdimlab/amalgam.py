@@ -420,16 +420,11 @@ class RacgAmalgam(AmalgamContext):
     def factor_dims(self):
         from .coxeter import CoxeterSystem, asdim_recursive
 
-        def dim_of(letters):
-            letters = sorted(letters)
-            if not letters:
-                return 0
-            sub = [[self.engine.matrix[i][j] for j in letters] for i in letters]
-            return asdim_recursive(
-                CoxeterSystem(sub, names=[self.engine.names[i] for i in letters])
-            )
-
-        return dim_of(self.n1), dim_of(self.n2), dim_of(self.k)
+        cox = CoxeterSystem(self.engine.matrix, names=self.engine.names)
+        return tuple(
+            asdim_recursive(cox.restrict(letters)) if letters else 0
+            for letters in (self.n1, self.n2, self.k)
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -951,23 +946,19 @@ def check_translate_disjointness(ab: AmalgamBall, r, R) -> CheckVerdict:
             if len(ids):
                 translates.append((u, lvl, ids))
     checked = 0
-    for i in range(len(translates)):
-        ui, li, si = translates[i]
-        field = ab.metric.dist_field(si.tolist())
-        for j in range(i + 1, len(translates)):
-            uj, lj, sj = translates[j]
-            d = min(field[k] for k in sj)
-            d = float("inf") if d >= UNREACHED else float(d)
-            checked += 1
-            need = 3 * R if li != lj else 2 * R
-            if d < need:
-                return CheckVerdict(
-                    "prop-2.2-disjointness",
-                    False,
-                    checked,
-                    witness=(int(ui), int(uj), d),
-                    note=f"needed >= {need}",
-                )
+    for i, j, d in ab.metric.pair_gaps([ids for _, _, ids in translates]):
+        (ui, li, _), (uj, lj, _) = translates[i], translates[j]
+        d = float("inf") if d >= UNREACHED else float(d)
+        checked += 1
+        need = 3 * R if li != lj else 2 * R
+        if d < need:
+            return CheckVerdict(
+                "prop-2.2-disjointness",
+                False,
+                checked,
+                witness=(int(ui), int(uj), d),
+                note=f"needed >= {need}",
+            )
     return CheckVerdict(
         "prop-2.2-disjointness", True, checked, note=f"{len(translates)} translates"
     )

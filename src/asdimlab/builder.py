@@ -56,31 +56,15 @@ DIAM_EXACT_LIMIT = 60
 
 
 def color_gap(sets, metric: GraphMetric):
-    """Exact minimal distance between distinct sets of one family.
-
-    One multi-source BFS with source tracking; the minimum over graph edges
-    whose endpoints are claimed by different sets equals the true minimum
-    (Voronoi boundary argument).
-    """
-    sets = [sorted(s) for s in sets if s]
+    """Exact minimal distance between distinct sets of one family."""
+    sets = [s for s in sets if s]
     if len(sets) <= 1:
         return math.inf
-    label = np.full(metric.n, -1, dtype=np.int64)
-    sources = []
+    labels = np.full(metric.n, -1, dtype=np.int64)
     for idx, s in enumerate(sets):
-        for p in s:
-            label[p] = idx
-            sources.append(p)
-    fld, src = metric.dist_field(sources, with_sources=True)
-    reached = src >= 0
-    node_label = np.full(metric.n, -1, dtype=np.int64)
-    node_label[reached] = label[src[reached]]
-    coo = metric.graph.tocoo()
-    u, v = coo.row, coo.col
-    ok = (node_label[u] >= 0) & (node_label[v] >= 0) & (node_label[u] != node_label[v])
-    if not ok.any():
-        return math.inf
-    return float((fld[u[ok]] + fld[v[ok]] + 1).min())
+        labels[list(s)] = idx
+    _, _, gaps = metric.label_gaps(labels)
+    return float(gaps.min()) if len(gaps) else math.inf
 
 
 def color_depth_floor(sets, metric: GraphMetric, carrier_mask, cap):
@@ -163,14 +147,6 @@ class CoverCertificate:
     @property
     def margin(self):
         return self.ball.radius - self.core_radius
-
-    def family_gap(self):
-        best = math.inf
-        for color in range(self.cover.n_colors):
-            fam = self.cover.family(color)
-            if len(fam) > 1:
-                best = min(best, color_gap(fam, self.metric))
-        return best
 
     def to_json(self):
         colors = []
@@ -416,19 +392,12 @@ def cover_union_uniform(metric, pieces, template_sets, translations, r, core_ids
     """
     core = set(core_ids or [])
     trimmed = [sorted(set(p) - core) for p in pieces]
-    for i in range(len(trimmed)):
-        if not trimmed[i]:
-            continue
-        fld = metric.dist_field(trimmed[i])
-        for j in range(i + 1, len(trimmed)):
-            if not trimmed[j]:
-                continue
-            d = min(fld[x] for x in trimmed[j])
-            if d < r:
-                raise PreconditionError(
-                    f"pieces {i} and {j} are not r-separated off Y_r (d={d} < {r})",
-                    witness=(i, j),
-                )
+    for i, j, d in metric.pair_gaps(trimmed):
+        if d < r:
+            raise PreconditionError(
+                f"pieces {i} and {j} are not r-separated off Y_r (d={d} < {r})",
+                witness=(i, j),
+            )
     out = []
     for piece, tr in zip(pieces, translations):
         piece = set(piece)
@@ -501,15 +470,12 @@ def cover_product(ab: AmalgamBall, m, r) -> CoverCertificate:
             ids = np.nonzero(mask & ~y_mask)[0]
             if len(ids):
                 new_sets.append(frozenset(int(i) for i in ids))
-        for i in range(len(new_sets)):
-            fld = metric.dist_field(sorted(new_sets[i]))
-            for j in range(i + 1, len(new_sets)):
-                d = min(fld[x] for x in new_sets[j])
-                if d < r:
-                    raise PreconditionError(
-                        f"level-{k} pieces not r-separated off Y_r (d={d})",
-                        witness=(i, j),
-                    )
+        for i, j, d in metric.pair_gaps(new_sets):
+            if d < r:
+                raise PreconditionError(
+                    f"level-{k} pieces not r-separated off Y_r (d={d})",
+                    witness=(i, j),
+                )
         # enlarge the previous sets over Y_r; first-wins keeps the single
         # color an honest partition (order stays 1)
         claimed = np.zeros(ab.n, dtype=bool)
@@ -647,43 +613,38 @@ def _certificate_with_floor(make_cert, min_scale, max_tries=8, start=None):
 
 
 def _c_certificate(ctx: AmalgamContext, min_scale, min_core, cap):
-    """Certificate for C at the needed inner scale and carrier radius."""
-    if isinstance(ctx, TableAmalgam):
-        return cover_finite_group(ctx.c_engine, max(2, math.ceil(min_scale)), name="C")
-    if isinstance(ctx, RacgAmalgam):
-        from .coxeter import CoxeterSystem
+    """Certificate for C at the needed inner scale and carrier radius.
 
-        letters = sorted(ctx.k)
-        if not letters:
-            return cover_finite_group(ctx.c_engine, max(2, math.ceil(min_scale)), name="C")
-        sub = [[ctx.engine.matrix[i][j] for j in letters] for i in letters]
-        cox = CoxeterSystem(sub, names=[ctx.engine.names[i] for i in letters])
-        if all(
-            cox.matrix[i][j] == 2
-            for i in range(cox.rank)
-            for j in range(cox.rank)
-            if i != j
-        ):
-            return cover_finite_group(cox.engine(), max(2, math.ceil(min_scale)), name="C")
+    C is finite for table amalgams and for a RACG split whose K spans a
+    simplex; otherwise it is the RACG on K (`ctx.c_engine`, the restriction
+    to K), covered recursively."""
+    if not isinstance(ctx, (TableAmalgam, RacgAmalgam)):
+        raise InputError("unknown amalgam backend")
+    c = ctx.c_engine
+    if isinstance(ctx, TableAmalgam) or all(
+        c.matrix[i][j] == 2 for i in range(c.rank) for j in range(c.rank) if i != j
+    ):
+        return cover_finite_group(c, max(2, math.ceil(min_scale)), name="C")
+    from .coxeter import CoxeterSystem
 
-        def make(r_try):
-            return cover_racg(cox, r_try, cap=cap, min_core=min_core)
+    cox = CoxeterSystem(c.matrix, names=c.names)
 
-        return _certificate_with_floor(make, min_scale)
-    raise InputError("unknown amalgam backend")
+    def make(r_try):
+        return cover_racg(cox, r_try, cap=cap, min_core=min_core)
+
+    return _certificate_with_floor(make, min_scale)
 
 
 def _merge_close_webs(metric, web_ids, anc_lvl, threshold):
     """Union-find gates whose level webs are closer than the threshold.
 
-    Pairwise web distances come from one labeled multi-source BFS plus an
-    edge scan, exactly as in color_gap.  Returns gate -> group root, where
+    Web distances come from `GraphMetric.label_gaps` with each web point
+    labelled by its gate, as in color_gap.  Returns gate -> group root, where
     the root is the member gate with the smallest id.
     """
-    gate_of_point = {}
-    for i in web_ids:
-        gate_of_point[i] = int(anc_lvl[i])
-    gates = sorted(set(gate_of_point.values()))
+    labels = np.full(metric.n, -1, dtype=np.int64)
+    labels[web_ids] = anc_lvl[web_ids]
+    gates = sorted(set(labels[web_ids].tolist()))
     parent = {g: g for g in gates}
 
     def find(g):
@@ -692,22 +653,9 @@ def _merge_close_webs(metric, web_ids, anc_lvl, threshold):
             g = parent[g]
         return g
 
-    label = np.full(metric.n, -1, dtype=np.int64)
-    for i, g in gate_of_point.items():
-        label[i] = g
-    fld, src = metric.dist_field(sorted(web_ids), with_sources=True)
-    reached = src >= 0
-    node_gate = np.full(metric.n, -1, dtype=np.int64)
-    node_gate[reached] = label[src[reached]]
-    coo = metric.graph.tocoo()
-    u, v = coo.row, coo.col
-    ok = (
-        (node_gate[u] >= 0)
-        & (node_gate[v] >= 0)
-        & (node_gate[u] != node_gate[v])
-        & (fld[u] + fld[v] + 1 <= threshold)
-    )
-    for a, b in zip(node_gate[u[ok]].tolist(), node_gate[v[ok]].tolist()):
+    label_u, label_v, gaps = metric.label_gaps(labels)
+    close = gaps <= threshold
+    for a, b in zip(label_u[close].tolist(), label_v[close].tolist()):
         ra, rb = find(a), find(b)
         if ra != rb:
             parent[max(ra, rb)] = min(ra, rb)
@@ -966,22 +914,19 @@ def cover_racg(
     """Certificate for a right-angled Coxeter group: simplex nerves are finite
     base cases; otherwise split along the first eligible star/link and
     delegate to the amalgam assembly."""
-    from .coxeter import CoxeterSystem, split_vertex_choice
+    from .coxeter import CoxeterSystem, star_link_split
 
     if not isinstance(cox, CoxeterSystem):
         cox = CoxeterSystem(cox)
     cox.require_right_angled()
-    graph = cox.commutation_graph()
-    v = split_vertex_choice(graph)
-    if v is None:
+    split = star_link_split(cox.commutation_graph())
+    if split is None:
         cert = cover_finite_group(cox.engine(), r, name=f"racg({','.join(cox.names)})")
         cert.trace["op"] = "cover_racg"
         cert.trace["nerve"] = "simplex"
         return cert
+    v, star, link, rest = split
     pos = {name: i for i, name in enumerate(cox.names)}
-    star = sorted({v} | set(graph.neighbors(v)), key=str)
-    link = sorted(graph.neighbors(v), key=str)
-    rest = sorted(set(cox.names) - {v}, key=str)
     ctx = RacgAmalgam(
         cox.engine(),
         n1=[pos[x] for x in star],
@@ -995,9 +940,9 @@ def cover_racg(
     cert.trace = {
         "op": "cover_racg",
         "split_vertex": v,
-        "n1": star,
-        "k": link,
-        "n2": rest,
+        "n1": list(star),
+        "k": list(link),
+        "n2": list(rest),
         "amalgam": cert.trace,
     }
     return cert

@@ -35,7 +35,7 @@ from .amalgam import (
     TableAmalgam,
 )
 from .builder import certificate_json_str, cover_amalgam, cover_racg, verify_certificate
-from .coxeter import CoxeterSystem, bound_report, build_davis_ball, decompose, dumps_report
+from .coxeter import CoxeterSystem, bound_report, build_davis_ball, decompose, dumps_report, star_link_split
 from .errors import AsdimlabError, InputError, OutOfBallError, ResourceCapError
 from .groups import DEFAULT_BALL_CAP, FiniteTableGroup
 
@@ -71,19 +71,13 @@ def build_context(data, name="input"):
         engine = cox.engine()
         pos = {n: i for i, n in enumerate(cox.names)}
         if "n1" in data:
-            n1 = [pos[x] for x in data["n1"]]
-            k = [pos[x] for x in data["k"]]
-            n2 = [pos[x] for x in data["n2"]]
+            parts = (data["n1"], data["k"], data["n2"])
         else:
-            from .coxeter import split_vertex_choice
-
-            graph = cox.commutation_graph()
-            v = split_vertex_choice(graph)
-            if v is None:
+            split = star_link_split(cox.commutation_graph())
+            if split is None:
                 raise InputError("nerve is a simplex: no amalgam splitting exists")
-            n1 = [pos[x] for x in sorted({v} | set(graph.neighbors(v)), key=str)]
-            k = [pos[x] for x in sorted(graph.neighbors(v), key=str)]
-            n2 = [pos[x] for x in sorted(set(cox.names) - {v}, key=str)]
+            parts = split[1:]
+        n1, k, n2 = ([pos[x] for x in part] for part in parts)
         return RacgAmalgam(engine, n1=n1, knk=k, n2=n2, name=name)
     raise InputError("amalgam input needs type 'table_amalgam' or 'racg_amalgam'")
 

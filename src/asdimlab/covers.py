@@ -30,14 +30,11 @@ class Cover:
     """A colored family of point-id subsets.
 
     `colors[i]` is the color (family index) of `sets[i]`; a plain uncolored
-    family uses color 0 everywhere.  `claimed_r` / `claimed_d` carry the
-    parameters the producer asserts; verification recomputes them.
+    family uses color 0 everywhere.
     """
 
     sets: list
     colors: list = None
-    claimed_r: float = None
-    claimed_d: float = None
 
     def __post_init__(self):
         self.sets = [frozenset(s) for s in self.sets]
@@ -69,29 +66,7 @@ def check_r_disjoint(sets, r, m: FiniteMetric):
     for s in sets:
         for x in s:
             m.check_point(x)
-    for i, s in enumerate(sets):
-        field_i = m.dist_field(sorted(s))
-        for j in range(i + 1, len(sets)):
-            d = min(field_i[x] for x in sets[j]) if sets[j] else UNREACHED
-            if d < r:
-                return False
-    return True
-
-
-def min_family_gap(sets, m: FiniteMetric):
-    """Smallest pairwise distance within the family (inf for < 2 sets)."""
-    sets = [sorted(frozenset(s)) for s in sets]
-    best = UNBOUNDED
-    for i, s in enumerate(sets):
-        if not s:
-            continue
-        field_i = m.dist_field(s)
-        for j in range(i + 1, len(sets)):
-            for x in sets[j]:
-                v = field_i[x]
-                if v < best:
-                    best = float(v)
-    return best
+    return all(d >= r for _, _, d in m.pair_gaps(sets))
 
 
 def cover_order(cover: Cover, carrier):
@@ -206,7 +181,6 @@ def extend_cover(cover: Cover, r, ambient: FiniteMetric, carrier):
     new_carrier = sorted(
         x for x in ambient.points if field_to_carrier[x] <= r / 4.0
     )
-    new_carrier_set = set(new_carrier)
 
     out_sets, out_colors = [], []
     for s, color in zip(cover.sets, cover.colors):
@@ -237,7 +211,6 @@ def extend_cover(cover: Cover, r, ambient: FiniteMetric, carrier):
                 f"r-deep near carrier point {nearest}",
                 witness=nearest,
             )
-    _ = new_carrier_set
     return out, new_carrier
 
 

@@ -15,33 +15,19 @@ from dataclasses import dataclass
 import networkx as nx
 
 from .errors import InputError, ResourceCapError, UnsupportedBackendError
-from .groups import RacgEngine, build_ball
+from .groups import CoxeterMatrix, RacgEngine, build_ball
 from .simplicial import SimplicialComplex, barycentric_subdivision, clique_complex, cone
 
 
-class CoxeterSystem:
-    """A Coxeter matrix with named generators; 0 encodes infinity."""
+class CoxeterSystem(CoxeterMatrix):
+    """A Coxeter system given by its matrix; only right-angled systems have
+    an engine and a nerve here."""
 
     def __init__(self, matrix, names=None):
-        m = [list(row) for row in matrix]
-        k = len(m)
-        if any(len(row) != k for row in m):
-            raise InputError("Coxeter matrix must be square")
-        for i in range(k):
-            if m[i][i] != 1:
-                raise InputError("Coxeter matrix needs unit diagonal")
-            for j in range(k):
-                if m[i][j] != m[j][i]:
-                    raise InputError("Coxeter matrix must be symmetric")
-                if i != j and m[i][j] == 1:
-                    raise InputError("off-diagonal entries must be >= 2 (0 for infinity)")
-        self.matrix = m
-        self.rank = k
-        self.names = [str(x) for x in (names or (chr(ord("a") + i) for i in range(k)))]
-        if len(set(self.names)) != k:
-            raise InputError("generator names must be distinct")
+        super().__init__(matrix, names)
+        k = self.rank
         self.right_angled = all(
-            m[i][j] in (0, 2) for i in range(k) for j in range(k) if i != j
+            self.matrix[i][j] in (0, 2) for i in range(k) for j in range(k) if i != j
         )
 
     @classmethod
@@ -239,20 +225,33 @@ def split_vertex_choice(graph: nx.Graph):
     return None
 
 
+def star_link_split(graph: nx.Graph):
+    """Theorem 3.1's split at `split_vertex_choice(graph)`.
+
+    Returns (v, star, link, rest): the closed star of v (N1), its link (K)
+    and every vertex but v (N2), each a str-sorted tuple, so N1 | N2 = V and
+    N1 & N2 = K.  None when the graph is complete (a simplex nerve).
+    """
+    v = split_vertex_choice(graph)
+    if v is None:
+        return None
+    link = tuple(sorted(graph.neighbors(v), key=str))
+    star = tuple(sorted(link + (v,), key=str))
+    rest = tuple(sorted((u for u in graph.nodes if u != v), key=str))
+    return v, star, link, rest
+
+
 def decompose(cox: CoxeterSystem) -> DecompositionTree:
     """Recursive Theorem-3.1 splitting down to simplex (finite-group) leaves."""
     cox.require_right_angled()
     graph = cox.commutation_graph()
 
     def rec(vertex_set):
-        sub = graph.subgraph(vertex_set)
-        v = split_vertex_choice(sub)
+        split = star_link_split(graph.subgraph(vertex_set))
         verts = tuple(sorted(vertex_set, key=str))
-        if v is None:
+        if split is None:
             return DecompositionTree(vertices=verts)
-        star = tuple(sorted(set(sub.neighbors(v)) | {v}, key=str))
-        link = tuple(sorted(sub.neighbors(v), key=str))
-        rest = tuple(sorted(set(vertex_set) - {v}, key=str))
+        v, star, link, rest = split
         node = DecompositionTree(
             vertices=verts,
             split_vertex=v,
@@ -287,14 +286,11 @@ def asdim_recursive(cox: CoxeterSystem):
         key = frozenset(vertex_set)
         if key in memo:
             return memo[key]
-        sub = graph.subgraph(vertex_set)
-        v = split_vertex_choice(sub)
-        if v is None:
+        split = star_link_split(graph.subgraph(vertex_set))
+        if split is None:
             memo[key] = 0
             return 0
-        star = set(sub.neighbors(v)) | {v}
-        link = set(sub.neighbors(v))
-        rest = set(vertex_set) - {v}
+        _, star, link, rest = split
         value = max(rec(star), rec(rest), rec(link) + 1)
         memo[key] = value
         return value

@@ -1,7 +1,9 @@
 """Exception types shared across the package.
 
-Exit-code mapping used by the CLI: InputError -> 2, ResourceCapError -> 3,
-verification failures -> 1 (no exception; reported in verdicts).
+Exit-code mapping used by the CLI (`cli.main`): ResourceCapError -> 3;
+InputError (with UnsupportedBackendError), OutOfBallError, PreconditionError,
+SchedulingError and every other AsdimlabError -> 2; verification failures
+-> 1 (no exception; reported in verdicts).
 """
 
 

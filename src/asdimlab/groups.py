@@ -11,6 +11,7 @@ bit for bit.
 
 from __future__ import annotations
 
+import numbers
 from collections import deque
 from dataclasses import dataclass
 
@@ -156,7 +157,51 @@ def cyclic_table(n):
     return table, names
 
 
-class RacgEngine:
+class CoxeterMatrix:
+    """Named generators and a Coxeter matrix, validated: square, symmetric,
+    unit diagonal, off-diagonal entries 0 (infinity) or integers >= 2, one
+    distinct name per generator (default a, b, c, ...).  Base of
+    `RacgEngine` and `coxeter.CoxeterSystem`."""
+
+    def __init__(self, matrix, names=None):
+        m = [list(row) for row in matrix]
+        k = len(m)
+        if any(len(row) != k for row in m):
+            raise InputError("Coxeter matrix must be square")
+        for i in range(k):
+            if m[i][i] != 1:
+                raise InputError("Coxeter matrix needs unit diagonal")
+            for j in range(k):
+                if m[i][j] != m[j][i]:
+                    raise InputError("Coxeter matrix must be symmetric")
+                if i != j and not _is_coxeter_entry(m[i][j]):
+                    raise InputError(
+                        "off-diagonal entries must be integers >= 2 (0 for "
+                        f"infinity), got m[{i}][{j}]={m[i][j]!r}"
+                    )
+        self.matrix = m
+        self.rank = k
+        self.names = [str(x) for x in (names or (chr(ord("a") + i) for i in range(k)))]
+        if len(self.names) != k:
+            raise InputError("one name per generator required")
+        if len(set(self.names)) != k:
+            raise InputError("generator names must be distinct")
+
+    def restrict(self, letters):
+        """The parabolic subsystem on a set of generator indices, re-indexed
+        in ascending order and of the same class as `self`."""
+        letters = sorted(letters)
+        return type(self)(
+            [[self.matrix[i][j] for j in letters] for i in letters],
+            names=[self.names[i] for i in letters],
+        )
+
+
+def _is_coxeter_entry(x):
+    return isinstance(x, numbers.Real) and (x == 0 or (x >= 2 and float(x).is_integer()))
+
+
+class RacgEngine(CoxeterMatrix):
     """Right-angled Coxeter group by rewriting to the ShortLex-least reduced
     word.
 
@@ -168,26 +213,15 @@ class RacgEngine:
     """
 
     def __init__(self, matrix, names=None):
-        m = [list(row) for row in matrix]
-        k = len(m)
-        if any(len(row) != k for row in m):
-            raise InputError("Coxeter matrix must be square")
+        super().__init__(matrix, names)
+        m, k = self.matrix, self.rank
         for i in range(k):
-            if m[i][i] != 1:
-                raise InputError("Coxeter matrix needs 1s on the diagonal")
             for j in range(k):
-                if m[i][j] != m[j][i]:
-                    raise InputError("Coxeter matrix must be symmetric")
                 if i != j and m[i][j] not in (0, 2):
                     raise UnsupportedBackendError(
                         "only right-angled matrices supported "
                         f"(entry m[{i}][{j}]={m[i][j]}; use 2 or 0 for infinity)"
                     )
-        self.matrix = m
-        self.rank = k
-        self.names = [str(x) for x in (names or (chr(ord("a") + i) for i in range(k)))]
-        if len(self.names) != k:
-            raise InputError("one name per generator required")
         self.comm = [
             frozenset(j for j in range(k) if j != i and m[i][j] == 2) for i in range(k)
         ]
@@ -272,14 +306,6 @@ class RacgEngine:
         except KeyError as exc:
             raise InputError(f"unknown generator name {exc.args[0]!r}") from exc
 
-    # parabolic subgroup helpers -------------------------------------------
-
-    def support(self, x):
-        return frozenset(x)
-
-    def in_parabolic(self, x, letters):
-        return self.support(x) <= frozenset(letters)
-
     def coset_minrep(self, x, letters):
         """Minimal-length representative of the left coset x * Gamma_W."""
         letters = sorted(letters)
@@ -292,18 +318,10 @@ class RacgEngine:
             else:
                 return x
 
-    def dist_to_parabolic(self, x, letters):
-        """d(x, Gamma_W) = length of the minimal element of x^{-1} Gamma_W."""
-        return len(self.coset_minrep(self.inverse(x), letters))
-
     def sub_engine(self, letters):
         """Engine of the parabolic subgroup on a letter subset (re-indexed)."""
         letters = sorted(letters)
-        sub = [[self.matrix[i][j] for j in letters] for i in letters]
-        return (
-            RacgEngine(sub, names=[self.names[i] for i in letters]),
-            letters,
-        )
+        return self.restrict(letters), letters
 
 
 @dataclass
@@ -329,12 +347,6 @@ class Ball:
             raise OutOfBallError(
                 f"element {self.engine.word_str(x)} outside enumerated ball of radius {self.radius}"
             ) from None
-
-    def sphere(self, k):
-        return [i for i in range(len(self.elements)) if self.norms[i] == k]
-
-    def core_ids(self, core_radius):
-        return [i for i in range(len(self.elements)) if self.norms[i] <= core_radius]
 
     def graph_metric(self) -> GraphMetric:
         inside = self.edge_dst >= 0

@@ -44,11 +44,7 @@ class FiniteMetric:
 
     def set_dist(self, a, b) -> float:
         """min over pairs; +inf when either side is empty."""
-        a, b = list(a), list(b)
-        if not a or not b:
-            return float("inf")
-        field = self.dist_field(a)
-        d = min(field[p] for p in b)
+        d = min((d for _, _, d in self.pair_gaps([list(a), list(b)])), default=UNREACHED)
         return float("inf") if d >= UNREACHED else float(d)
 
     def diam(self, pts) -> float:
@@ -63,6 +59,18 @@ class FiniteMetric:
                 return float("inf")
             best = max(best, float(m))
         return best
+
+    def pair_gaps(self, sets):
+        """Yield (i, j, d(sets[i], sets[j])) for i < j in lexicographic order,
+        skipping empty sets (UNREACHED for unreachable pairs).  One field of
+        set i serves every later j, and it is computed only when its first
+        pair is reached, so a caller that stops early computes no more."""
+        ids = [np.fromiter(s, dtype=np.int64, count=len(s)) for s in sets]
+        live = [i for i, s in enumerate(ids) if len(s)]
+        for a, i in enumerate(live[:-1]):
+            field = self.dist_field(ids[i])
+            for j in live[a + 1 :]:
+                yield i, j, field[ids[j]].min()
 
 
 class DenseMetric(FiniteMetric):
@@ -157,9 +165,13 @@ class GraphMetric(FiniteMetric):
         return float("inf") if d >= UNREACHED else float(d)
 
     def dist_field(self, sources, with_sources=False):
+        """Distance field of `sources`; with_sources=True also returns each
+        point's nearest source, -9999 where unreached.  A field returned
+        alone is read-only: it may be the cached array later callers get."""
         sources = sorted(set(int(s) for s in sources))
         if not sources:
             field = np.full(self.n, UNREACHED, dtype=float)
+            field.flags.writeable = False
             return (field, None) if with_sources else field
         key = tuple(sources)
         if not with_sources and key in self._field_cache:
@@ -181,22 +193,30 @@ class GraphMetric(FiniteMetric):
             self.graph, directed=True, unweighted=True, indices=sources, min_only=True
         )
         field = np.where(np.isinf(dist_m), UNREACHED, dist_m)
+        field.flags.writeable = False
         if len(self._field_cache) < 64:
             self._field_cache[key] = field
         return field
 
-    def diam(self, pts):
-        pts = list(pts)
-        if len(pts) <= 1:
-            return 0.0
-        best = 0.0
-        for p in pts:
-            field = self.dist_field([p])
-            m = max(field[q] for q in pts)
-            if m >= UNREACHED:
-                return float("inf")
-            best = max(best, float(m))
-        return best
+    def label_gaps(self, labels):
+        """Gaps between labelled point sets (`labels[p]` >= 0, -1 for none;
+        at least one point labelled) along their Voronoi boundaries.
+
+        One multi-source BFS labels every reached point by its nearest
+        source.  Returns (label of u, label of v, fld[u] + fld[v] + 1) over
+        the graph edges (u, v) whose ends get different labels; the smallest
+        gap is the least distance between two differently labelled points.
+        """
+        labels = np.asarray(labels)
+        fld, src = self.dist_field(np.nonzero(labels >= 0)[0], with_sources=True)
+        reached = src >= 0
+        node_label = np.full(self.n, -1, dtype=np.int64)
+        node_label[reached] = labels[src[reached]]
+        coo = self.graph.tocoo()
+        u, v = coo.row, coo.col
+        lu, lv = node_label[u], node_label[v]
+        cross = (lu >= 0) & (lv >= 0) & (lu != lv)
+        return lu[cross], lv[cross], fld[u[cross]] + fld[v[cross]] + 1
 
 
 def line_metric(points) -> DenseMetric:

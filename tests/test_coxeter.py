@@ -1,8 +1,16 @@
+import types
+
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from asdimlab import builder, coxeter
+from asdimlab.cli import build_context
 from asdimlab.coxeter import (
     CoxeterSystem,
+    DecompositionTree,
+    _validate_split,
     asdim_bound,
     asdim_recursive,
     build_davis_ball,
@@ -10,8 +18,10 @@ from asdimlab.coxeter import (
     chromatic_bound,
     decompose,
     parabolic_is_finite,
+    star_link_split,
 )
 from asdimlab.errors import InputError, UnsupportedBackendError
+from asdimlab.groups import RacgEngine
 from asdimlab.simplicial import SimplicialComplex, barycentric_subdivision, cone
 
 from conftest import CYCLE5, PATH3, PATH4
@@ -181,3 +191,88 @@ def test_coxeter_json_round_trip():
     assert nerve_input.matrix[0][2] == 0
     with pytest.raises(InputError):
         CoxeterSystem.from_json({"nope": 1})
+
+
+@pytest.mark.parametrize("cls", [CoxeterSystem, RacgEngine])
+@pytest.mark.parametrize("entry", [-1, 2.5, 1])
+def test_matrix_rejects_entries_neither_zero_nor_integer_at_least_two(cls, entry):
+    with pytest.raises(InputError) as err:
+        cls([[1, entry], [entry, 1]])
+    assert not isinstance(err.value, UnsupportedBackendError)
+
+
+def test_restrict_is_the_parabolic_subsystem():
+    cox = CoxeterSystem(CYCLE5, names=list("abcde"))
+    sub = cox.restrict([4, 0, 1])
+    assert isinstance(sub, CoxeterSystem)
+    assert sub.names == ["a", "b", "e"]
+    assert sub.matrix == [[1, 2, 2], [2, 1, 0], [2, 0, 1]]
+    engine = RacgEngine(CYCLE5, names=list("abcde")).restrict([4, 0, 1])
+    assert isinstance(engine, RacgEngine) and engine.matrix == sub.matrix
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(1, 7))
+    names = [f"v{i}" for i in draw(st.permutations(range(10, 10 + n)))]
+    pairs = [(names[i], names[j]) for i in range(n) for j in range(i + 1, n)]
+    graph = nx.Graph()
+    graph.add_nodes_from(names)
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    graph.add_edges_from(p for p, k in zip(pairs, keep) if k)
+    return graph
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_graphs())
+def test_star_link_split_covers_and_shrinks(graph):
+    split = star_link_split(graph)
+    n = graph.number_of_nodes()
+    if split is None:
+        assert graph.number_of_edges() == n * (n - 1) // 2
+        return
+    v, star, link, rest = split
+    for part in (star, link, rest):
+        assert list(part) == sorted(part, key=str)
+    node = DecompositionTree(
+        vertices=tuple(sorted(graph.nodes, key=str)),
+        split_vertex=v,
+        n1=DecompositionTree(vertices=star),
+        k=link,
+        n2=DecompositionTree(vertices=rest),
+    )
+    _validate_split(node)  # n1 | n2 = V, n1 & n2 = link, both strictly smaller
+
+
+@pytest.mark.parametrize("matrix", [CYCLE5, PATH4], ids=["cycle5", "path4"])
+def test_every_caller_picks_the_same_split(matrix, monkeypatch):
+    names = list("abcde")[: len(matrix)]
+    cox = CoxeterSystem(matrix, names=names)
+    expected = star_link_split(cox.commutation_graph())
+    v, star, link, rest = expected
+
+    tree = decompose(cox)
+    assert (tree.split_vertex, tree.n1.vertices, tree.k, tree.n2.vertices) == expected
+
+    real_split, seen = coxeter.star_link_split, []
+    monkeypatch.setattr(
+        coxeter, "star_link_split", lambda g: seen.append(real_split(g)) or seen[-1]
+    )
+    asdim_recursive(cox)
+    assert seen[0] == expected
+
+    # the split cover_racg hands to the amalgam assembly, without building it
+    monkeypatch.setattr(
+        builder, "cover_amalgam", lambda ctx, r, **kw: types.SimpleNamespace(trace={})
+    )
+    trace = builder.cover_racg(cox, 4).trace
+    assert (trace["split_vertex"], trace["n1"], trace["k"], trace["n2"]) == (
+        v,
+        list(star),
+        list(link),
+        list(rest),
+    )
+
+    ctx = build_context({"type": "racg_amalgam", "generators": names, "matrix": matrix})
+    parts = [tuple(sorted(names[i] for i in part)) for part in (ctx.n1, ctx.k, ctx.n2)]
+    assert parts == [star, link, rest]

@@ -55,6 +55,11 @@ def test_racg_rejects_non_right_angled():
         RacgEngine([[1, 3], [3, 1]])
 
 
+def test_racg_rejects_duplicate_generator_names():
+    with pytest.raises(InputError):
+        RacgEngine([[1, 0], [0, 1]], names=["a", "a"])
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.integers(0, 4), max_size=14))
 def test_racg_normal_form_idempotent_on_cycle5(word):

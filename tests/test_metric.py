@@ -1,7 +1,13 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from asdimlab.builder import color_gap
 from asdimlab.errors import InputError
+from asdimlab.groups import build_ball
 from asdimlab.metric import DenseMetric, GraphMetric, UNREACHED, line_metric
 
 
@@ -51,3 +57,69 @@ def test_unknown_point_rejected():
     g = GraphMetric(3, [(0, 1)])
     with pytest.raises(InputError):
         g.dist(0, 7)
+
+
+def test_graph_metric_fields_are_read_only():
+    g = GraphMetric(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+    for sources in ([0, 3], []):
+        first = g.dist_field(sources)
+        with pytest.raises(ValueError):
+            first[1] = 99
+        again = g.dist_field(sources)  # the cached field for [0, 3]
+        assert np.array_equal(again, first)
+        assert not again.flags.writeable
+
+
+def test_pair_gaps_order_skips_empty_sets_and_stops_early():
+    m = line_metric([0, 2, 5, 9, 20])
+    sets = [{0}, set(), {1, 2}, {4}]
+    assert [(i, j, float(d)) for i, j, d in m.pair_gaps(sets)] == [
+        (0, 2, 2.0),
+        (0, 3, 20.0),
+        (2, 3, 15.0),
+    ]
+    calls = []
+    real = m.dist_field
+    m.dist_field = lambda src: calls.append(list(src)) or real(src)
+    next(m.pair_gaps(sets))
+    assert calls == [[0]]
+    assert m.set_dist({3}, {1, 2}) == 4 and math.isinf(m.set_dist({3}, []))
+
+
+@pytest.fixture(scope="module")
+def amalgam_ball_metrics(dinf_amalgam, z2z3_amalgam):
+    return [
+        build_ball(dinf_amalgam.engine, 12).graph_metric(),
+        build_ball(z2z3_amalgam.engine, 7).graph_metric(),
+    ]
+
+
+def brute_force_gap(sets, metric):
+    """Reference for label_gaps: one BFS field per set, every ordered pair."""
+    best = math.inf
+    for i, a in enumerate(sets):
+        field = metric.dist_field(sorted(a))
+        for j, b in enumerate(sets):
+            if i != j:
+                best = min(best, float(min(field[x] for x in b)))
+    return best
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 1), st.data())
+def test_label_gaps_minimum_equals_brute_force(amalgam_ball_metrics, which, data):
+    metric = amalgam_ball_metrics[which]
+    # a sparse labelling, so that gaps above 1 occur
+    labelled = data.draw(
+        st.dictionaries(st.integers(0, metric.n - 1), st.integers(0, 3), max_size=12)
+    )
+    labels = np.full(metric.n, -1)
+    labels[list(labelled)] = list(labelled.values())
+    sets = [set(np.nonzero(labels == k)[0].tolist()) for k in range(4)]
+    sets = [s for s in sets if s]
+    expected = brute_force_gap(sets, metric)
+    assert color_gap(sets, metric) == expected
+    if sets:
+        label_u, label_v, gaps = metric.label_gaps(labels)
+        assert (label_u != label_v).all()
+        assert (gaps.min() if len(gaps) else math.inf) == expected
