@@ -67,13 +67,14 @@ def color_gap(sets, metric: GraphMetric):
     return float(gaps.min()) if len(gaps) else math.inf
 
 
-def color_depth_floor(sets, metric: GraphMetric, carrier_mask, cap):
+def color_depth_floor(sets, metric: GraphMetric, carrier_mask, cap, gap):
     """min over sets of max over points of d(x, carrier \\ U), truncated at cap.
 
     Sets of one color are disjoint, so d(x, carrier \\ U) is the smaller of
     the distance to the color's uncovered carrier part and the distance to
-    the other sets (at least the color gap).  Values are reported capped,
-    which keeps every quantity inside the ball's exactness regime.
+    the other sets (at least `gap`, the color's `color_gap`).  Values are
+    reported capped, which keeps every quantity inside the ball's exactness
+    regime.
     """
     union_mask = np.zeros(metric.n, dtype=bool)
     for s in sets:
@@ -85,7 +86,6 @@ def color_depth_floor(sets, metric: GraphMetric, carrier_mask, cap):
         fld = metric.dist_field(outside)
     else:
         fld = np.full(metric.n, UNREACHED, dtype=float)
-    gap = color_gap(sets, metric)
     floor = math.inf
     for s in sets:
         pts = list(s)
@@ -181,10 +181,10 @@ def measure_certificate(cert: CoverCertificate):
     depth_all = math.inf
     for color in range(cert.cover.n_colors):
         fam = cert.cover.family(color)
-        if len(fam) > 1:
-            gap_all = min(gap_all, color_gap(fam, cert.metric))
+        gap = color_gap(fam, cert.metric)
+        gap_all = min(gap_all, gap)
         depth_all = min(
-            depth_all, color_depth_floor(fam, cert.metric, carrier_mask, cap)
+            depth_all, color_depth_floor(fam, cert.metric, carrier_mask, cap, gap)
         )
     claimed = min(gap_all, depth_all - 1, float(cert.margin))
     cert.claimed_r = max(0.0, claimed if not math.isinf(claimed) else float(cert.margin))
@@ -253,10 +253,11 @@ def verify_certificate(cert: CoverCertificate) -> CertificateReport:
         if fam and sum(len(s) for s in fam) != len(set().union(*fam)):
             disjoint = False  # overlapping same-color sets: distance 0
             continue
-        if len(fam) > 1 and color_gap(fam, cert.metric) < cert.claimed_r:
+        gap = color_gap(fam, cert.metric)
+        if gap < cert.claimed_r:
             disjoint = False
         depth_all = min(
-            depth_all, color_depth_floor(fam, cert.metric, carrier_mask, cap)
+            depth_all, color_depth_floor(fam, cert.metric, carrier_mask, cap, gap)
         )
 
     order, order_w = cover_order(cert.cover, cert.carrier)
@@ -635,12 +636,14 @@ def _c_certificate(ctx: AmalgamContext, min_scale, min_core, cap):
     return _certificate_with_floor(make, min_scale)
 
 
-def _merge_close_webs(metric, web_ids, anc_lvl, threshold):
+def _merge_close_webs(metric, web_ids, anc_lvl, threshold, field):
     """Union-find gates whose level webs are closer than the threshold.
 
     Web distances come from `GraphMetric.label_gaps` with each web point
-    labelled by its gate, as in color_gap.  Returns gate -> group root, where
-    the root is the member gate with the smallest id.
+    labelled by its gate, as in color_gap, on the web's own
+    `dist_field(web_ids, with_sources=True)` passed as `field`.  Returns
+    gate -> group root, where the root is the member gate with the smallest
+    id.
     """
     labels = np.full(metric.n, -1, dtype=np.int64)
     labels[web_ids] = anc_lvl[web_ids]
@@ -653,7 +656,7 @@ def _merge_close_webs(metric, web_ids, anc_lvl, threshold):
             g = parent[g]
         return g
 
-    label_u, label_v, gaps = metric.label_gaps(labels)
+    label_u, label_v, gaps = metric.label_gaps(labels, field=field)
     close = gaps <= threshold
     for a, b in zip(label_u[close].tolist(), label_v[close].tolist()):
         ra, rb = find(a), find(b)
@@ -764,7 +767,7 @@ def cover_amalgam(
             continue
         cfld, csrc = metric.dist_field(web_ids, with_sources=True)
         gate_group = _merge_close_webs(
-            metric, web_ids, anc[lvl], threshold=2 * E + 1
+            metric, web_ids, anc[lvl], 2 * E + 1, (cfld, csrc)
         )
         region = (cfld <= E) & (csrc >= 0)
         if lvl == top_level:

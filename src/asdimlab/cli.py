@@ -2,7 +2,9 @@
 
 Commands:
   bound      nerve dimension / asdim and chromatic bounds for a Coxeter input
-  cover      build a CoverCertificate for a Coxeter or amalgam input
+  cover      build a CoverCertificate for a Coxeter or amalgam input; --out
+             writes certificate.json and ball.json ({edges, elements,
+             radius}), the ball streamed in chunks (`Ball.iter_json`)
   check      run the exhaustive amalgam checkers (assertions, separation,
              translate disjointness, partition)
   davis      glue a finite-radius Davis complex, emit DOT + JSON
@@ -69,17 +71,37 @@ def build_context(data, name="input"):
     if kind == "racg_amalgam":
         cox = CoxeterSystem.from_json(data)
         engine = cox.engine()
-        pos = {n: i for i, n in enumerate(cox.names)}
-        if "n1" in data:
-            parts = (data["n1"], data["k"], data["n2"])
+        fields = ("n1", "k", "n2")
+        given = [f for f in fields if f in data]
+        if given:
+            missing = [f for f in fields if f not in data]
+            if missing:
+                raise InputError(
+                    f"racg_amalgam split gives {', '.join(given)} "
+                    f"but not {', '.join(missing)}"
+                )
+            parts = [data[f] for f in fields]
         else:
             split = star_link_split(cox.commutation_graph())
             if split is None:
                 raise InputError("nerve is a simplex: no amalgam splitting exists")
             parts = split[1:]
-        n1, k, n2 = ([pos[x] for x in part] for part in parts)
+        pos = {n: i for i, n in enumerate(cox.names)}
+        n1, k, n2 = (_letter_ids(pos, f, part) for f, part in zip(fields, parts))
         return RacgAmalgam(engine, n1=n1, knk=k, n2=n2, name=name)
     raise InputError("amalgam input needs type 'table_amalgam' or 'racg_amalgam'")
+
+
+def _letter_ids(pos, field, names):
+    """Generator indices of the names that split field `field` lists."""
+    if not isinstance(names, (list, tuple)):
+        raise InputError(f"racg_amalgam field {field!r} must be a list of generator names")
+    ids = []
+    for name in names:
+        if not isinstance(name, str) or name not in pos:
+            raise InputError(f"racg_amalgam field {field!r} names unknown generator {name!r}")
+        ids.append(pos[name])
+    return ids
 
 
 def _table_group(data):
@@ -90,9 +112,14 @@ def _table_group(data):
 
 
 def _write(out_dir, name, text):
+    """Write one artifact from a string or from an iterable of string chunks,
+    chunk by chunk in order."""
     path = Path(out_dir) / name
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8")
+    chunks = [text] if isinstance(text, str) else text
+    with open(path, "w", encoding="utf-8") as fh:
+        for chunk in chunks:
+            fh.write(chunk)
     return path
 
 
@@ -134,11 +161,7 @@ def cmd_cover(args):
     )
     if args.out:
         _write(args.out, "certificate.json", certificate_json_str(cert))
-        _write(
-            args.out,
-            "ball.json",
-            json.dumps(cert.ball.to_json(), indent=2, sort_keys=True) + "\n",
-        )
+        _write(args.out, "ball.json", cert.ball.iter_json())
     if args.verify:
         report = verify_certificate(cert)
         for line in report.lines():

@@ -14,6 +14,7 @@ from __future__ import annotations
 import numbers
 from collections import deque
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -21,6 +22,14 @@ from .errors import InputError, OutOfBallError, ResourceCapError, UnsupportedBac
 from .metric import GraphMetric
 
 DEFAULT_BALL_CAP = 2_000_000
+
+# records per chunk of `Ball.iter_json`; a record is a few dozen bytes
+# plus its word
+BALL_JSON_CHUNK = 1024
+# one edge [u, v, generator] and one element {id, norm, word}, laid out as
+# json.dumps(..., indent=2) lays out a record two levels deep
+_EDGE_JSON = "    [\n      %d,\n      %d,\n      %s\n    ]"
+_ELEMENT_JSON = '    {\n      "id": %d,\n      "norm": %d,\n      "word": %s\n    }'
 
 
 class FiniteTableGroup:
@@ -387,6 +396,44 @@ class Ball:
                 if u <= v
             ],
         }
+
+    def iter_json(self):
+        """The text of json.dumps(self.to_json(), indent=2, sort_keys=True)
+        plus a newline, as string chunks of at most BALL_JSON_CHUNK records,
+        so the whole document is never held in memory at once.  Strings are
+        escaped as json.dumps escapes them by default (ensure_ascii)."""
+        keep = (self.edge_dst >= 0) & (self.edge_src <= self.edge_dst)
+        src, gen, dst = self.edge_src[keep], self.edge_gen[keep], self.edge_dst[keep]
+        names = np.array(
+            [encode_basestring_ascii(n) for n in self.engine.gen_names], dtype=object
+        )
+        word = self.engine.word_str
+
+        def edges(a, b):
+            return zip(src[a:b].tolist(), dst[a:b].tolist(), names[gen[a:b]].tolist())
+
+        def elements(a, b):
+            words = [encode_basestring_ascii(word(x)) for x in self.elements[a:b]]
+            return zip(range(a, b), self.norms[a:b].tolist(), words)
+
+        yield "{\n"
+        yield from _json_array("edges", len(src), edges, _EDGE_JSON)
+        yield ",\n"
+        yield from _json_array("elements", len(self), elements, _ELEMENT_JSON)
+        yield ',\n  "radius": %d\n}\n' % self.radius
+
+
+def _json_array(key, n, rows, template):
+    """Chunks of the member `"key": [...]` of a top-level indent-2 object:
+    `rows(a, b)` yields the template arguments of records a..b-1."""
+    if not n:
+        yield '  "%s": []' % key
+        return
+    head = '  "%s": [\n' % key
+    for a in range(0, n, BALL_JSON_CHUNK):
+        yield head + ",\n".join([template % row for row in rows(a, a + BALL_JSON_CHUNK)])
+        head = ",\n"
+    yield "\n  ]"
 
 
 def build_ball(engine, radius, cap=DEFAULT_BALL_CAP) -> Ball:

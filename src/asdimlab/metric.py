@@ -198,7 +198,7 @@ class GraphMetric(FiniteMetric):
             self._field_cache[key] = field
         return field
 
-    def label_gaps(self, labels):
+    def label_gaps(self, labels, field=None):
         """Gaps between labelled point sets (`labels[p]` >= 0, -1 for none;
         at least one point labelled) along their Voronoi boundaries.
 
@@ -206,9 +206,13 @@ class GraphMetric(FiniteMetric):
         source.  Returns (label of u, label of v, fld[u] + fld[v] + 1) over
         the graph edges (u, v) whose ends get different labels; the smallest
         gap is the least distance between two differently labelled points.
+        A caller that already holds `dist_field(labelled points,
+        with_sources=True)` passes it as `field`, and no BFS runs.
         """
         labels = np.asarray(labels)
-        fld, src = self.dist_field(np.nonzero(labels >= 0)[0], with_sources=True)
+        if field is None:
+            field = self.dist_field(np.nonzero(labels >= 0)[0], with_sources=True)
+        fld, src = field
         reached = src >= 0
         node_label = np.full(self.n, -1, dtype=np.int64)
         node_label[reached] = labels[src[reached]]

@@ -6,7 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from asdimlab.cli import main
+from asdimlab import cli, groups
+from asdimlab.cli import build_context, main
+from asdimlab.groups import build_ball
 
 CYCLE5_DOC = {
     "generators": ["a", "b", "c", "d", "e"],
@@ -26,6 +28,14 @@ DINF_DOC = {
     "embed_B": [0],
 }
 Z2_DOC = {"generators": ["a"], "matrix": [[1]]}
+PATH4_SPLIT_DOC = {
+    "type": "racg_amalgam",
+    "generators": ["a", "b", "c", "d"],
+    "matrix": [[1, 2, 0, 0], [2, 1, 2, 0], [0, 2, 1, 2], [0, 0, 2, 1]],
+    "n1": ["a", "b"],
+    "k": ["b"],
+    "n2": ["b", "c", "d"],
+}
 
 
 def write(tmp_path, name, doc):
@@ -63,6 +73,67 @@ def test_cover_verify_dinf(tmp_path, capsys):
     assert len(cert["colors"]) == 2
     ball = json.loads((tmp_path / "o" / "ball.json").read_text())
     assert ball["elements"][0]["word"] == "e"
+
+
+@pytest.mark.parametrize("doc, name", [(DINF_DOC, "dinf.json"), (PATH4_SPLIT_DOC, "p4.json")])
+def test_cover_ball_json_equals_json_dumps(tmp_path, doc, name):
+    # the streamed ball.json is the byte oracle's text for the same ball
+    path = write(tmp_path, name, doc)
+    assert main(["cover", path, "--r", "4", "--out", str(tmp_path / "o")]) == 0
+    radius = json.loads((tmp_path / "o" / "certificate.json").read_text())["ball"]["radius"]
+    ball = build_ball(build_context(doc).engine, radius)
+    expected = json.dumps(ball.to_json(), indent=2, sort_keys=True) + "\n"
+    assert (tmp_path / "o" / "ball.json").read_bytes() == expected.encode("utf-8")
+
+
+def test_cover_writes_ball_json_in_bounded_chunks(tmp_path, monkeypatch):
+    # every write to ball.json is one chunk, never the whole document
+    monkeypatch.setattr(groups, "BALL_JSON_CHUNK", 2)
+    sizes = {}
+
+    class Recording:
+        def __init__(self, path, *args, **kwargs):
+            self.file = open(path, *args, **kwargs)
+            self.sizes = sizes.setdefault(Path(path).name, [])
+
+        def write(self, text):
+            self.sizes.append(len(text))
+            return self.file.write(text)
+
+        def __getattr__(self, name):
+            return getattr(self.file, name)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.file.close()
+
+    monkeypatch.setattr(cli, "open", Recording, raising=False)
+    path = write(tmp_path, "dinf.json", DINF_DOC)
+    assert main(["cover", path, "--r", "4", "--out", str(tmp_path / "o")]) == 0
+    bound = 2 * 200  # two records of under 200 characters each
+    total = (tmp_path / "o" / "ball.json").stat().st_size
+    assert total > 4 * bound
+    assert sum(sizes["ball.json"]) == total
+    assert max(sizes["ball.json"]) <= bound
+
+
+@pytest.mark.parametrize(
+    "split, message",
+    [
+        ({"n1": ["a", "x"]}, "'n1' names unknown generator 'x'"),
+        ({"k": ["q"]}, "'k' names unknown generator 'q'"),
+        ({"k": None, "n2": None}, "gives n1 but not k, n2"),
+        ({"n2": 5}, "'n2' must be a list of generator names"),
+    ],
+)
+def test_bad_racg_split_exits_2(tmp_path, capsys, split, message):
+    doc = {**PATH4_SPLIT_DOC, **split}
+    doc = {key: value for key, value in doc.items() if value is not None}
+    path = write(tmp_path, "p4.json", doc)
+    assert main(["check", path, "--r", "8", "--R", "1", "--ball", "9"]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_cover_cap_exit_3(tmp_path):

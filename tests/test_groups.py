@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from asdimlab.errors import InputError, ResourceCapError, UnsupportedBackendError
 from asdimlab.groups import (
+    BALL_JSON_CHUNK,
     FiniteTableGroup,
     RacgEngine,
     build_ball,
@@ -157,3 +160,49 @@ def test_ball_json_shape(path3_engine):
     assert payload["radius"] == 2
     assert payload["elements"][0] == {"id": 0, "word": "e", "norm": 0}
     assert all(len(e) == 3 for e in payload["edges"])
+
+
+def reference_ball_json(ball):
+    return json.dumps(ball.to_json(), indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize(
+    "make_engine, radius",
+    [
+        (lambda request: RacgEngine(CYCLE5), 3),
+        (lambda request: FiniteTableGroup(*cyclic_table(5)), 1),
+        (lambda request: request.getfixturevalue("dinf_amalgam").engine, 6),
+        (lambda request: request.getfixturevalue("z4z2z4_amalgam").engine, 3),
+        (lambda request: request.getfixturevalue("path3_amalgam").engine, 4),
+    ],
+    ids=["racg", "table", "dinf", "z4z2z4", "racg-split"],
+)
+def test_ball_json_stream_equals_json_dumps(request, make_engine, radius):
+    ball = build_ball(make_engine(request), radius)
+    assert "".join(ball.iter_json()) == reference_ball_json(ball)
+
+
+def test_ball_json_stream_radius_zero_has_empty_edge_list():
+    ball = build_ball(RacgEngine(PATH3), 0)
+    text = "".join(ball.iter_json())
+    assert text == reference_ball_json(ball)
+    assert '"edges": [],' in text
+
+
+def test_ball_json_stream_spans_chunks():
+    ball = build_ball(RacgEngine(CYCLE5), 6)
+    chunks = list(ball.iter_json())
+    assert len(ball) > BALL_JSON_CHUNK
+    assert len(chunks) > 6  # both arrays split across several chunks
+    assert "".join(chunks) == reference_ball_json(ball)
+
+
+def test_ball_json_stream_escapes_names_as_json_dumps():
+    names = ["\u03b1", 'q"t', "b\\c"]
+    racg = build_ball(RacgEngine(PATH3, names=names), 3)
+    table, _ = cyclic_table(3)
+    group = build_ball(FiniteTableGroup(table, names=["e", "\u00e9", "x\ty"]), 1)
+    for ball in (racg, group):
+        text = "".join(ball.iter_json())
+        assert text == reference_ball_json(ball)
+        assert text.isascii()
