@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -436,7 +436,9 @@ class DualGraph:
     """The graph K on cosets gC restricted to a ball, with level structure.
 
     Pieces are the cliques spanned by the cosets sharing one Bass-Serre
-    vertex; edges are implicit (all pairs within a piece)."""
+    vertex; edges are implicit (all pairs within a piece).  Vertices are
+    numbered in ball order at first sight, so vertex order is the order of
+    the representatives' ball ids."""
 
     keys: list
     key_index: dict
@@ -445,7 +447,6 @@ class DualGraph:
     parent: np.ndarray
     side: np.ndarray
     rep_element: list
-    rep_id: np.ndarray
     piece_members: list
     piece_of_vertex: np.ndarray
     piece_side: list
@@ -478,12 +479,10 @@ class DualGraph:
         return int(anc) == int(u)
 
     def vertices_at_level(self, lvl, side=None):
-        out = [
-            u
-            for u in range(self.n_vertices)
-            if self.level[u] == lvl and (side is None or self.side[u] == side)
-        ]
-        return sorted(out, key=lambda u: int(self.rep_id[u]))
+        mask = self.level == lvl
+        if side is not None:
+            mask &= self.side == side
+        return np.nonzero(mask)[0].tolist()
 
 
 def build_dual_graph(ctx: AmalgamContext, ball: Ball) -> DualGraph:
@@ -494,7 +493,7 @@ def build_dual_graph(ctx: AmalgamContext, ball: Ball) -> DualGraph:
     keys = []
     key_index = {}
     vertex_of = np.empty(len(ball), dtype=np.int64)
-    rep_id = []
+    rep_element = []
     for i, x in enumerate(ball.elements):
         k = ctx.vertex_key(x)
         vid = key_index.get(k)
@@ -502,11 +501,9 @@ def build_dual_graph(ctx: AmalgamContext, ball: Ball) -> DualGraph:
             vid = len(keys)
             key_index[k] = vid
             keys.append(k)
-            rep_id.append(i)
+            rep_element.append(x)
         vertex_of[i] = vid
     n = len(keys)
-    rep_id = np.asarray(rep_id, dtype=np.int64)
-    rep_element = [ball.elements[i] for i in rep_id]
 
     piece_ids = (dict(), dict())
     piece_members = []
@@ -552,8 +549,7 @@ def build_dual_graph(ctx: AmalgamContext, ball: Ball) -> DualGraph:
         raise OutOfBallError("dual graph disconnected inside the ball")
 
     side = np.full(n, SIDE_BASE, dtype=np.int64)
-    order = sorted(range(n), key=lambda u: (int(level[u]), int(rep_id[u])))
-    for u in order:
+    for u in np.argsort(level, kind="stable").tolist():
         if level[u] == 1:
             f = ctx.in_factor(rep_element[u])
             if f is None:
@@ -579,7 +575,6 @@ def build_dual_graph(ctx: AmalgamContext, ball: Ball) -> DualGraph:
         parent=parent,
         side=side,
         rep_element=rep_element,
-        rep_id=rep_id,
         piece_members=[sorted(m) for m in piece_members],
         piece_of_vertex=piece_of_vertex,
         piece_side=piece_side,
@@ -597,6 +592,7 @@ class AmalgamBall:
     dual: DualGraph
     metric: GraphMetric
     core_radius: int
+    _levels: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def n(self):
@@ -608,12 +604,26 @@ class AmalgamBall:
     def side_of_elements(self):
         return self.dual.side[self.dual.vertex_of_element]
 
-    def fiber_field(self, u):
-        fiber = self.dual.fiber(u).tolist()
-        return self.metric.dist_field(fiber)
-
     def element_level(self):
         return self.dual.level[self.dual.vertex_of_element]
+
+    def level_field(self, lvl):
+        """(field, anc) for level `lvl` of K, computed once per ball: the
+        distance field of the union of all level-`lvl` fibers, and each
+        element's level-`lvl` ancestor in K (-1 for none), both read-only.
+
+        Where anc[x] = u, field[x] = d(x, g_u C) exactly.  K^u meets the rest
+        of K only in u, because every piece has one gate (`build_dual_graph`
+        raises otherwise), and pi is 1-Lipschitz, so every ball path from
+        pi^{-1}(K^u) to another level-`lvl` fiber crosses the fiber of u.
+        """
+        if lvl not in self._levels:
+            dual = self.dual
+            ids = np.nonzero(self.element_level() == lvl)[0]
+            anc = dual.ancestor_at_level(dual.vertex_of_element, lvl)
+            anc.flags.writeable = False
+            self._levels[lvl] = (self.metric.dist_field(ids), anc)
+        return self._levels[lvl]
 
 
 def prepare(ctx: AmalgamContext, ball_radius, core_radius=None, cap=None) -> AmalgamBall:
@@ -820,43 +830,35 @@ def compute_D_R(ab: AmalgamBall, u, R, side=None):
     (for the base vertex, on the requested side of K)."""
     if R < 1:
         raise PreconditionError("compute_D_R requires R >= 1")
-    dual = ab.dual
     if ab.core_radius + R > ab.ball.radius:
         raise OutOfBallError(
             "ball cannot certify exact distance-R spheres on its core",
             needed_radius=ab.core_radius + R,
         )
-    lvl = int(dual.level[u])
-    core = ab.core_mask()
-    if lvl == 0:
-        if side is None:
-            raise InputError("base-vertex D_R needs a side (SIDE_A or SIDE_B)")
-        far = ab.side_of_elements() == side
-    else:
-        if lvl % 2 != 0:
-            raise PreconditionError("translate D_R^u defined for even-level u")
-        far = dual.ancestor_at_level(dual.vertex_of_element, lvl) == u
-        # the fiber of u lies at distance 0 < R: without a core element in a
-        # strict descendant coset, D_R^u is empty and needs no BFS
-        if not (far & core & (dual.vertex_of_element != u)).any():
-            return np.empty(0, dtype=np.int64)
-    return np.nonzero((ab.fiber_field(u) == R) & far & core)[0]
+    lvl = int(ab.dual.level[u])
+    if lvl == 0 and side is None:
+        raise InputError("base-vertex D_R needs a side (SIDE_A or SIDE_B)")
+    if lvl % 2 != 0:
+        raise PreconditionError("translate D_R^u defined for even-level u")
+    fld, far = _gate_field(ab, u, side)
+    return np.nonzero((fld == R) & far & ab.core_mask())[0]
 
 
 def beyond_set(ab: AmalgamBall, u, R, side=None, strict=False):
     """{x : pi(x) in K^u and d(x, g_u C) >= R} (or > R when strict); for the
     base vertex restricted to the given side."""
-    dual = ab.dual
-    field = ab.fiber_field(u)
-    far = field > R if strict else field >= R
-    lvl = int(dual.level[u])
-    if lvl == 0:
-        if side is None:
-            raise InputError("base-vertex beyond-set needs a side")
-        sides = ab.side_of_elements()
-        return far & (sides == side)
-    anc = dual.ancestor_at_level(dual.vertex_of_element, lvl)
-    return far & (anc == u)
+    if int(ab.dual.level[u]) == 0 and side is None:
+        raise InputError("base-vertex beyond-set needs a side")
+    fld, far = _gate_field(ab, u, side)
+    return (fld > R if strict else fld >= R) & far
+
+
+def _gate_field(ab: AmalgamBall, u, side):
+    """(field, far): u's level field, and the mask of pi^{-1}(K^u) (for the
+    base vertex, of the given side of K), where that field is d(x, g_u C)."""
+    lvl = int(ab.dual.level[u])
+    fld, anc = ab.level_field(lvl)
+    return fld, (ab.side_of_elements() == side if lvl == 0 else anc == u)
 
 
 def check_separation(ab: AmalgamBall, u, u_prime, R, boundary_override=None) -> CheckVerdict:
@@ -979,9 +981,6 @@ class Partition:
     pieces: list  # (vertex id, np.ndarray of element ids)
     boundary: np.ndarray  # union of D_R^u over the slab gates
 
-    def piece_map(self):
-        return {u: ids for u, ids in self.pieces}
-
 
 def partition_ball(ab: AmalgamBall, r, R, side) -> Partition:
     """Theorem 2.1's partition of pi^{-1}(K_side) restricted to the core."""
@@ -997,8 +996,7 @@ def partition_ball(ab: AmalgamBall, r, R, side) -> Partition:
     on_side = (sides == side) | (sides == SIDE_BASE)
 
     base = dual.base()
-    base_field = ab.fiber_field(base)
-    central = np.nonzero(core & on_side & (base_field <= R))[0]
+    central = np.nonzero(core & on_side & (ab.level_field(0)[0] <= R))[0]
 
     max_level = int(dual.level.max())
     gates = [(base, 0)]
@@ -1009,15 +1007,13 @@ def partition_ball(ab: AmalgamBall, r, R, side) -> Partition:
     boundary_mask = np.zeros(ab.n, dtype=bool)
     pieces = []
     for u, lvl in gates:
-        if R >= 1:
-            ids = compute_D_R(ab, u, R, side=side if lvl == 0 else None)
-            boundary_mask[ids] = True
-        mask = beyond_set(ab, u, R, side=side if lvl == 0 else None)
-        for w, wl in gates:
-            if wl == lvl + r:
-                anc = dual.ancestor_at_level([w], lvl)[0]
-                if lvl == 0 or int(anc) == int(u):
-                    mask &= ~beyond_set(ab, w, R, strict=True)
+        gate_side = side if lvl == 0 else None
+        boundary_mask[compute_D_R(ab, u, R, side=gate_side)] = True
+        mask = beyond_set(ab, u, R, side=gate_side)
+        # mask lies in pi^{-1}(K^u) (on `side` at level 0), so every
+        # level-(lvl + r) ancestor it meets is a gate of this side below u
+        next_field, next_anc = ab.level_field(lvl + r)
+        mask &= ~((next_field > R) & (next_anc >= 0))
         ids = np.nonzero(mask & core & on_side)[0]
         if len(ids):
             pieces.append((int(u), ids))

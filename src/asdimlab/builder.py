@@ -721,25 +721,15 @@ def cover_amalgam(
     dual, metric = ab.dual, ab.metric
     core = ab.core_mask()
     sides = ab.side_of_elements()
-    vtx = dual.vertex_of_element
 
-    # per-level combined fiber fields; for x beyond a level-lvl gate the
-    # field equals the distance to x's own gate coset (tree-gradedness)
+    # per-level fields; for x beyond a level-lvl gate the field equals the
+    # distance to x's own gate coset (`AmalgamBall.level_field`)
     base = dual.base()
-    gate_levels = [lvl for lvl in range(0, schedule.core + 1, L)]
-    fiber_union = {}
-    anc = {}
-    fields = {}
+    gate_levels = list(range(0, min(schedule.core, int(dual.level.max())) + 1, L))
+    fields, anc = {}, {}
     for lvl in gate_levels:
-        vs = [u for u in range(dual.n_vertices) if dual.level[u] == lvl]
-        if not vs:
-            continue
-        ids = sorted(int(i) for u in vs for i in dual.fiber(u).tolist())
-        fiber_union[lvl] = ids
-        fields[lvl] = metric.dist_field(ids)
-        anc[lvl] = dual.ancestor_at_level(vtx, lvl)
-    gate_levels = sorted(fields)
-    top_level = max(gate_levels)
+        fields[lvl], anc[lvl] = ab.level_field(lvl)
+    top_level = gate_levels[-1]
 
     assigned = np.zeros(ab.n, dtype=bool)
     regions = []  # (kind, [(gate, ids)]) with gates of one merged web group
@@ -785,11 +775,8 @@ def cover_amalgam(
             else:
                 gate = int(anc[lvl][i])
             by_group.setdefault(gate_group[gate], {}).setdefault(gate, []).append(i)
-        for root in sorted(by_group, key=lambda u: int(dual.rep_id[u])):
-            parts = [
-                (g, by_group[root][g])
-                for g in sorted(by_group[root], key=lambda u: int(dual.rep_id[u]))
-            ]
+        for root in sorted(by_group):
+            parts = [(g, by_group[root][g]) for g in sorted(by_group[root])]
             regions.append(("collar", parts))
 
     # slabs per gate level, trimmed by everything already claimed
@@ -817,7 +804,7 @@ def cover_amalgam(
         by_gate = {}
         for i in take.tolist():
             by_gate.setdefault(int(anc[lvl][i]), []).append(i)
-        for gate in sorted(by_gate, key=lambda u: int(dual.rep_id[u])):
+        for gate in sorted(by_gate):
             regions.append(("slab", [(gate, by_gate[gate])]))
 
     uncovered = np.nonzero(core & ~assigned)[0]

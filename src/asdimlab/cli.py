@@ -276,11 +276,10 @@ def make_parser():
         p.add_argument("input", help="input JSON file")
         p.add_argument("--out", help="output directory for artifacts")
         p.add_argument("--cap-elements", type=int, default=DEFAULT_BALL_CAP)
-        p.add_argument("--seed", type=int, default=None, help="seed for the alternate section choice")
         if needs_r:
             p.add_argument("--r", type=int, default=4, help="construction scale")
             p.add_argument("--R", type=int, default=None, help="boundary thickness override")
-        p.add_argument("--ball", type=int, default=None, help="ball radius override")
+            p.add_argument("--ball", type=int, default=None, help="ball radius override")
 
     p = sub.add_parser("bound", help="nerve/asdim/chromatic bounds")
     common(p)
@@ -293,6 +292,7 @@ def make_parser():
 
     p = sub.add_parser("check", help="run the exhaustive amalgam checkers")
     common(p, needs_r=True)
+    p.add_argument("--seed", type=int, default=None, help="seed for the alternate section choice")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("davis", help="glue a finite-radius Davis complex")

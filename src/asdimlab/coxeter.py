@@ -176,13 +176,6 @@ class DecompositionTree:
             return 0
         return 1 + max(self.n1.depth(), self.n2.depth())
 
-    def leaves(self):
-        if self.is_leaf:
-            yield self
-        else:
-            yield from self.n1.leaves()
-            yield from self.n2.leaves()
-
     def to_json(self):
         if self.is_leaf:
             return {"vertices": list(self.vertices), "leaf": "simplex/finite"}
@@ -306,7 +299,6 @@ class DavisBall:
     vertex_count: int
     vertex_labels: list
     maximal_simplices: list
-    chamber_of_vertex: list
     dim: int
 
     def skeleton_graph(self) -> nx.Graph:
@@ -383,7 +375,6 @@ def build_davis_ball(cox: CoxeterSystem, radius, cap=200_000) -> DavisBall:
 
     roots = {}
     labels = []
-    chamber_of = []
     for cid, gamma in enumerate(ball.elements):
         for cv in range(len(faces) + 1):
             root = uf.find(slot(cid, cv))
@@ -394,7 +385,6 @@ def build_davis_ball(cox: CoxeterSystem, radius, cap=200_000) -> DavisBall:
                 else:
                     face_name = ",".join(str(v) for v in faces[cv])
                     labels.append(f"{engine.word_str(gamma)}|{face_name}")
-                chamber_of.append(cid)
 
     simplices = set()
     for cid in range(n_chambers):
@@ -410,7 +400,6 @@ def build_davis_ball(cox: CoxeterSystem, radius, cap=200_000) -> DavisBall:
         vertex_count=len(roots),
         vertex_labels=labels,
         maximal_simplices=maximal,
-        chamber_of_vertex=chamber_of,
         dim=dim,
     )
 

@@ -18,7 +18,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .errors import InputError, OutOfBallError, ResourceCapError, UnsupportedBackendError
+from .errors import InputError, ResourceCapError, UnsupportedBackendError
 from .metric import GraphMetric
 
 DEFAULT_BALL_CAP = 2_000_000
@@ -348,14 +348,6 @@ class Ball:
 
     def __len__(self):
         return len(self.elements)
-
-    def id_of(self, x):
-        try:
-            return self.index[x]
-        except KeyError:
-            raise OutOfBallError(
-                f"element {self.engine.word_str(x)} outside enumerated ball of radius {self.radius}"
-            ) from None
 
     def graph_metric(self) -> GraphMetric:
         inside = self.edge_dst >= 0

@@ -145,14 +145,11 @@ class GraphMetric(FiniteMetric):
 
     def masked(self, removed) -> "GraphMetric":
         """Graph metric with a point set removed (used for separation checks)."""
-        removed = set(removed)
+        gone = np.zeros(self.n, dtype=bool)
+        gone[np.asarray(list(removed), dtype=np.int64)] = True
         coo = self.graph.tocoo()
-        keep = [
-            (u, v)
-            for u, v in zip(coo.row, coo.col)
-            if u < v and u not in removed and v not in removed
-        ]
-        return GraphMetric(self.n, keep)
+        keep = (coo.row < coo.col) & ~gone[coo.row] & ~gone[coo.col]
+        return GraphMetric(self.n, np.column_stack([coo.row[keep], coo.col[keep]]))
 
     def components(self) -> np.ndarray:
         _, labels = connected_components(self.graph, directed=False)

@@ -69,6 +69,44 @@ def reference_D_R(ab, u, R, side=None):
     return np.nonzero((field == R) & far & ab.core_mask())[0]
 
 
+def reference_partition(ab, r, R, side):
+    """Theorem 2.1's partition with one coset field per gate, and per level-r
+    step one ancestor lookup and one strict beyond-set per gate pair."""
+    dual = ab.dual
+    core = ab.core_mask()
+    sides = ab.side_of_elements()
+    on_side = (sides == side) | (sides == SIDE_BASE)
+
+    def beyond(u, strict=False):
+        field = ab.metric.dist_field(dual.fiber(u))
+        lvl = int(dual.level[u])
+        if lvl == 0:
+            far = sides == side
+        else:
+            far = dual.ancestor_at_level(dual.vertex_of_element, lvl) == u
+        return (field > R if strict else field >= R) & far
+
+    base = dual.base()
+    central = np.nonzero(core & on_side & (ab.metric.dist_field(dual.fiber(base)) <= R))[0]
+    gates = [(base, 0)] + [
+        (u, lvl)
+        for lvl in range(r, int(dual.level.max()) + 1, r)
+        for u in dual.vertices_at_level(lvl, side=side)
+    ]
+    boundary = np.zeros(ab.n, dtype=bool)
+    pieces = []
+    for u, lvl in gates:
+        boundary[reference_D_R(ab, u, R, side=side)] = True
+        mask = beyond(u)
+        for w, wl in gates:
+            if wl == lvl + r and (lvl == 0 or dual.ancestor_at_level([w], lvl)[0] == u):
+                mask &= ~beyond(w, strict=True)
+        ids = np.nonzero(mask & core & on_side)[0]
+        if len(ids):
+            pieces.append((u, ids))
+    return central, pieces, np.nonzero(boundary)[0]
+
+
 def test_degenerate_amalgam_rejected():
     z2 = z_n_group(2, "a")
     with pytest.raises(InputError):
@@ -212,6 +250,44 @@ def test_fibers_match_vertex_scan(dinf_amalgam, z2z3_amalgam, z4z2z4_amalgam):
             expected = np.nonzero(dual.vertex_of_element == u)[0]
             assert np.array_equal(dual.fiber(u), expected)
         assert not dual.fiber(dual.base()).flags.writeable
+        # vertices are numbered in the ball order of their first elements
+        assert (np.diff(dual.fiber_order[dual.fiber_start[:-1]]) > 0).all()
+
+
+@pytest.mark.parametrize(
+    "fixture, radius",
+    [("dinf_amalgam", 16), ("z2z3_amalgam", 16), ("z4z2z4_amalgam", 12), (None, 9)],
+)
+def test_level_field_is_the_gate_coset_field_beyond_each_gate(request, fixture, radius):
+    ctx = request.getfixturevalue(fixture) if fixture else path4_split()
+    ab = prepare(ctx, radius)
+    dual = ab.dual
+    for lvl in range(0, int(dual.level.max()) + 1, 2):
+        field, anc = ab.level_field(lvl)
+        assert ab.level_field(lvl)[0] is field
+        assert not field.flags.writeable and not anc.flags.writeable
+        assert np.array_equal(anc, dual.ancestor_at_level(dual.vertex_of_element, lvl))
+        for u in dual.vertices_at_level(lvl):
+            beyond = anc == u
+            assert beyond[dual.fiber(u)].all()
+            own = ab.metric.dist_field(dual.fiber(u))
+            assert np.array_equal(field[beyond], own[beyond])
+
+
+@pytest.mark.parametrize("split, radius", [("z2z3", 16), ("z2z3", 20), ("path4", 9)])
+def test_partition_matches_per_gate_reference(z2z3_amalgam, split, radius):
+    ctx = z2z3_amalgam if split == "z2z3" else path4_split()
+    ab = prepare(ctx, radius, core_radius=radius - 3)
+    for side in (SIDE_A, SIDE_B):
+        part = partition_ball(ab, 8, 1, side)
+        central, pieces, boundary = reference_partition(ab, 8, 1, side)
+        assert np.array_equal(part.central, central)
+        assert [u for u, _ in part.pieces] == [u for u, _ in pieces]
+        for (_, got), (_, expected) in zip(part.pieces, pieces):
+            assert np.array_equal(got, expected)
+        assert np.array_equal(part.boundary, boundary)
+        # on Z2*Z3 level-8 gates have pieces in the core, so the subtraction runs
+        assert len(part.pieces) > 1 or split == "path4"
 
 
 @pytest.mark.parametrize("split, radius", [("z2z3", 16), ("path4", 9)])

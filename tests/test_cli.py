@@ -147,6 +147,14 @@ def test_cover_bad_R_override_rejected(tmp_path, capsys):
     assert "r > 4R" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["cover", "bound", "davis", "dualgraph"])
+def test_seed_is_a_check_option_only(tmp_path, command):
+    path = write(tmp_path, "dinf.json", DINF_DOC)
+    with pytest.raises(SystemExit) as exc:
+        main([command, path, "--seed", "1"])
+    assert exc.value.code == 2
+
+
 def test_check_dinf_all_pass(tmp_path, capsys):
     path = write(tmp_path, "dinf.json", DINF_DOC)
     assert main(["check", path, "--r", "8", "--R", "1", "--ball", "24", "--seed", "3"]) == 0

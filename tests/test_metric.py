@@ -53,6 +53,21 @@ def test_graph_metric_masked_separation():
     assert labels[0] != labels[4]
 
 
+def test_graph_metric_masked_matches_edge_scan():
+    rng = np.random.default_rng(5)
+    g = GraphMetric(80, rng.integers(0, 80, size=(200, 2)).tolist())
+    removed = list(range(0, 80, 7))
+    coo = g.graph.tocoo()
+    kept = [
+        (u, v)
+        for u, v in zip(coo.row, coo.col)
+        if u < v and u not in removed and v not in removed
+    ]
+    masked = g.masked(removed)
+    assert (masked.graph != GraphMetric(80, kept).graph).nnz == 0
+    assert np.array_equal(masked.components(), GraphMetric(80, kept).components())
+
+
 def test_unknown_point_rejected():
     g = GraphMetric(3, [(0, 1)])
     with pytest.raises(InputError):
