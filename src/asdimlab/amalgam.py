@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError, OutOfBallError, PreconditionError
-from .groups import Ball, FiniteTableGroup, RacgEngine, build_ball
+from .groups import Ball, FiniteTableGroup, RacgEngine, build_ball, first_sight
 from .metric import UNREACHED, GraphMetric
 
 SIDE_A, SIDE_B, SIDE_BASE = 0, 1, -1
@@ -256,6 +256,11 @@ class AmalgamContext:
     def vertex_key(self, x):
         raise NotImplementedError
 
+    def coset_letters(self):
+        """Generator indices (of C, of the A side, of the B side) whose ball
+        edges connect each coset xC, xA, xB inside the ball."""
+        raise NotImplementedError
+
     def dist_to_c(self, x):
         raise NotImplementedError
 
@@ -296,6 +301,16 @@ class TableAmalgam(AmalgamContext):
     def vertex_key(self, x):
         return x[0]
 
+    def coset_letters(self):
+        # the A-generators that lie in C are every non-identity element of
+        # C; B's generators omit those, so the B side adds them back
+        gens = self.engine.gens
+        c_images = set(self.engine.embed[0])
+        c = [gi for gi, (side, x) in enumerate(gens) if side == 0 and x in c_images]
+        a = [gi for gi, (side, _) in enumerate(gens) if side == 0]
+        b = [gi for gi, (side, _) in enumerate(gens) if side == 1]
+        return c, a, sorted(b + c)
+
     def dist_to_c(self, x):
         return self.engine.level(x)
 
@@ -321,13 +336,6 @@ class TableAmalgam(AmalgamContext):
     def gate_tail(self, inv_gate_rep, x):
         zs, c = self.engine.multiply(inv_gate_rep, x)
         return len(zs), c
-
-    def piece_key(self, x, side):
-        """Canonical key of the Bass-Serre vertex x*A (side 0) or x*B."""
-        zs, _ = x
-        if zs and zs[-1][0] == side:
-            zs = zs[:-1]
-        return zs
 
     def factor_dims(self):
         return 0, 0, 0
@@ -375,6 +383,9 @@ class RacgAmalgam(AmalgamContext):
     def vertex_key(self, x):
         return self.engine.coset_minrep(x, self.k)
 
+    def coset_letters(self):
+        return sorted(self.k), sorted(self.n1), sorted(self.n2)
+
     def dist_to_c(self, x):
         return len(self.engine.coset_minrep(self.engine.inverse(x), self.k))
 
@@ -397,10 +408,6 @@ class RacgAmalgam(AmalgamContext):
         m = self.engine.coset_minrep(y, self.k)
         c = self.engine.multiply(self.engine.inverse(m), y)
         return len(m), self.to_c(c)
-
-    def piece_key(self, x, side):
-        letters = self.n1 if side == SIDE_A else self.n2
-        return self.engine.coset_minrep(x, letters)
 
     def random_sections(self, seed):
         """Section function keyed by coset minrep; identity coset stays identity."""
@@ -440,8 +447,6 @@ class DualGraph:
     numbered in ball order at first sight, so vertex order is the order of
     the representatives' ball ids."""
 
-    keys: list
-    key_index: dict
     vertex_of_element: np.ndarray
     level: np.ndarray
     parent: np.ndarray
@@ -455,7 +460,7 @@ class DualGraph:
 
     @property
     def n_vertices(self):
-        return len(self.keys)
+        return len(self.rep_element)
 
     def fiber(self, u):
         """Element ids of the coset u, ascending (a read-only view)."""
@@ -489,78 +494,76 @@ def build_dual_graph(ctx: AmalgamContext, ball: Ball) -> DualGraph:
     """K on the ball's cosets, with pieces (Bass-Serre vertex cliques) driving
     the level BFS: every coset belongs to one A-piece and one B-piece; each
     piece is entered through its unique lowest vertex (the gate), and all
-    other members sit one level above it."""
-    keys = []
-    key_index = {}
-    vertex_of = np.empty(len(ball), dtype=np.int64)
-    rep_element = []
-    for i, x in enumerate(ball.elements):
-        k = ctx.vertex_key(x)
-        vid = key_index.get(k)
-        if vid is None:
-            vid = len(keys)
-            key_index[k] = vid
-            keys.append(k)
-            rep_element.append(x)
-        vertex_of[i] = vid
-    n = len(keys)
+    other members sit one level above it.
 
-    piece_ids = (dict(), dict())
-    piece_members = []
-    piece_of_vertex = np.empty((n, 2), dtype=np.int64)
-    for u in range(n):
-        for s in (SIDE_A, SIDE_B):
-            pk = (s, ctx.piece_key(rep_element[u], s))
-            pid = piece_ids[s].get(pk[1])
-            if pid is None:
-                pid = len(piece_members)
-                piece_ids[s][pk[1]] = pid
-                piece_members.append([])
-            piece_members[pid].append(u)
-            piece_of_vertex[u, s] = pid
+    Cosets are found on the ball's edge table, not on words.  An element's
+    vertex is the least ball id over its coset xC, by min-label propagation
+    along the C-letter columns to a fixpoint, and its pieces likewise along
+    the A- and B-letter columns (`ctx.coset_letters`).  This is exact
+    because the letters connect every coset's part inside the ball.  In a
+    RACG x = m c with m the minimal coset representative and
+    |x| = |m| + |c|, so the prefixes of c walk from m to x inside the ball.
+    In a table amalgam every non-identity element of C, A or B is one letter,
+    so the part is a clique.  Ids follow BFS order, so the least id is the
+    first-seen representative, and vertex ids follow the ball order of
+    their representatives.  Piece ids follow first sight in (vertex, side)
+    order.
+    """
+    c_letters, a_letters, b_letters = ctx.coset_letters()
+    table = ball.table
+    rep_ids, vertex_of = np.unique(_coset_labels(table, c_letters), return_inverse=True)
+    rep_element = [ball.elements[i] for i in rep_ids.tolist()]
+    n = len(rep_ids)
+
+    labels = [_coset_labels(table, letters)[rep_ids] for letters in (a_letters, b_letters)]
+    flat_piece, heads = first_sight((2 * np.column_stack(labels) + [SIDE_A, SIDE_B]).ravel())
+    n_pieces = len(heads)
+    piece_of_vertex = flat_piece.reshape(n, 2)
+    piece_side = (heads % 2).tolist()
+    # vertices grouped by piece, ascending within a piece
+    member_of = np.argsort(flat_piece, kind="stable") // 2
+    piece_start = np.zeros(n_pieces + 1, dtype=np.int64)
+    np.cumsum(np.bincount(flat_piece, minlength=n_pieces), out=piece_start[1:])
 
     base = int(vertex_of[0])
     level = np.full(n, -1, dtype=np.int64)
     parent = np.full(n, -1, dtype=np.int64)
     level[base] = 0
-    piece_done = [False] * len(piece_members)
-    frontier = [base]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for s in (SIDE_A, SIDE_B):
-                pid = int(piece_of_vertex[u, s])
-                if piece_done[pid]:
-                    continue
-                piece_done[pid] = True
-                for v in piece_members[pid]:
-                    if v == u:
-                        continue
-                    if level[v] >= 0:
-                        raise AssertionError(
-                            "tree-graded structure violated: piece with two gates"
-                        )
-                    level[v] = level[u] + 1
-                    parent[v] = u
-                    nxt.append(v)
-        frontier = sorted(nxt)
+    piece_done = np.zeros(n_pieces, dtype=bool)
+    frontiers = [np.array([base], dtype=np.int64)]
+    while len(frontiers[-1]):
+        frontier = frontiers[-1]
+        gates = np.repeat(frontier, 2)
+        pids = piece_of_vertex[frontier].ravel()
+        fresh = ~piece_done[pids]
+        gates, pids = gates[fresh], pids[fresh]
+        piece_done[pids] = True
+        counts = piece_start[pids + 1] - piece_start[pids]
+        offsets = np.repeat(piece_start[pids] - np.cumsum(counts) + counts, counts)
+        members = member_of[offsets + np.arange(len(offsets))]
+        gates = np.repeat(gates, counts)
+        up = members != gates
+        members, gates = members[up], gates[up]
+        # a piece has a second gate when a member already has a level (this
+        # includes a piece met from two frontier vertices) or when a vertex
+        # lies in two pieces opened at this step
+        if (level[members] >= 0).any() or len(np.unique(members)) < len(members):
+            raise AssertionError("tree-graded structure violated: piece with two gates")
+        level[members] = len(frontiers)
+        parent[members] = gates
+        frontiers.append(np.sort(members))
 
     if (level < 0).any():
         raise OutOfBallError("dual graph disconnected inside the ball")
 
     side = np.full(n, SIDE_BASE, dtype=np.int64)
-    for u in np.argsort(level, kind="stable").tolist():
-        if level[u] == 1:
-            f = ctx.in_factor(rep_element[u])
-            if f is None:
-                raise AssertionError("level-1 coset not inside a factor")
-            side[u] = f
-        elif level[u] > 1:
-            side[u] = side[parent[u]]
-
-    piece_side = [SIDE_A] * len(piece_members)
-    for pid in piece_ids[SIDE_B].values():
-        piece_side[pid] = SIDE_B
+    for u in frontiers[1].tolist():
+        f = ctx.in_factor(rep_element[u])
+        if f is None:
+            raise AssertionError("level-1 coset not inside a factor")
+        side[u] = f
+    for frontier in frontiers[2:]:
+        side[frontier] = side[parent[frontier]]
 
     fiber_order = np.argsort(vertex_of, kind="stable")
     fiber_order.flags.writeable = False
@@ -568,19 +571,34 @@ def build_dual_graph(ctx: AmalgamContext, ball: Ball) -> DualGraph:
     np.cumsum(np.bincount(vertex_of, minlength=n), out=fiber_start[1:])
 
     return DualGraph(
-        keys=keys,
-        key_index=key_index,
         vertex_of_element=vertex_of,
         level=level,
         parent=parent,
         side=side,
         rep_element=rep_element,
-        piece_members=[sorted(m) for m in piece_members],
+        piece_members=[
+            member_of[a:b].tolist() for a, b in zip(piece_start[:-1], piece_start[1:])
+        ],
         piece_of_vertex=piece_of_vertex,
         piece_side=piece_side,
         fiber_order=fiber_order,
         fiber_start=fiber_start,
     )
+
+
+def _coset_labels(table, letters):
+    """Each element's least ball id over the elements it reaches along the
+    `letters` columns of the edge table: min-label propagation with pointer
+    jumping, iterated to a fixpoint."""
+    n = len(table)
+    labels = np.arange(n + 1, dtype=np.int64)  # labels[-1] = n is read for -1
+    while True:
+        before = labels.copy()
+        for g in letters:
+            np.minimum(labels[:n], labels[table[:, g]], out=labels[:n])
+        labels[:n] = labels[labels[:n]]
+        if np.array_equal(labels, before):
+            return labels[:n]
 
 
 @dataclass
@@ -593,6 +611,7 @@ class AmalgamBall:
     metric: GraphMetric
     core_radius: int
     _levels: dict = field(default_factory=dict, init=False, repr=False)
+    _vertex_by_key: dict = field(default=None, init=False, repr=False)
 
     @property
     def n(self):
@@ -624,6 +643,15 @@ class AmalgamBall:
             anc.flags.writeable = False
             self._levels[lvl] = (self.metric.dist_field(ids), anc)
         return self._levels[lvl]
+
+    def _vertex_of(self, x):
+        """pi(x) as a vertex id, None when its coset is not in the ball.  The
+        map from `ctx.vertex_key` of each representative is built on first
+        use; only the word-level helpers below need it."""
+        if self._vertex_by_key is None:
+            key = self.ctx.vertex_key
+            self._vertex_by_key = {key(rep): u for u, rep in enumerate(self.dual.rep_element)}
+        return self._vertex_by_key.get(self.ctx.vertex_key(x))
 
 
 def prepare(ctx: AmalgamContext, ball_radius, core_radius=None, cap=None) -> AmalgamBall:
@@ -659,8 +687,7 @@ def amalgam_normal_form(ab: AmalgamBall, x, sections=None) -> NormalFormAm:
     representative per step; the tail c is the remaining C-element.
     """
     ctx, dual = ab.ctx, ab.dual
-    key = ctx.vertex_key(x)
-    vid = dual.key_index.get(key)
+    vid = ab._vertex_of(x)
     if vid is None:
         raise OutOfBallError("element's coset not present in the enumerated ball")
     path = [vid]
@@ -691,8 +718,7 @@ def amalgam_normal_form(ab: AmalgamBall, x, sections=None) -> NormalFormAm:
 
 def project_pi(ab: AmalgamBall, x):
     """pi(g) = gC as a dual-graph vertex id."""
-    key = ab.ctx.vertex_key(x)
-    vid = ab.dual.key_index.get(key)
+    vid = ab._vertex_of(x)
     if vid is None:
         raise OutOfBallError("coset outside enumerated ball")
     return vid

@@ -12,6 +12,7 @@ bit for bit.
 from __future__ import annotations
 
 import numbers
+from array import array
 from collections import deque
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
@@ -22,6 +23,8 @@ from .errors import InputError, ResourceCapError, UnsupportedBackendError
 from .metric import GraphMetric
 
 DEFAULT_BALL_CAP = 2_000_000
+# RACG balls keep right descent sets as int64 bitmasks of generator indices
+_DESCENT_BITS = 63
 
 # records per chunk of `Ball.iter_json`; a record is a few dozen bytes
 # plus its word
@@ -335,39 +338,42 @@ class RacgEngine(CoxeterMatrix):
 
 @dataclass
 class Ball:
-    """Closed Cayley ball around the identity with BFS ids and edges."""
+    """Closed Cayley ball around the identity with BFS ids and its edge table:
+    `table[x, g]` is the id of x * generator g, or -1 outside the ball
+    (read-only).  Row-major order over (element, generator) is the edge
+    order of `to_json` and `iter_json`."""
 
     engine: object
     radius: int
     elements: list
     index: dict
     norms: np.ndarray
-    edge_src: np.ndarray
-    edge_gen: np.ndarray
-    edge_dst: np.ndarray
+    table: np.ndarray
+
+    def __post_init__(self):
+        self.table.flags.writeable = False
 
     def __len__(self):
         return len(self.elements)
 
+    def _edges(self):
+        """(src, gen, dst) of the in-ball table entries in row-major order."""
+        src, gen = np.nonzero(self.table >= 0)
+        return src, gen, self.table[src, gen]
+
     def graph_metric(self) -> GraphMetric:
-        inside = self.edge_dst >= 0
-        return GraphMetric(
-            len(self.elements),
-            zip(self.edge_src[inside].tolist(), self.edge_dst[inside].tolist()),
-        )
+        src, _, dst = self._edges()
+        return GraphMetric(len(self.elements), np.column_stack([src, dst]))
 
     def cayley_edges(self):
-        """Distinct undirected Cayley edges inside the ball."""
-        inside = self.edge_dst >= 0
-        pairs = {
-            (min(u, v), max(u, v))
-            for u, v in zip(self.edge_src[inside].tolist(), self.edge_dst[inside].tolist())
-            if u != v
-        }
-        return sorted(pairs)
+        """Distinct undirected Cayley edges inside the ball, as sorted pairs."""
+        src, _, dst = self._edges()
+        lo, hi = np.minimum(src, dst), np.maximum(src, dst)
+        keys = np.unique((lo * len(self) + hi)[lo != hi])
+        return list(zip((keys // len(self)).tolist(), (keys % len(self)).tolist()))
 
     def to_json(self):
-        inside = self.edge_dst >= 0
+        src, gen, dst = self._edges()
         return {
             "radius": int(self.radius),
             "elements": [
@@ -380,11 +386,7 @@ class Ball:
             ],
             "edges": [
                 [int(u), int(v), self.engine.gen_names[g]]
-                for u, g, v in zip(
-                    self.edge_src[inside].tolist(),
-                    self.edge_gen[inside].tolist(),
-                    self.edge_dst[inside].tolist(),
-                )
+                for u, g, v in zip(src.tolist(), gen.tolist(), dst.tolist())
                 if u <= v
             ],
         }
@@ -394,8 +396,9 @@ class Ball:
         plus a newline, as string chunks of at most BALL_JSON_CHUNK records,
         so the whole document is never held in memory at once.  Strings are
         escaped as json.dumps escapes them by default (ensure_ascii)."""
-        keep = (self.edge_dst >= 0) & (self.edge_src <= self.edge_dst)
-        src, gen, dst = self.edge_src[keep], self.edge_gen[keep], self.edge_dst[keep]
+        src, gen, dst = self._edges()
+        keep = src <= dst
+        src, gen, dst = src[keep], gen[keep], dst[keep]
         names = np.array(
             [encode_basestring_ascii(n) for n in self.engine.gen_names], dtype=object
         )
@@ -429,24 +432,49 @@ def _json_array(key, n, rows, template):
 
 
 def build_ball(engine, radius, cap=DEFAULT_BALL_CAP) -> Ball:
-    """BFS enumeration of the closed ball; ids follow discovery order."""
+    """The closed ball of `radius` around the identity.  Ids follow BFS
+    discovery order: sphere by sphere, and within a sphere by the first
+    (element, generator) pair, in row-major order, whose product is new.
+    Raises ResourceCapError when the ball would exceed `cap` elements.
+
+    A `RacgEngine` is enumerated on integers by right descent sets.  For x
+    of length k and g not in D(x), y = xg has length k + 1 and
+    D(y) = {g} | (D(x) & comm(g)).  Every y of length k + 1 is then named
+    once by (p, t) with t = max D(y) and p = yt of length k: p = x when
+    t = g, and otherwise p = (xt)g, because t and g commute.  The other
+    down-edges of y follow from y s = (p s) t for s in D(y), which commute
+    with t and lie in D(p).  This is the length-additive factorisation of
+    Coxeter groups (Bjorner-Brenti, Combinatorics of Coxeter Groups, 2.4)
+    and the descent-set automaton of Brink-Howlett (1993).  One `append`
+    per element builds its normal form from its parent's.  Every other
+    engine, and a RACG of more than `_DESCENT_BITS` generators, runs the
+    generic `bfs_ball`, the reference the RACG path is tested against.
+    """
     if radius < 0:
         raise InputError("ball radius must be >= 0")
-    identity = engine.identity
-    elements = [identity]
-    index = {identity: 0}
+    if isinstance(engine, RacgEngine) and engine.rank <= _DESCENT_BITS:
+        return _racg_ball(engine, radius, cap)
+    return bfs_ball(engine, radius, cap)
+
+
+def bfs_ball(engine, radius, cap=DEFAULT_BALL_CAP) -> Ball:
+    """Generic BFS for any engine: one `mul_gen` per (element, generator) in
+    id order, each appending the product's id, or -1 on the boundary sphere
+    when the product is new."""
+    if radius < 0:
+        raise InputError("ball radius must be >= 0")
+    k = engine.gen_count
+    elements = [engine.identity]
+    index = {engine.identity: 0}
     norms = [0]
-    edges = []
-    frontier = deque([0])
-    while frontier:
-        xid = frontier.popleft()
-        if norms[xid] >= radius:
-            continue
-        x = elements[xid]
-        for gi in range(engine.gen_count):
+    table = array("q")
+    xid = 0
+    while xid < len(elements):
+        x, inner = elements[xid], norms[xid] < radius
+        for gi in range(k):
             y = engine.mul_gen(x, gi)
-            yid = index.get(y)
-            if yid is None:
+            yid = index.get(y, -1)
+            if yid < 0 and inner:
                 yid = len(elements)
                 if yid >= cap:
                     raise ResourceCapError(
@@ -455,29 +483,69 @@ def build_ball(engine, radius, cap=DEFAULT_BALL_CAP) -> Ball:
                 index[y] = yid
                 elements.append(y)
                 norms.append(norms[xid] + 1)
-                frontier.append(yid)
-            edges.append((xid, gi, yid))
-    # boundary-sphere elements may have generator edges leaving the ball;
-    # record them with dst = -1 so callers can tell truncation from absence
-    boundary = [i for i in range(len(elements)) if norms[i] == radius]
-    for xid in boundary:
-        x = elements[xid]
-        for gi in range(engine.gen_count):
-            y = engine.mul_gen(x, gi)
-            yid = index.get(y, -1)
-            edges.append((xid, gi, yid))
-    arr = np.asarray(edges, dtype=np.int64).reshape(-1, 3)
-    ball = Ball(
-        engine=engine,
-        radius=radius,
-        elements=elements,
-        index=index,
-        norms=np.asarray(norms, dtype=np.int32),
-        edge_src=arr[:, 0],
-        edge_gen=arr[:, 1],
-        edge_dst=arr[:, 2],
-    )
-    return ball
+            table.append(yid)
+        xid += 1
+    table = np.frombuffer(table, dtype=np.int64).reshape(len(elements), k)
+    return Ball(engine, radius, elements, index, np.asarray(norms, dtype=np.int32), table)
+
+
+def _racg_ball(engine, radius, cap):
+    """`build_ball` for a RACG, one sphere per step with numpy."""
+    k = engine.rank
+    bits = np.left_shift(1, np.arange(k, dtype=np.int64))
+    comm = np.array([sum(1 << j for j in c) for c in engine.comm], dtype=np.int64)
+    table = np.full((1, k), -1, dtype=np.int64)
+    elements = [engine.identity]
+    descents = np.zeros(1, dtype=np.int64)  # of the current sphere
+    starts = [0, 1]  # sphere j holds ids starts[j]:starts[j + 1]
+    for _ in range(radius):
+        lo, n = starts[-2], starts[-1]
+        # every (x, g) with g not in D(x), in row-major order, and D(xg)
+        xs, gs = np.nonzero((descents[:, None] & bits) == 0)
+        d_new = bits[gs] | (descents[xs] & comm[gs])
+        xs += lo
+        # the key (p, t) of xg: t = max D(xg), p = xg t
+        t = np.zeros(len(xs), dtype=np.int64)
+        for g in range(1, k):
+            t[(d_new >> g) & 1 == 1] = g
+        p = xs.copy()
+        other = t != gs
+        p[other] = table[table[xs[other], t[other]], gs[other]]
+        new, heads = first_sight(p * k + t)
+        m = len(heads)
+        if n + m > cap:
+            raise ResourceCapError(f"ball would exceed the element cap {cap}", cap=cap)
+        if not m:
+            break
+        if n + m > len(table):
+            size = len(table)
+            table.resize((max(n + m, 2 * size), k), refcheck=False)
+            table[size:] = -1
+        table[xs, gs] = n + new
+        ids, p, t, descents = np.arange(n, n + m), p[heads], t[heads], d_new[heads]
+        # down-edges of the new sphere: y t = p, and y s = (p s) t for s in D(y)
+        table[ids, t] = p
+        for g in range(k):
+            down = ((descents >> g) & 1 == 1) & (t != g)
+            table[ids[down], g] = table[table[p[down], g], t[down]]
+        append = engine.append
+        elements.extend([append(elements[q], s) for q, s in zip(p.tolist(), t.tolist())])
+        starts.append(n + m)
+    table.resize((len(elements), k), refcheck=False)
+    norms = np.repeat(np.arange(len(starts) - 1, dtype=np.int32), np.diff(starts))
+    index = {x: i for i, x in enumerate(elements)}
+    return Ball(engine, radius, elements, index, norms, table)
+
+
+def first_sight(keys):
+    """Number the distinct keys 0, 1, ... in order of first occurrence.
+    Returns each key's number and, per number, the index of its first
+    occurrence."""
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    number = np.empty(len(order), dtype=np.int64)
+    number[order] = np.arange(len(order))
+    return number[inverse], first[order]
 
 
 def enumerate_words_brute(engine, radius):

@@ -126,15 +126,17 @@ class DenseMetric(FiniteMetric):
 class GraphMetric(FiniteMetric):
     """Shortest-path metric of an undirected unit-weight graph.
 
-    `edges` is an iterable of (u, v) pairs; the metric is the BFS distance in
-    the graph on n points.  Used for Cayley balls, where the graph distance
-    agrees with the word metric for all pairs whose true distance keeps a
-    geodesic inside the enumerated ball.
+    `edges` is an (m, 2) array-like or an iterable of (u, v) pairs; the
+    metric is the BFS distance in the graph on n points.  Used for Cayley
+    balls, where the graph distance agrees with the word metric for all
+    pairs whose true distance keeps a geodesic inside the enumerated ball.
     """
 
     def __init__(self, n, edges):
         self.n = n
-        edges = np.asarray(list(edges), dtype=np.int64).reshape(-1, 2)
+        if not hasattr(edges, "__len__"):  # a generator of pairs
+            edges = list(edges)
+        edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         if len(edges) and (edges.min() < 0 or edges.max() >= n):
             raise InputError("edge endpoint outside point range")
         row = np.concatenate([edges[:, 0], edges[:, 1]])

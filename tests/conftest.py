@@ -39,6 +39,26 @@ CYCLE5 = [
 ]
 
 
+def commutation_matrix(k, edges):
+    """Right-angled Coxeter matrix on k generators with the given commuting pairs."""
+    m = [[1 if i == j else 0 for j in range(k)] for i in range(k)]
+    for i, j in edges:
+        m[i][j] = m[j][i] = 2
+    return m
+
+
+# free, (Z2)^3, 4-cycle, path-4, 5-cycle, star and a 6-vertex graph
+RACG_GRAPHS = {
+    "free": commutation_matrix(3, []),
+    "z2-cubed": commutation_matrix(3, [(0, 1), (1, 2), (0, 2)]),
+    "cycle4": commutation_matrix(4, [(0, 1), (1, 2), (2, 3), (3, 0)]),
+    "path4": commutation_matrix(4, [(0, 1), (1, 2), (2, 3)]),
+    "cycle5": CYCLE5,
+    "star": commutation_matrix(4, [(0, 1), (0, 2), (0, 3)]),
+    "six": commutation_matrix(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 3)]),
+}
+
+
 @pytest.fixture(scope="session")
 def path3_engine():
     return RacgEngine(PATH3, names=["a", "b", "c"])

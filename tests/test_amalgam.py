@@ -1,3 +1,6 @@
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 
@@ -5,9 +8,12 @@ from asdimlab.amalgam import (
     SIDE_A,
     SIDE_B,
     SIDE_BASE,
+    AmalgamContext,
     CheckVerdict,
+    DualGraph,
     RacgAmalgam,
     amalgam_normal_form,
+    build_dual_graph,
     check_assertion_2_1,
     check_assertion_2_2,
     check_separation,
@@ -22,9 +28,9 @@ from asdimlab.amalgam import (
     TableAmalgam,
 )
 from asdimlab.errors import InputError, OutOfBallError, PreconditionError
-from asdimlab.groups import RacgEngine
+from asdimlab.groups import Ball, RacgEngine, build_ball
 
-from conftest import PATH4, z_n_group
+from conftest import CYCLE5, PATH4, RACG_GRAPHS, z_n_group
 
 
 def path4_split():
@@ -105,6 +111,206 @@ def reference_partition(ab, r, R, side):
         if len(ids):
             pieces.append((u, ids))
     return central, pieces, np.nonzero(boundary)[0]
+
+
+def _reference_piece_key(ctx, x, side):
+    """Canonical word-level key of the Bass-Serre vertex x*A (side A) or x*B."""
+    if isinstance(ctx, RacgAmalgam):
+        return ctx.engine.coset_minrep(x, ctx.n1 if side == SIDE_A else ctx.n2)
+    zs, _ = x
+    return zs[:-1] if zs and zs[-1][0] == side else zs
+
+
+def reference_dual_graph(ctx, ball):
+    """K from word-level coset keys: one `vertex_key` per element and one
+    piece key per vertex and side, with the level BFS one vertex at a time."""
+    key_index = {}
+    vertex_of = np.empty(len(ball), dtype=np.int64)
+    rep_element = []
+    for i, x in enumerate(ball.elements):
+        vid = key_index.setdefault(ctx.vertex_key(x), len(rep_element))
+        if vid == len(rep_element):
+            rep_element.append(x)
+        vertex_of[i] = vid
+    n = len(rep_element)
+
+    piece_ids = ({}, {})
+    piece_members = []
+    piece_of_vertex = np.empty((n, 2), dtype=np.int64)
+    for u in range(n):
+        for s in (SIDE_A, SIDE_B):
+            pid = piece_ids[s].setdefault(
+                _reference_piece_key(ctx, rep_element[u], s), len(piece_members)
+            )
+            if pid == len(piece_members):
+                piece_members.append([])
+            piece_members[pid].append(u)
+            piece_of_vertex[u, s] = pid
+
+    level = np.full(n, -1, dtype=np.int64)
+    parent = np.full(n, -1, dtype=np.int64)
+    base = int(vertex_of[0])
+    level[base] = 0
+    piece_done = [False] * len(piece_members)
+    frontier = [base]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for s in (SIDE_A, SIDE_B):
+                pid = int(piece_of_vertex[u, s])
+                if piece_done[pid]:
+                    continue
+                piece_done[pid] = True
+                for v in piece_members[pid]:
+                    if v == u:
+                        continue
+                    if level[v] >= 0:
+                        raise AssertionError(
+                            "tree-graded structure violated: piece with two gates"
+                        )
+                    level[v] = level[u] + 1
+                    parent[v] = u
+                    nxt.append(v)
+        frontier = sorted(nxt)
+    if (level < 0).any():
+        raise OutOfBallError("dual graph disconnected inside the ball")
+
+    side = np.full(n, SIDE_BASE, dtype=np.int64)
+    for u in np.argsort(level, kind="stable").tolist():
+        if level[u] == 1:
+            f = ctx.in_factor(rep_element[u])
+            if f is None:
+                raise AssertionError("level-1 coset not inside a factor")
+            side[u] = f
+        elif level[u] > 1:
+            side[u] = side[parent[u]]
+
+    piece_side = [SIDE_A] * len(piece_members)
+    for pid in piece_ids[SIDE_B].values():
+        piece_side[pid] = SIDE_B
+    fiber_order = np.argsort(vertex_of, kind="stable")
+    fiber_order.flags.writeable = False
+    fiber_start = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(vertex_of, minlength=n), out=fiber_start[1:])
+    return DualGraph(
+        vertex_of_element=vertex_of,
+        level=level,
+        parent=parent,
+        side=side,
+        rep_element=rep_element,
+        piece_members=[sorted(m) for m in piece_members],
+        piece_of_vertex=piece_of_vertex,
+        piece_side=piece_side,
+        fiber_order=fiber_order,
+        fiber_start=fiber_start,
+    )
+
+
+def assert_dual_graphs_equal(got, expected):
+    for f in dataclasses.fields(DualGraph):
+        a, b = getattr(got, f.name), getattr(expected, f.name)
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and np.array_equal(a, b), f.name
+        else:
+            assert a == b, f.name
+
+
+def split_at(matrix, v):
+    """The RACG split at generator v: its closed star, its link K, and
+    every generator but v."""
+    engine = RacgEngine(matrix)
+    link = sorted(engine.comm[v])
+    rest = [g for g in range(engine.rank) if g != v]
+    return RacgAmalgam(engine, n1=link + [v], knk=link, n2=rest)
+
+
+@pytest.mark.parametrize(
+    "make_ctx, radius",
+    [
+        (lambda request: request.getfixturevalue("dinf_amalgam"), 12),
+        (lambda request: request.getfixturevalue("z2z3_amalgam"), 16),
+        (lambda request: request.getfixturevalue("z2z3_amalgam"), 22),
+        (lambda request: request.getfixturevalue("z4z2z4_amalgam"), 12),
+        (lambda request: split_at(PATH4, 0), 9),
+        (lambda request: split_at(PATH4, 0), 12),
+        (lambda request: split_at(PATH4, 1), 9),
+        (lambda request: split_at(PATH4, 1), 12),
+        (lambda request: split_at(CYCLE5, 0), 8),
+    ],
+    ids=[
+        "dinf", "z2z3-16", "z2z3-22", "z4z2z4", "path4a-9", "path4a-12", "path4b-9",
+        "path4b-12", "cycle5",
+    ],
+)
+def test_dual_graph_equals_word_keyed_reference(request, make_ctx, radius):
+    ctx = make_ctx(request)
+    ball = build_ball(ctx.engine, radius)
+    dual = build_dual_graph(ctx, ball)
+    assert_dual_graphs_equal(dual, reference_dual_graph(ctx, ball))
+    # the pieces of K are proper: some piece has a gate and other members
+    assert max(len(m) for m in dual.piece_members) > 1
+
+
+@pytest.mark.parametrize(
+    "graph, kinds",
+    [
+        ("path4", {"raises", "equal"}),
+        ("cycle4", {"raises", "equal"}),
+        ("star", {"raises", "equal"}),
+        ("z2-cubed", {"raises"}),  # no generator set splits a finite group
+        ("free", {"equal"}),  # every generator set splits a free product
+    ],
+)
+def test_dual_graph_equals_reference_on_every_letter_split(graph, kinds):
+    # most letter splits are not splittings of the group, so K has cycles and
+    # both builds must raise the same error; the rest must agree field by field
+    engine = RacgEngine(RACG_GRAPHS[graph])
+    ball = build_ball(engine, 4)
+    outcomes = set()
+    for where in itertools.product((SIDE_A, SIDE_B, SIDE_BASE), repeat=engine.rank):
+        n1, n2 = ([g for g, w in enumerate(where) if w in (s, SIDE_BASE)] for s in (0, 1))
+        try:
+            ctx = RacgAmalgam(engine, n1, sorted(set(n1) & set(n2)), n2)
+        except InputError:
+            continue
+        try:
+            expected = reference_dual_graph(ctx, ball)
+        except AssertionError as exc:
+            with pytest.raises(AssertionError, match=str(exc)):
+                build_dual_graph(ctx, ball)
+            outcomes.add("raises")
+            continue
+        assert_dual_graphs_equal(build_dual_graph(ctx, ball), expected)
+        outcomes.add("equal")
+    assert outcomes == kinds
+
+
+class _TwoLetterContext(AmalgamContext):
+    """Trivial C, A-letters 0 and 1, B-letter 2, every coset in factor A."""
+
+    def coset_letters(self):
+        return [], [0, 1], [2]
+
+    def in_factor(self, x):
+        return SIDE_A
+
+
+def test_dual_graph_rejects_a_piece_met_from_two_frontier_vertices():
+    # e's A-piece is {e, u, v}, so u and v are both at level 1; their common
+    # B-piece {u, v} then has two gates, though no vertex is met twice
+    table = np.array([[1, 2, -1], [0, 2, 2], [1, 0, 1]])
+    ball = Ball(None, 1, ["e", "u", "v"], {}, np.array([0, 1, 1], dtype=np.int32), table)
+    with pytest.raises(AssertionError, match="piece with two gates"):
+        build_dual_graph(_TwoLetterContext(), ball)
+
+
+def test_coset_letters_name_the_factor_generators(z4z2z4_amalgam, path3_amalgam):
+    eng = z4z2z4_amalgam.engine
+    c, a, b = z4z2z4_amalgam.coset_letters()
+    assert [eng.gen_names[g] for g in c] == ["A.x2"]
+    assert [eng.gen_names[g] for g in a] == ["A.x", "A.x2", "A.x3"]
+    assert [eng.gen_names[g] for g in b] == ["A.x2", "B.y", "B.y3"]
+    assert path3_amalgam.coset_letters() == ([1], [0, 1], [1, 2])
 
 
 def test_degenerate_amalgam_rejected():

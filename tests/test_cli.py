@@ -6,9 +6,11 @@ from pathlib import Path
 
 import pytest
 
-from asdimlab import cli, groups
+from asdimlab import amalgam, cli, groups
 from asdimlab.cli import build_context, main
 from asdimlab.groups import build_ball
+
+from test_amalgam import reference_dual_graph
 
 CYCLE5_DOC = {
     "generators": ["a", "b", "c", "d", "e"],
@@ -178,6 +180,30 @@ def test_dualgraph_dinf(tmp_path, capsys):
     assert main(["dualgraph", path, "--R", "6", "--out", str(tmp_path / "g")]) == 0
     dot = (tmp_path / "g" / "dualgraph.dot").read_text()
     assert 'label="A"' in dot and 'label="B"' in dot
+
+
+Z2Z3_DOC = {
+    "type": "table_amalgam",
+    "A": {"elements": ["e", "a"], "table": [[0, 1], [1, 0]]},
+    "B": {"elements": ["e", "b", "b2"], "table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]},
+    "embed_A": [0],
+    "embed_B": [0],
+}
+
+
+@pytest.mark.parametrize(
+    "doc, name, radius", [(PATH4_SPLIT_DOC, "p4.json", "10"), (Z2Z3_DOC, "z2z3.json", "12")]
+)
+def test_dualgraph_artifacts_equal_word_keyed_reference(tmp_path, monkeypatch, doc, name, radius):
+    path = write(tmp_path, name, doc)
+    assert main(["dualgraph", path, "--R", radius, "--out", str(tmp_path / "table")]) == 0
+    monkeypatch.setattr(amalgam, "build_dual_graph", reference_dual_graph)
+    assert main(["dualgraph", path, "--R", radius, "--out", str(tmp_path / "words")]) == 0
+    for artifact in ("dualgraph.json", "dualgraph.dot"):
+        got = (tmp_path / "table" / artifact).read_bytes()
+        assert got == (tmp_path / "words" / artifact).read_bytes(), artifact
+    payload = json.loads((tmp_path / "table" / "dualgraph.json").read_text())
+    assert max(len(piece["members"]) for piece in payload["pieces"]) > 1
 
 
 def run_cli(args, out_dir, hash_seed):

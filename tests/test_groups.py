@@ -10,12 +10,13 @@ from asdimlab.groups import (
     BALL_JSON_CHUNK,
     FiniteTableGroup,
     RacgEngine,
+    bfs_ball,
     build_ball,
     cyclic_table,
     enumerate_words_brute,
 )
 
-from conftest import CYCLE5, PATH3
+from conftest import CYCLE5, PATH3, RACG_GRAPHS, commutation_matrix
 
 
 def test_table_group_identity_norms_and_distance():
@@ -152,6 +153,71 @@ def test_parabolic_balls_embed_isometrically():
             if set(x) <= set(letters)
         }
         assert images == ambient
+
+
+@pytest.mark.parametrize("graph", sorted(RACG_GRAPHS))
+def test_racg_ball_equals_generic_bfs(graph):
+    eng = RacgEngine(RACG_GRAPHS[graph])
+    for radius in range(9):
+        ball, reference = build_ball(eng, radius), bfs_ball(eng, radius)
+        assert ball.elements == reference.elements
+        assert ball.index == reference.index
+        assert ball.norms.dtype == reference.norms.dtype
+        assert np.array_equal(ball.norms, reference.norms)
+        assert ball.table.shape == reference.table.shape == (len(ball), eng.rank)
+        assert np.array_equal(ball.table, reference.table)
+        assert not ball.table.flags.writeable
+
+
+@pytest.mark.parametrize("rank", [63, 64])
+def test_racg_ball_at_the_descent_bit_limit(rank):
+    # 63 generators fill the int64 descent masks; 64 fall back to the BFS
+    eng = RacgEngine(commutation_matrix(rank, [(0, rank - 1), (rank - 2, rank - 1)]))
+    ball, reference = build_ball(eng, 2), bfs_ball(eng, 2)
+    assert ball.elements == reference.elements
+    assert np.array_equal(ball.table, reference.table)
+
+
+@pytest.mark.parametrize("enumerate_ball", [build_ball, bfs_ball], ids=["racg", "bfs"])
+@pytest.mark.parametrize("graph, radius", [("cycle5", 4), ("z2-cubed", 5), ("star", 3)])
+def test_ball_cap_is_the_element_count(enumerate_ball, graph, radius):
+    eng = RacgEngine(RACG_GRAPHS[graph])
+    size = len(enumerate_ball(eng, radius))
+    assert len(enumerate_ball(eng, radius, cap=size)) == size
+    with pytest.raises(ResourceCapError):
+        enumerate_ball(eng, radius, cap=size - 1)
+
+
+def test_ball_table_is_the_product_table(dinf_amalgam, z4z2z4_amalgam):
+    engines = [
+        RacgEngine(CYCLE5),
+        FiniteTableGroup(*cyclic_table(5)),
+        dinf_amalgam.engine,
+        z4z2z4_amalgam.engine,
+    ]
+    for eng in engines:
+        ball = build_ball(eng, 4)
+        for i, x in enumerate(ball.elements):
+            for g in range(eng.gen_count):
+                y = ball.index.get(eng.mul_gen(x, g), -1)
+                assert ball.table[i, g] == y
+                assert y >= 0 or ball.norms[i] == 4
+
+
+def test_cayley_edges_are_the_distinct_in_ball_pairs(z2z3_amalgam):
+    # the identity as a generator gives loops, which are not edges
+    with_loops = FiniteTableGroup(*cyclic_table(7), generators=[0, 1, 6])
+    for eng, radius in ((RacgEngine(CYCLE5), 5), (z2z3_amalgam.engine, 9), (with_loops, 2)):
+        ball = build_ball(eng, radius)
+        expected = {
+            (min(u, int(v)), max(u, int(v)))
+            for u, row in enumerate(ball.table)
+            for v in row
+            if v >= 0 and v != u
+        }
+        edges = ball.cayley_edges()
+        assert edges == sorted(expected)
+        assert all(type(u) is int and type(v) is int for u, v in edges)
 
 
 def test_ball_json_shape(path3_engine):

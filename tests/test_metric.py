@@ -37,6 +37,26 @@ def test_graph_metric_path():
     assert src[1] == 0 and src[3] == 4
 
 
+def test_graph_metric_takes_arrays_lists_and_generators():
+    pairs = [(0, 1), (1, 2), (2, 3), (3, 4), (1, 3)]
+    graphs = [
+        GraphMetric(5, np.array(pairs)).graph,
+        GraphMetric(5, pairs).graph,
+        GraphMetric(5, (p for p in pairs)).graph,
+    ]
+    for graph in graphs[1:]:
+        assert (graph != graphs[0]).nnz == 0
+    assert GraphMetric(3, np.empty((0, 2), dtype=np.int64)).graph.nnz == 0
+
+
+def test_ball_graph_metric_is_the_in_ball_edge_graph(z2z3_amalgam):
+    ball = build_ball(z2z3_amalgam.engine, 8)
+    pairs = [
+        (u, int(v)) for u, row in enumerate(ball.table) for v in row if v >= 0
+    ]
+    assert (ball.graph_metric().graph != GraphMetric(len(ball), pairs).graph).nnz == 0
+
+
 def test_graph_metric_disconnected_reports_unreached():
     g = GraphMetric(4, [(0, 1)])
     fld = g.dist_field([0])
