@@ -50,6 +50,8 @@ class TableAmalgamEngine:
             raise InputError("C embeddings must have equal length")
         self.c_size = len(self.embed[0])
         for side, grp in ((0, a), (1, b)):
+            if not all(isinstance(e, int) and 0 <= e < grp.size for e in self.embed[side]):
+                raise InputError(f"C embedding indices must be ints in range({grp.size})")
             seen = set(self.embed[side])
             if len(seen) != self.c_size:
                 raise InputError("C embedding has repeated elements")
@@ -497,12 +499,12 @@ def build_dual_graph(ctx: AmalgamContext, ball: Ball) -> DualGraph:
     other members sit one level above it.
 
     Cosets are found on the ball's edge table, not on words.  An element's
-    vertex is the least ball id over its coset xC, by min-label propagation
-    along the C-letter columns to a fixpoint, and its pieces likewise along
-    the A- and B-letter columns (`ctx.coset_letters`).  This is exact
-    because the letters connect every coset's part inside the ball.  In a
-    RACG x = m c with m the minimal coset representative and
-    |x| = |m| + |c|, so the prefixes of c walk from m to x inside the ball.
+    vertex is the least ball id over its coset xC (`Ball.coset_labels` of
+    the C letters), and its pieces likewise over the A and B letters
+    (`ctx.coset_letters`).  This is exact because the letters connect
+    every coset's part inside the ball.  In a RACG x = m c with m the
+    minimal coset representative and |x| = |m| + |c|, so the prefixes of c
+    walk from m to x inside the ball.
     In a table amalgam every non-identity element of C, A or B is one letter,
     so the part is a clique.  Ids follow BFS order, so the least id is the
     first-seen representative, and vertex ids follow the ball order of
@@ -510,12 +512,11 @@ def build_dual_graph(ctx: AmalgamContext, ball: Ball) -> DualGraph:
     order.
     """
     c_letters, a_letters, b_letters = ctx.coset_letters()
-    table = ball.table
-    rep_ids, vertex_of = np.unique(_coset_labels(table, c_letters), return_inverse=True)
+    rep_ids, vertex_of = np.unique(ball.coset_labels(c_letters), return_inverse=True)
     rep_element = [ball.elements[i] for i in rep_ids.tolist()]
     n = len(rep_ids)
 
-    labels = [_coset_labels(table, letters)[rep_ids] for letters in (a_letters, b_letters)]
+    labels = [ball.coset_labels(letters)[rep_ids] for letters in (a_letters, b_letters)]
     flat_piece, heads = first_sight((2 * np.column_stack(labels) + [SIDE_A, SIDE_B]).ravel())
     n_pieces = len(heads)
     piece_of_vertex = flat_piece.reshape(n, 2)
@@ -584,21 +585,6 @@ def build_dual_graph(ctx: AmalgamContext, ball: Ball) -> DualGraph:
         fiber_order=fiber_order,
         fiber_start=fiber_start,
     )
-
-
-def _coset_labels(table, letters):
-    """Each element's least ball id over the elements it reaches along the
-    `letters` columns of the edge table: min-label propagation with pointer
-    jumping, iterated to a fixpoint."""
-    n = len(table)
-    labels = np.arange(n + 1, dtype=np.int64)  # labels[-1] = n is read for -1
-    while True:
-        before = labels.copy()
-        for g in letters:
-            np.minimum(labels[:n], labels[table[:, g]], out=labels[:n])
-        labels[:n] = labels[labels[:n]]
-        if np.array_equal(labels, before):
-            return labels[:n]
 
 
 @dataclass

@@ -287,18 +287,13 @@ def verify_certificate(cert: CoverCertificate) -> CertificateReport:
 
 
 def cover_finite_group(engine, r, name=None) -> CoverCertificate:
-    """A finite group is a bounded space: one color, one set, any scale."""
-    radius = getattr(engine, "diameter", None)
-    if radius is None:
-        probe, prev = 0, 1
-        while True:
-            probe += 1
-            ball = build_ball(engine, probe)
-            if len(ball) == prev:
-                radius = probe - 1
-                break
-            prev = len(ball)
-    ball = build_ball(engine, max(radius, 0))
+    """A finite group is a bounded space: one color, one set, any scale.
+
+    The ball is enumerated to closure in one pass (a radius equal to the
+    element cap either closes or trips the cap) and takes its largest norm,
+    the group's diameter, as its radius."""
+    ball = build_ball(engine, DEFAULT_BALL_CAP)
+    ball.radius = int(ball.norms[-1])
     metric = ball.graph_metric()
     carrier = list(range(len(ball)))
     cover = Cover(sets=[frozenset(carrier)], colors=[0])
@@ -422,6 +417,14 @@ def product_region(ab: AmalgamBall, m):
     return mask
 
 
+def entry_side(dual):
+    """Per vertex u of level >= 1, the side of the piece through which u is
+    entered from its parent: SIDE_A when u and its parent share their
+    A-piece, else SIDE_B (meaningless at the base)."""
+    a_piece = dual.piece_of_vertex[:, SIDE_A]
+    return np.where(a_piece == a_piece[dual.parent], SIDE_A, SIDE_B)
+
+
 def cover_product(ab: AmalgamBall, m, r) -> CoverCertificate:
     """Lemma 2.1 induction for finite factors: at stage k the new K-pieces
     (whole factor-cosets wF) are covered by single translated sets, separated
@@ -446,17 +449,13 @@ def cover_product(ab: AmalgamBall, m, r) -> CoverCertificate:
     trace = {"op": "cover_product", "m": m, "r": r, "stages": []}
     prev_ids = list(carrier_ids)
 
+    entry = entry_side(dual)
     for k in range(1, depth + 1):
         gates = {}
         for u in range(dual.n_vertices):
             if dual.level[u] != k:
                 continue
-            parent = int(dual.parent[u])
-            h = ctx.engine.multiply(
-                ctx.engine.inverse(dual.rep_element[parent]), dual.rep_element[u]
-            )
-            piece_side = ctx.in_factor(h)
-            gates.setdefault((parent, piece_side), []).append(u)
+            gates.setdefault((int(dual.parent[u]), int(entry[u])), []).append(u)
         piece_masks = []
         for key in sorted(gates):
             mask = np.zeros(ab.n, dtype=bool)

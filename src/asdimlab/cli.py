@@ -65,6 +65,12 @@ def build_context(data, name="input"):
     first eligible star/link vertex)."""
     kind = data.get("type")
     if kind == "table_amalgam":
+        missing = [f for f in ("A", "B", "embed_A", "embed_B") if f not in data]
+        if missing:
+            raise InputError(f"table_amalgam input missing field {missing[0]!r}")
+        for f in ("embed_A", "embed_B"):
+            if not isinstance(data[f], list):
+                raise InputError(f"table_amalgam field {f!r} must be a list of element indices")
         a = _table_group(data["A"])
         b = _table_group(data["B"])
         return TableAmalgam(a, b, data["embed_A"], data["embed_B"], name=name)
@@ -105,6 +111,8 @@ def _letter_ids(pos, field, names):
 
 
 def _table_group(data):
+    if not isinstance(data, dict):
+        raise InputError("finite-group input must be an object with 'elements' and 'table'")
     try:
         return FiniteTableGroup(data["table"], names=data.get("elements"))
     except KeyError as exc:

@@ -13,9 +13,10 @@ import json
 from dataclasses import dataclass
 
 import networkx as nx
+import numpy as np
 
 from .errors import InputError, ResourceCapError, UnsupportedBackendError
-from .groups import CoxeterMatrix, RacgEngine, build_ball
+from .groups import CoxeterMatrix, RacgEngine, build_ball, first_sight
 from .simplicial import SimplicialComplex, barycentric_subdivision, clique_complex, cone
 
 
@@ -320,32 +321,24 @@ class DavisBall:
         }
 
 
-class _UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, x):
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, x, y):
-        fx, fy = self.find(x), self.find(y)
-        if fx != fy:
-            if fy < fx:
-                fx, fy = fy, fx
-            self.parent[fy] = fx
-
-
 def build_davis_ball(cox: CoxeterSystem, radius, cap=200_000) -> DavisBall:
     """Glue the chambers of the Cayley ball: a x v_sigma ~ b x v_sigma iff
-    a^{-1} b lies in the parabolic subgroup of the face sigma."""
+    a^{-1} b lies in the parabolic subgroup W_sigma of the face sigma (Davis,
+    The Geometry and Topology of Coxeter Groups, 2008, ch. 5).
+
+    The chambers a with a^{-1} b in W_sigma form the coset b W_sigma, and
+    the closure of b along the sigma-letter columns of the edge table is
+    that coset's part inside the ball: every x in it is m w with m the
+    minimal coset representative and |x| = |m| + |w|, so the prefixes of w
+    walk from m to x inside the ball.  So the glued vertex of
+    (chamber, v_sigma) is the chamber's `Ball.coset_labels` over the letters
+    of sigma, its least ball id in that part; the cone vertex is never
+    glued.  Glued vertices are numbered at first sight over (chamber, cone
+    vertex) in row-major order and labelled by the chamber seen first."""
     cox.require_right_angled()
     engine = cox.engine()
     nerve = build_nerve(cox)
     faces = nerve.faces()  # vertices of N'
-    face_index = {f: i for i, f in enumerate(faces)}
     nprime = barycentric_subdivision(nerve)
     apex = len(faces)
     chamber = cone(nprime, apex)
@@ -354,50 +347,29 @@ def build_davis_ball(cox: CoxeterSystem, radius, cap=200_000) -> DavisBall:
     letter_of = {name: i for i, name in enumerate(engine.names)}
 
     n_chambers = len(ball)
-    slots = n_chambers * (len(faces) + 1)
-    if slots > cap * 4:
+    width = len(faces) + 1
+    if n_chambers * width > cap * 4:
         raise ResourceCapError("Davis gluing exceeds cap", cap=cap)
-    uf = _UnionFind(slots)
+    keys = np.empty((n_chambers, width), dtype=np.int64)
+    for fi, f in enumerate(faces):
+        keys[:, fi] = ball.coset_labels([letter_of[str(v)] for v in f])
+    keys[:, apex] = np.arange(n_chambers)
+    vertex, heads = first_sight((keys * width + np.arange(width)).ravel())
+    vertex = vertex.reshape(n_chambers, width)
 
-    def slot(chamber_id, cone_vertex):
-        return chamber_id * (len(faces) + 1) + cone_vertex
-
-    # identify (gamma, v_sigma) with (gamma s, v_sigma) for s in sigma;
-    # the transitive closure realizes a^{-1} b in Gamma_sigma within the ball
-    for f, fi in face_index.items():
-        gens = [letter_of[str(v)] for v in f]
-        for cid, gamma in enumerate(ball.elements):
-            for g in gens:
-                other = engine.append(gamma, g)
-                oid = ball.index.get(other)
-                if oid is not None:
-                    uf.union(slot(cid, fi), slot(oid, fi))
-
-    roots = {}
     labels = []
-    for cid, gamma in enumerate(ball.elements):
-        for cv in range(len(faces) + 1):
-            root = uf.find(slot(cid, cv))
-            if root not in roots:
-                roots[root] = len(roots)
-                if cv == apex:
-                    labels.append(f"{engine.word_str(gamma)}|cone")
-                else:
-                    face_name = ",".join(str(v) for v in faces[cv])
-                    labels.append(f"{engine.word_str(gamma)}|{face_name}")
+    for cid, cv in zip(*np.divmod(heads, width)):
+        face_name = "cone" if cv == apex else ",".join(str(v) for v in faces[cv])
+        labels.append(f"{engine.word_str(ball.elements[cid])}|{face_name}")
 
     simplices = set()
-    for cid in range(n_chambers):
-        for mf in chamber.maximal_faces:
-            glued = tuple(
-                sorted(roots[uf.find(slot(cid, cv))] for cv in mf)
-            )
-            simplices.add(glued)
+    for mf in chamber.maximal_faces:
+        simplices.update(map(tuple, np.sort(vertex[:, list(mf)], axis=1).tolist()))
     maximal = sorted(simplices)
     dim = max((len(s) - 1 for s in maximal), default=-1)
     return DavisBall(
         chamber_count=n_chambers,
-        vertex_count=len(roots),
+        vertex_count=len(heads),
         vertex_labels=labels,
         maximal_simplices=maximal,
         dim=dim,

@@ -176,6 +176,8 @@ class CoxeterMatrix:
     `RacgEngine` and `coxeter.CoxeterSystem`."""
 
     def __init__(self, matrix, names=None):
+        if not isinstance(matrix, list) or not all(isinstance(row, list) for row in matrix):
+            raise InputError("Coxeter matrix must be a list of rows, each a list")
         m = [list(row) for row in matrix]
         k = len(m)
         if any(len(row) != k for row in m):
@@ -338,15 +340,14 @@ class RacgEngine(CoxeterMatrix):
 
 @dataclass
 class Ball:
-    """Closed Cayley ball around the identity with BFS ids and its edge table:
-    `table[x, g]` is the id of x * generator g, or -1 outside the ball
-    (read-only).  Row-major order over (element, generator) is the edge
+    """Closed Cayley ball around the identity with BFS ids and its edge table,
+    the ball's only element index: `table[x, g]` is the id of x * generator
+    g, or -1 outside the ball (read-only).  Row-major order over (element, generator) is the edge
     order of `to_json` and `iter_json`."""
 
     engine: object
     radius: int
     elements: list
-    index: dict
     norms: np.ndarray
     table: np.ndarray
 
@@ -364,6 +365,20 @@ class Ball:
     def graph_metric(self) -> GraphMetric:
         src, _, dst = self._edges()
         return GraphMetric(len(self.elements), np.column_stack([src, dst]))
+
+    def coset_labels(self, letters):
+        """Each element's least ball id over the elements it reaches along the
+        `letters` columns of the edge table: min-label propagation with pointer
+        jumping, iterated to a fixpoint."""
+        n = len(self.table)
+        labels = np.arange(n + 1, dtype=np.int64)  # labels[-1] = n is read for -1
+        while True:
+            before = labels.copy()
+            for g in letters:
+                np.minimum(labels[:n], labels[self.table[:, g]], out=labels[:n])
+            labels[:n] = labels[labels[:n]]
+            if np.array_equal(labels, before):
+                return labels[:n]
 
     def cayley_edges(self):
         """Distinct undirected Cayley edges inside the ball, as sorted pairs."""
@@ -486,7 +501,7 @@ def bfs_ball(engine, radius, cap=DEFAULT_BALL_CAP) -> Ball:
             table.append(yid)
         xid += 1
     table = np.frombuffer(table, dtype=np.int64).reshape(len(elements), k)
-    return Ball(engine, radius, elements, index, np.asarray(norms, dtype=np.int32), table)
+    return Ball(engine, radius, elements, np.asarray(norms, dtype=np.int32), table)
 
 
 def _racg_ball(engine, radius, cap):
@@ -533,8 +548,7 @@ def _racg_ball(engine, radius, cap):
         starts.append(n + m)
     table.resize((len(elements), k), refcheck=False)
     norms = np.repeat(np.arange(len(starts) - 1, dtype=np.int32), np.diff(starts))
-    index = {x: i for i, x in enumerate(elements)}
-    return Ball(engine, radius, elements, index, norms, table)
+    return Ball(engine, radius, elements, norms, table)
 
 
 def first_sight(keys):

@@ -299,7 +299,7 @@ def test_dual_graph_rejects_a_piece_met_from_two_frontier_vertices():
     # e's A-piece is {e, u, v}, so u and v are both at level 1; their common
     # B-piece {u, v} then has two gates, though no vertex is met twice
     table = np.array([[1, 2, -1], [0, 2, 2], [1, 0, 1]])
-    ball = Ball(None, 1, ["e", "u", "v"], {}, np.array([0, 1, 1], dtype=np.int32), table)
+    ball = Ball(None, 1, ["e", "u", "v"], np.array([0, 1, 1], dtype=np.int32), table)
     with pytest.raises(AssertionError, match="piece with two gates"):
         build_dual_graph(_TwoLetterContext(), ball)
 

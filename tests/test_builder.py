@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from asdimlab.amalgam import SIDE_A, prepare
+from asdimlab import builder
+from asdimlab.amalgam import SIDE_A, SIDE_B, RacgAmalgam, prepare
 from asdimlab.builder import (
     CoverCertificate,
     algebraic_diameter,
@@ -16,6 +17,7 @@ from asdimlab.builder import (
     cover_racg,
     cover_union_finite,
     cover_union_uniform,
+    entry_side,
     make_schedule,
     measure_certificate,
     product_region,
@@ -24,9 +26,9 @@ from asdimlab.builder import (
 from asdimlab.covers import Cover
 from asdimlab.coxeter import CoxeterSystem
 from asdimlab.errors import InputError, PreconditionError, SchedulingError
-from asdimlab.groups import FiniteTableGroup, RacgEngine, cyclic_table
+from asdimlab.groups import FiniteTableGroup, RacgEngine, build_ball, cyclic_table
 
-from conftest import CYCLE5, PATH3, PATH4, z_n_group
+from conftest import CYCLE5, PATH3, PATH4, commutation_matrix, z_n_group
 
 
 def test_cover_finite_group_trivial_and_z2():
@@ -161,6 +163,58 @@ def test_cover_union_uniform_web_translates(dinf_amalgam):
     out = cover_union_uniform(ab.metric, pieces, template, trans, 2 * big_r)
     assert set().union(*out) == set().union(*pieces)
     assert color_gap(out, ab.metric) >= 2 * big_r
+
+
+def probing_finite_ball(engine):
+    """The ball by radius probing: the engine's `diameter` when it has one,
+    else balls of radius 1, 2, ... until one stops growing, then the ball
+    at the last radius that grew."""
+    radius = getattr(engine, "diameter", None)
+    if radius is None:
+        probe, prev = 0, 1
+        while True:
+            probe += 1
+            ball = build_ball(engine, probe)
+            if len(ball) == prev:
+                radius = probe - 1
+                break
+            prev = len(ball)
+    return build_ball(engine, max(radius, 0))
+
+
+def test_cover_finite_group_equals_radius_probing(monkeypatch, z4z2z4_amalgam):
+    engines = [
+        z_n_group(2, "a"),
+        RacgEngine(commutation_matrix(3, [(0, 1), (1, 2), (0, 2)])),
+        FiniteTableGroup(*cyclic_table(5), generators=[1, 4]),
+        z4z2z4_amalgam.c_engine,
+    ]
+    for eng in engines:
+        cert = cover_finite_group(eng, 6)
+        reference = probing_finite_ball(eng)
+        assert cert.ball.radius == reference.radius
+        assert cert.ball.elements == reference.elements
+        assert cert.ball.norms.dtype == reference.norms.dtype
+        assert np.array_equal(cert.ball.norms, reference.norms)
+        assert np.array_equal(cert.ball.table, reference.table)
+        with monkeypatch.context() as patch:
+            patch.setattr(builder, "build_ball", lambda *args, **kwargs: reference)
+            assert cover_finite_group(eng, 6).to_json() == cert.to_json()
+
+
+def test_entry_side_is_the_factor_of_the_step_from_the_parent(
+    dinf_amalgam, z2z3_amalgam, z4z2z4_amalgam
+):
+    path4_split = RacgAmalgam(RacgEngine(PATH4), n1=[0, 1], knk=[1], n2=[1, 2, 3])
+    cases = [(dinf_amalgam, 10), (z2z3_amalgam, 10), (z4z2z4_amalgam, 8), (path4_split, 8)]
+    for ctx, radius in cases:
+        dual, eng = prepare(ctx, radius).dual, ctx.engine
+        entry = entry_side(dual)
+        for u in np.nonzero(dual.level >= 1)[0].tolist():
+            parent_rep = dual.rep_element[dual.parent[u]]
+            step = eng.multiply(eng.inverse(parent_rep), dual.rep_element[u])
+            assert entry[u] == ctx.in_factor(step), (ctx.name, u)
+        assert set(entry[dual.level >= 1].tolist()) == {SIDE_A, SIDE_B}
 
 
 def test_cover_product_region_contains_projected_balls(dinf_amalgam):

@@ -138,6 +138,45 @@ def test_bad_racg_split_exits_2(tmp_path, capsys, split, message):
     assert message in capsys.readouterr().err
 
 
+Z4_DOC = {
+    "elements": ["e", "x", "x2", "x3"],
+    "table": [[(i + j) % 4 for j in range(4)] for i in range(4)],
+}
+
+
+def _without(doc, field):
+    return {key: value for key, value in doc.items() if key != field}
+
+
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        ("cover", _without(DINF_DOC, "B")),
+        ("cover", _without(DINF_DOC, "embed_B")),
+        ("cover", {**DINF_DOC, "A": [1, 2]}),
+        ("cover", {**DINF_DOC, "embed_A": 0}),
+        ("cover", {**DINF_DOC, "A": Z4_DOC, "B": Z4_DOC, "embed_A": [0, 7], "embed_B": [0, 2]}),
+        ("cover", {**DINF_DOC, "embed_A": [0.0]}),
+        ("bound", {"matrix": 5}),
+        ("bound", {"matrix": [[1, 0], 5]}),
+    ],
+    ids=[
+        "no-B",
+        "no-embed_B",
+        "A-not-object",
+        "embed-not-list",
+        "embed-out-of-range",
+        "embed-not-int",
+        "matrix-not-list",
+        "row-not-list",
+    ],
+)
+def test_malformed_input_exits_2(tmp_path, capsys, command, doc):
+    path = write(tmp_path, "doc.json", doc)
+    assert main([command, path]) == 2
+    assert "input error" in capsys.readouterr().err
+
+
 def test_cover_cap_exit_3(tmp_path):
     path = write(tmp_path, "c5.json", CYCLE5_DOC)
     assert main(["cover", path, "--r", "4", "--cap-elements", "50"]) == 3

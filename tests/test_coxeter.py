@@ -20,11 +20,11 @@ from asdimlab.coxeter import (
     parabolic_is_finite,
     star_link_split,
 )
-from asdimlab.errors import InputError, UnsupportedBackendError
-from asdimlab.groups import RacgEngine
+from asdimlab.errors import InputError, ResourceCapError, UnsupportedBackendError
+from asdimlab.groups import RacgEngine, build_ball
 from asdimlab.simplicial import SimplicialComplex, barycentric_subdivision, cone
 
-from conftest import CYCLE5, PATH3, PATH4
+from conftest import CYCLE5, PATH3, PATH4, commutation_matrix
 
 
 def test_nerve_isolated_vertices_when_nothing_commutes():
@@ -168,6 +168,98 @@ def test_davis_ball_identification_collapses_vertices():
     cone_vertices = len(nerve.faces()) + 1
     ball = build_davis_ball(cox, radius)
     assert ball.vertex_count < chambers * cone_vertices
+
+
+def reference_davis_ball(cox, radius, cap=200_000):
+    """The word-level gluing: union-find over (chamber, cone vertex) slots,
+    one union of (gamma, v_sigma) with (gamma s, v_sigma) per letter s of
+    sigma whose product stays in the ball, slots numbered at first sight."""
+    engine = cox.engine()
+    nerve = build_nerve(cox)
+    faces = nerve.faces()
+    apex = len(faces)
+    chamber = cone(barycentric_subdivision(nerve), apex)
+    ball = build_ball(engine, radius, cap=cap)
+    index = {x: i for i, x in enumerate(ball.elements)}
+    letter_of = {name: i for i, name in enumerate(engine.names)}
+    width = len(faces) + 1
+    if len(ball) * width > cap * 4:
+        raise ResourceCapError("Davis gluing exceeds cap", cap=cap)
+    parent = list(range(len(ball) * width))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for fi, f in enumerate(faces):
+        for cid, gamma in enumerate(ball.elements):
+            for g in (letter_of[str(v)] for v in f):
+                oid = index.get(engine.append(gamma, g))
+                if oid is not None:
+                    a, b = sorted((find(cid * width + fi), find(oid * width + fi)))
+                    parent[b] = a
+    roots, labels = {}, []
+    for cid, gamma in enumerate(ball.elements):
+        for cv in range(width):
+            root = find(cid * width + cv)
+            if root not in roots:
+                roots[root] = len(roots)
+                face = "cone" if cv == apex else ",".join(str(v) for v in faces[cv])
+                labels.append(f"{engine.word_str(gamma)}|{face}")
+    maximal = sorted(
+        {
+            tuple(sorted(roots[find(cid * width + cv)] for cv in mf))
+            for cid in range(len(ball))
+            for mf in chamber.maximal_faces
+        }
+    )
+    return coxeter.DavisBall(
+        chamber_count=len(ball),
+        vertex_count=len(roots),
+        vertex_labels=labels,
+        maximal_simplices=maximal,
+        dim=max((len(s) - 1 for s in maximal), default=-1),
+    )
+
+
+DAVIS_SYSTEMS = {
+    "z2": [[1]],
+    "dinf": commutation_matrix(2, []),
+    "path4": PATH4,
+    "cycle5": CYCLE5,
+    "triangle": commutation_matrix(3, [(0, 1), (1, 2), (0, 2)]),
+    "free3": commutation_matrix(3, []),
+    "cycle4": commutation_matrix(4, [(0, 1), (1, 2), (2, 3), (3, 0)]),
+    "edge-and-vertex": commutation_matrix(3, [(0, 1)]),
+}
+
+
+@pytest.mark.parametrize("system", sorted(DAVIS_SYSTEMS))
+def test_davis_ball_equals_union_find_reference(system):
+    cox = CoxeterSystem(DAVIS_SYSTEMS[system])
+    for radius in range(5):
+        ball, reference = build_davis_ball(cox, radius), reference_davis_ball(cox, radius)
+        assert ball == reference, radius
+
+
+@pytest.mark.parametrize("system", ["path4", "cycle5", "triangle"])
+def test_davis_ball_cap_equals_reference(system):
+    cox = CoxeterSystem(DAVIS_SYSTEMS[system])
+    chambers = len(build_ball(cox.engine(), 3))
+    width = len(build_nerve(cox).faces()) + 1
+    outcomes = set()
+    for cap in (chambers - 1, -(-chambers * width // 4) - 1, -(-chambers * width // 4)):
+        results = []
+        for glue in (build_davis_ball, reference_davis_ball):
+            try:
+                results.append(glue(cox, 3, cap=cap))
+            except ResourceCapError:
+                results.append("cap")
+        assert results[0] == results[1], cap
+        outcomes.add(results[0] == "cap")
+    assert outcomes == {True, False}
 
 
 def test_barycentric_and_cone_shapes():

@@ -161,7 +161,6 @@ def test_racg_ball_equals_generic_bfs(graph):
     for radius in range(9):
         ball, reference = build_ball(eng, radius), bfs_ball(eng, radius)
         assert ball.elements == reference.elements
-        assert ball.index == reference.index
         assert ball.norms.dtype == reference.norms.dtype
         assert np.array_equal(ball.norms, reference.norms)
         assert ball.table.shape == reference.table.shape == (len(ball), eng.rank)
@@ -197,9 +196,10 @@ def test_ball_table_is_the_product_table(dinf_amalgam, z4z2z4_amalgam):
     ]
     for eng in engines:
         ball = build_ball(eng, 4)
+        index = {x: i for i, x in enumerate(ball.elements)}
         for i, x in enumerate(ball.elements):
             for g in range(eng.gen_count):
-                y = ball.index.get(eng.mul_gen(x, g), -1)
+                y = index.get(eng.mul_gen(x, g), -1)
                 assert ball.table[i, g] == y
                 assert y >= 0 or ball.norms[i] == 4
 
