@@ -14,10 +14,11 @@ the C-part c).
 Certificates record *measured* parameters: the requested scale r fixes the
 schedule (R, E, L); the emitted claimed_r is the largest scale at which the
 colored families verify (never above the ball's verification margin, where
-graph distances are provably exact for the word metric), and claimed_d is a
-sound upper bound for the set diameters computed from exact word arithmetic.
-This realizes the d(r) of the (r,d)-dimension characterization empirically,
-the only honest option at fixed ball radius.
+graph distances are provably exact for the word metric), and claimed_d is the
+largest exact word-metric set diameter, from a bit-parallel BFS on the ball's
+edge table (`set_diameters`; Cayley balls are convex).  This realizes the
+d(r) of the (r,d)-dimension characterization empirically, the only honest
+option at fixed ball radius.
 """
 
 from __future__ import annotations
@@ -48,11 +49,12 @@ from .errors import (
 from .groups import DEFAULT_BALL_CAP, Ball, build_ball
 from .metric import UNREACHED, GraphMetric
 
-DIAM_EXACT_LIMIT = 60
+# bytes of one `set_diameters` block: its reach bitsets and two temporaries
+DIAMETER_BLOCK_BYTES = 64 << 20
 
 
 # ---------------------------------------------------------------------------
-# fast, sound measurement primitives (graph fields + word arithmetic)
+# measurement primitives (graph fields on the ball)
 
 
 def color_gap(sets, metric: GraphMetric):
@@ -94,30 +96,95 @@ def color_depth_floor(sets, metric: GraphMetric, carrier_mask, cap, gap):
     return floor
 
 
-def algebraic_diameter(elements, engine, exact_limit=DIAM_EXACT_LIMIT):
-    """Diameter of a set in the exact word metric: exact pairwise for small
-    sets, twice the best probe eccentricity (a sound upper bound) otherwise."""
-    pts = list(elements)
-    if len(pts) <= 1:
-        return 0.0, True
-    if len(pts) <= exact_limit:
+def set_diameters(ball: Ball, sets):
+    """Exact word-metric diameter of every set of ball ids, as floats.
+
+    One bit-parallel BFS per block of sources taken from one set: bit j of
+    `reach[x]` says that source j has reached x, and a step ORs every row
+    with the rows of its table neighbours.  A block ends at the first step
+    at which every source has reached every point of its set, so that step
+    count is the largest graph distance from the block to the set.  The BFS
+    runs on the smallest ball B(rho) holding every set: ids are in BFS
+    order, so it is an id prefix, and table entries past it act as -1.
+
+    Graph distance inside B(rho) equals word distance between points of
+    B(rho) (Cayley balls are convex).  A path in the ball spells a word, so
+    the graph distance is never below the word distance; equality needs a
+    geodesic from x to y whose norms stay <= max(|x|, |y|).
+    * RACG: the Cayley graph is a median graph (Chepoi 2000; Niblo-Reeves
+      2003).  The median m of e, x, y lies on geodesics from e to x, from
+      e to y and from x to y.  Walk x -> m backwards along a geodesic
+      e -> m -> x and then m -> y along e -> m -> y: norms are distances
+      from e along geodesics from e, so they stay <= max(|x|, |y|).
+    * A *_C B with every non-identity factor element a generator: |x| is
+      the number k of syllables of the normal form z_1...z_k c.  Let
+      x_i = z_1...z_i be the prefixes of x and y_i those of y, and j the
+      length of the longest common prefix.  Walk x -> x_{k-1} -> ... ->
+      x_j = y_j -> ... -> y, one factor element per step, and merge the
+      two steps around x_j into one when z_{j+1} and w_{j+1} lie in one
+      factor.  The step count is the syllable count of x^-1 y, so the walk
+      is a geodesic, and every point on it is a prefix of x or of y.
+    * A finite group's closed ball is its whole Cayley graph.
+
+    The block width comes from DIAMETER_BLOCK_BYTES, so a block's memory is
+    bounded whatever the set size.
+    """
+    sets = [np.fromiter(s, dtype=np.int64, count=len(s)) for s in sets]
+    rho = max((int(ball.norms[s].max()) for s in sets if len(s)), default=0)
+    n = int(np.searchsorted(ball.norms, rho, side="right"))
+    rows = ball.table[:n]
+    nbr = np.ascontiguousarray(np.where((rows >= 0) & (rows < n), rows, n).T)
+    width = 64 * max(1, DIAMETER_BLOCK_BYTES // (3 * 8 * (n + 1)))
+    out = []
+    for s in sets:
         best = 0
-        for i, x in enumerate(pts):
-            xi = engine.inverse(x)
-            for y in pts[i + 1 :]:
-                d = engine.norm(engine.multiply(xi, y))
-                if d > best:
-                    best = d
-        return float(best), True
-    probe = pts[0]
-    bound = math.inf
-    for _ in range(3):
-        pi = engine.inverse(probe)
-        dists = [engine.norm(engine.multiply(pi, y)) for y in pts]
-        ecc = max(dists)
-        bound = min(bound, 2.0 * ecc)
-        probe = pts[int(np.argmax(dists))]
-    return float(bound), False
+        if len(s) > 1:
+            for a in range(0, len(s), width):
+                best = max(best, _block_eccentricity(nbr, s[a : a + width], s, 2 * rho))
+        out.append(float(best))
+    return out
+
+
+def _block_eccentricity(nbr, sources, targets, limit):
+    """Steps of the bit-parallel BFS from `sources` until every source has
+    reached every target.  `nbr[g]` is the neighbour column of generator g;
+    row n of the bitsets is the empty sentinel.  Any two points of B(rho)
+    meet through the identity within 2 rho steps, so `limit` = 2 rho ends
+    the loop."""
+    k, n = nbr.shape
+    w = -(-len(sources) // 64)
+    bits = np.arange(len(sources))
+    reach = np.zeros((n + 1, w), dtype=np.uint64)
+    reach[sources, bits >> 6] = np.left_shift(np.uint64(1), (bits & 63).astype(np.uint64))
+    full = np.full(w, np.iinfo(np.uint64).max, dtype=np.uint64)
+    if len(sources) % 64:
+        full[-1] = (1 << (len(sources) % 64)) - 1
+    grown = np.zeros((n + 1, w), dtype=np.uint64)
+    row = np.empty((n, w), dtype=np.uint64)
+    for steps in range(limit + 1):
+        targets = targets[(reach[targets] != full).any(axis=1)]
+        if not len(targets):
+            return steps
+        # every index is in range, and mode="clip" skips numpy's bounds check
+        np.take(reach, nbr[0], axis=0, out=row, mode="clip")
+        np.bitwise_or(reach[:n], row, out=grown[:n])
+        for g in range(1, k):
+            np.take(reach, nbr[g], axis=0, out=row, mode="clip")
+            grown[:n] |= row
+        reach, grown = grown, reach
+    raise AssertionError("a set is not connected inside its ball")
+
+
+def algebraic_diameter(elements, engine):
+    """Word-metric diameter of a set of elements by exact pairwise word
+    arithmetic: the reference `set_diameters` is tested against."""
+    pts = list(elements)
+    best = 0
+    for i, x in enumerate(pts):
+        xi = engine.inverse(x)
+        for y in pts[i + 1 :]:
+            best = max(best, engine.norm(engine.multiply(xi, y)))
+    return float(best)
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +205,6 @@ class CoverCertificate:
     core_radius: int
     trace: dict
     lebesgue_floor: float = None
-    diameter_exact: bool = True
 
     @property
     def n_colors(self):
@@ -190,14 +256,7 @@ def measure_certificate(cert: CoverCertificate):
     cert.claimed_r = max(0.0, claimed if not math.isinf(claimed) else float(cert.margin))
     cert.lebesgue_floor = depth_all
 
-    engine = cert.ball.engine
-    worst, exact = 0.0, True
-    for s in cert.cover.sets:
-        d, ex = algebraic_diameter([cert.ball.elements[i] for i in s], engine)
-        worst = max(worst, d)
-        exact = exact and ex
-    cert.claimed_d = worst
-    cert.diameter_exact = exact
+    cert.claimed_d = max(set_diameters(cert.ball, cert.cover.sets), default=0.0)
     return cert
 
 
@@ -237,8 +296,8 @@ def verify_certificate(cert: CoverCertificate) -> CertificateReport:
 
     Covering, color budget and order are exact; disjointness and depth are
     re-measured by the BFS-field method (exact within the margin regime the
-    claims are confined to); diameters are re-bounded by exact word
-    arithmetic, so 'b <= d' is verified conservatively.
+    claims are confined to); diameters are re-measured exactly by
+    `set_diameters`, so 'b <= d' is checked against the word metric.
     """
     covered = cert.cover.union()
     missing = [x for x in cert.carrier if x not in covered]
@@ -262,13 +321,7 @@ def verify_certificate(cert: CoverCertificate) -> CertificateReport:
 
     order, order_w = cover_order(cert.cover, cert.carrier)
 
-    engine = cert.ball.engine
-    diam_ok = True
-    for s in cert.cover.sets:
-        d, _ = algebraic_diameter([cert.ball.elements[i] for i in s], engine)
-        if d > cert.claimed_d:
-            diam_ok = False
-            break
+    diam_ok = all(d <= cert.claimed_d for d in set_diameters(cert.ball, cert.cover.sets))
 
     return CertificateReport(
         covers=not missing,

@@ -70,13 +70,17 @@ def check_r_disjoint(sets, r, m: FiniteMetric):
 
 
 def cover_order(cover: Cover, carrier):
-    """Max number of cover sets through a single carrier point, with witness."""
-    best, witness = 0, None
-    for x in carrier:
-        k = sum(1 for s in cover.sets if x in s)
-        if k > best:
-            best, witness = k, x
-    return best, witness
+    """Max number of cover sets through a single carrier point, with witness:
+    the first carrier point that reaches the max (None when it is 0).  Point
+    ids are non-negative ints; one bincount over every set's ids counts the
+    sets through each point."""
+    carrier = list(carrier)
+    if not carrier or not cover.sets:
+        return 0, None
+    ids = np.concatenate([np.fromiter(s, dtype=np.int64, count=len(s)) for s in cover.sets])
+    counts = np.bincount(ids, minlength=max(carrier) + 1)[carrier]
+    i = int(np.argmax(counts))
+    return (int(counts[i]), carrier[i]) if counts[i] else (0, None)
 
 
 def _require_covering(cover: Cover, carrier):

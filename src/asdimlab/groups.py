@@ -44,6 +44,12 @@ class FiniteTableGroup:
     """
 
     def __init__(self, table, names=None, generators=None):
+        if not isinstance(table, list) or not all(
+            isinstance(row, list) and all(_is_int(v) for v in row) for row in table
+        ):
+            raise InputError("multiplication table must be a list of lists of ints")
+        if names is not None and not isinstance(names, list):
+            raise InputError("element names must be a list")
         table = [list(row) for row in table]
         n = len(table)
         if any(len(row) != n for row in table):
@@ -172,7 +178,8 @@ def cyclic_table(n):
 class CoxeterMatrix:
     """Named generators and a Coxeter matrix, validated: square, symmetric,
     unit diagonal, off-diagonal entries 0 (infinity) or integers >= 2, one
-    distinct name per generator (default a, b, c, ...).  Base of
+    distinct name per generator, a non-empty string without '.' or
+    whitespace (default a, b, c, ...).  Base of
     `RacgEngine` and `coxeter.CoxeterSystem`."""
 
     def __init__(self, matrix, names=None):
@@ -195,7 +202,14 @@ class CoxeterMatrix:
                     )
         self.matrix = m
         self.rank = k
-        self.names = [str(x) for x in (names or (chr(ord("a") + i) for i in range(k)))]
+        if names is None:
+            names = [chr(ord("a") + i) for i in range(k)]
+        elif not isinstance(names, (list, tuple)) or not all(map(_is_letter_name, names)):
+            raise InputError(
+                "generator names must be a list of non-empty strings "
+                "without '.' or whitespace"
+            )
+        self.names = list(names)
         if len(self.names) != k:
             raise InputError("one name per generator required")
         if len(set(self.names)) != k:
@@ -213,6 +227,16 @@ class CoxeterMatrix:
 
 def _is_coxeter_entry(x):
     return isinstance(x, numbers.Real) and (x == 0 or (x >= 2 and float(x).is_integer()))
+
+
+def _is_int(x):
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def _is_letter_name(x):
+    """A generator name that words can be split back into: a non-empty
+    string with no '.' and no whitespace."""
+    return isinstance(x, str) and x.split() == [x] and "." not in x
 
 
 class RacgEngine(CoxeterMatrix):
@@ -309,11 +333,13 @@ class RacgEngine(CoxeterMatrix):
         return len(self.multiply(self.inverse(x), y))
 
     def word_str(self, x):
-        return ".".join(self.names[g] for g in x) if x else "e"
+        """Generator names joined by dots; the identity is the empty word,
+        since any name, `e` included, can be a generator's."""
+        return ".".join(self.names[g] for g in x)
 
     def parse_word(self, text):
-        if text in ("", "e"):
-            return ()
+        """Inverse of `word_str` (spaces also separate letters): every token
+        is a generator name, and only the empty word is the identity."""
         idx = {n: i for i, n in enumerate(self.names)}
         try:
             return tuple(idx[t] for t in text.replace(".", " ").split())

@@ -21,6 +21,7 @@ from asdimlab.builder import (
     make_schedule,
     measure_certificate,
     product_region,
+    set_diameters,
     verify_certificate,
 )
 from asdimlab.covers import Cover
@@ -305,16 +306,61 @@ def test_degenerate_splits_rejected(path3_engine):
         RacgAmalgam(path3_engine, n1=[0, 1, 2], knk=[0, 1, 2], n2=[0, 1, 2])
 
 
-def test_algebraic_diameter_exact_and_bounded(path3_engine):
-    from asdimlab.groups import build_ball
+def test_algebraic_diameter_exact_and_bounded(monkeypatch):
+    # set_diameters equals pairwise word arithmetic on sets that reach the
+    # ball's outer sphere (table entries -1), also when the block budget
+    # splits a set into blocks of 64 sources
+    engine = RacgEngine(PATH4)
+    ball = build_ball(engine, 5)
+    rng = np.random.default_rng(3)
+    sets = [frozenset(range(len(ball)))]
+    sets += [frozenset(rng.choice(len(ball), size=k, replace=False).tolist()) for k in (1, 2, 7, 40, 90)]
+    sets += [frozenset(np.nonzero(ball.norms == j)[0].tolist()) for j in range(6)]
+    expected = [algebraic_diameter([ball.elements[i] for i in s], engine) for s in sets]
+    assert set_diameters(ball, sets) == expected
+    assert max(expected) == 10.0  # two points of norm 5 through the identity
+    monkeypatch.setattr(builder, "DIAMETER_BLOCK_BYTES", 1)
+    assert set_diameters(ball, sets) == expected
+    assert set_diameters(ball, []) == []
 
-    ball = build_ball(path3_engine, 5)
-    pts = [ball.elements[i] for i in range(len(ball)) if ball.norms[i] <= 2]
-    exact, is_exact = algebraic_diameter(pts, path3_engine, exact_limit=100)
-    assert is_exact
-    bound, is_exact2 = algebraic_diameter(pts, path3_engine, exact_limit=2)
-    assert not is_exact2
-    assert bound >= exact
+
+# the twelve covers of the benchmark's cover workloads: (input, r, ball, d)
+BENCH_COVERS = [
+    ("cycle5", 4, 11, 16.0),
+    ("path4", 4, None, 16.0),
+    ("path4", 8, None, 20.0),
+    ("dinf", 4, None, 4.0),
+    ("dinf", 8, None, 4.0),
+    ("dinf", 16, None, 10.0),
+    ("z2z3", 4, None, 9.0),
+    ("z2z3", 8, None, 13.0),
+    ("z2z3", 16, None, 31.0),
+    ("z4z2z4", 4, None, 4.0),
+    ("z4z2z4", 8, None, 4.0),
+    ("z4z2z4", 16, None, 10.0),
+]
+
+
+@pytest.mark.parametrize(
+    "name, r, ball_radius, d", BENCH_COVERS, ids=[f"{c[0]}-r{c[1]}" for c in BENCH_COVERS]
+)
+def test_bench_cover_diameters_are_exact(request, name, r, ball_radius, d):
+    if name in ("cycle5", "path4"):
+        cert = cover_racg(CoxeterSystem({"cycle5": CYCLE5, "path4": PATH4}[name]), r, ball_radius=ball_radius)
+    else:
+        cert = cover_amalgam(request.getfixturevalue(f"{name}_amalgam"), r)
+    assert cert.claimed_d == d
+    engine = cert.ball.engine
+    diameters = set_diameters(cert.ball, cert.cover.sets)
+    assert max(diameters) == d
+    rng = np.random.default_rng(r)
+    for s, got in zip(cert.cover.sets, diameters):
+        pts = [cert.ball.elements[i] for i in sorted(s)]
+        if len(pts) <= 60:
+            assert got == algebraic_diameter(pts, engine)
+            continue
+        pairs = rng.integers(len(pts), size=(200, 2))
+        assert got >= max(engine.distance(pts[i], pts[j]) for i, j in pairs.tolist())
 
 
 def test_certificate_json_schema(dinf_amalgam):

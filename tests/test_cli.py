@@ -122,6 +122,27 @@ def test_cover_writes_ball_json_in_bounded_chunks(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "command, doc, message",
+    [
+        ("bound", {"matrix": [[1]], "generators": 5}, "generator names must be a list"),
+        ("bound", {"matrix": [[1, 0], [0, 1]], "generators": [1, 2]}, "non-empty strings"),
+        ("bound", {"matrix": [[1, 0], [0, 1]], "generators": ["a", ""]}, "non-empty strings"),
+        ("bound", {"matrix": [[1, 0], [0, 1]], "generators": ["a", "b.c"]}, "without '.'"),
+        ("cover", {"matrix": [[1, 0], [0, 1]], "generators": ["a", "b c"]}, "or whitespace"),
+        ("cover", {**DINF_DOC, "A": {"elements": ["e", "a"], "table": 5}}, "list of lists of ints"),
+        ("cover", {**DINF_DOC, "B": {"elements": ["e", "b"], "table": [[0, 1], "10"]}}, "list of lists of ints"),
+        ("cover", {**DINF_DOC, "B": {"elements": ["e", "b"], "table": [[0, 1], [1, 0.0]]}}, "list of lists of ints"),
+        ("cover", {**DINF_DOC, "A": {"elements": 5, "table": [[0, 1], [1, 0]]}}, "element names must be a list"),
+    ],
+)
+def test_malformed_fields_exit_2(tmp_path, capsys, command, doc, message):
+    path = write(tmp_path, "bad.json", doc)
+    assert main([command, path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and message in err
+
+
+@pytest.mark.parametrize(
     "split, message",
     [
         ({"n1": ["a", "x"]}, "'n1' names unknown generator 'x'"),

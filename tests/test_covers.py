@@ -45,6 +45,26 @@ def test_cover_order_examples():
     assert cover_order(disjoint, [0, 1, 2, 3])[0] == 1
 
 
+def reference_cover_order(cover, carrier):
+    """The membership loop `cover_order` replaced: |carrier| x |sets| tests."""
+    best, witness = 0, None
+    for x in carrier:
+        k = sum(1 for s in cover.sets if x in s)
+        if k > best:
+            best, witness = k, x
+    return best, witness
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.frozensets(st.integers(0, 12), min_size=1), max_size=8),
+    st.lists(st.integers(0, 16), max_size=20),
+)
+def test_cover_order_equals_membership_loop(sets, carrier):
+    cover = Cover(sets=sets)
+    assert cover_order(cover, carrier) == reference_cover_order(cover, carrier)
+
+
 def test_lebesgue_whole_carrier_is_unbounded():
     m = line_metric(range(5))
     cover = Cover(sets=[set(range(5))])

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import shortest_path
 
+from asdimlab.amalgam import TableAmalgam
 from asdimlab.errors import InputError, ResourceCapError, UnsupportedBackendError
 from asdimlab.groups import (
     BALL_JSON_CHUNK,
@@ -16,7 +19,7 @@ from asdimlab.groups import (
     enumerate_words_brute,
 )
 
-from conftest import CYCLE5, PATH3, RACG_GRAPHS, commutation_matrix
+from conftest import CYCLE5, PATH3, RACG_GRAPHS, commutation_matrix, z_n_group
 
 
 def test_table_group_identity_norms_and_distance():
@@ -99,7 +102,21 @@ def test_dinf_ball_radius_three():
     eng = RacgEngine([[1, 0], [0, 1]], names=["a", "b"])
     ball = build_ball(eng, 3)
     words = sorted(eng.word_str(x) for x in ball.elements)
-    assert words == ["a", "a.b", "a.b.a", "b", "b.a", "b.a.b", "e"]
+    assert words == ["", "a", "a.b", "a.b.a", "b", "b.a", "b.a.b"]
+
+
+def test_racg_identity_is_the_empty_word():
+    # `e` is an ordinary generator name: only the empty word is the identity
+    eng = RacgEngine(CYCLE5, names=["a", "b", "c", "d", "e"])
+    assert eng.word_str(eng.identity) == ""
+    assert eng.parse_word("") == ()
+    assert eng.parse_word("e") == (4,)
+    with pytest.raises(InputError):
+        RacgEngine(PATH3).parse_word("e")
+    ball = build_ball(eng, 3)
+    words = [eng.word_str(x) for x in ball.elements]
+    assert len(set(words)) == len(ball)
+    assert [eng.normal_form(eng.parse_word(w)) for w in words] == ball.elements
 
 
 def test_cycle5_ball_count_matches_brute_enumeration():
@@ -224,7 +241,7 @@ def test_ball_json_shape(path3_engine):
     ball = build_ball(path3_engine, 2)
     payload = ball.to_json()
     assert payload["radius"] == 2
-    assert payload["elements"][0] == {"id": 0, "word": "e", "norm": 0}
+    assert payload["elements"][0] == {"id": 0, "word": "", "norm": 0}
     assert all(len(e) == 3 for e in payload["edges"])
 
 
@@ -272,3 +289,38 @@ def test_ball_json_stream_escapes_names_as_json_dumps():
         text = "".join(ball.iter_json())
         assert text == reference_ball_json(ball)
         assert text.isascii()
+
+
+def _table_amalgam_engine(n, stem_a, stem_b, embed):
+    return TableAmalgam(z_n_group(n[0], stem_a), z_n_group(n[1], stem_b), embed, embed).engine
+
+
+CONVEX_BALLS = {
+    "cycle5": (lambda: RacgEngine(CYCLE5), 4),
+    "path4": (lambda: RacgEngine(RACG_GRAPHS["path4"]), 5),
+    "z2-free-cubed": (lambda: RacgEngine(RACG_GRAPHS["free"]), 5),
+    "dinf": (lambda: _table_amalgam_engine((2, 2), "a", "b", [0]), 12),
+    "z2z3": (lambda: _table_amalgam_engine((2, 3), "a", "b", [0]), 8),
+    "z4z2z4": (lambda: _table_amalgam_engine((4, 4), "x", "y", [0, 2]), 10),
+    "z6z3z6": (lambda: _table_amalgam_engine((6, 6), "x", "y", [0, 2, 4]), 9),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONVEX_BALLS))
+def test_cayley_balls_are_convex(name):
+    # the lemma behind builder.set_diameters: for every rho, the graph
+    # distance inside B(rho) equals the word distance for every pair of B(rho)
+    make, radius = CONVEX_BALLS[name]
+    engine = make()
+    ball = build_ball(engine, radius)
+    words = np.array(
+        [[engine.distance(x, y) for y in ball.elements] for x in ball.elements]
+    )
+    for rho in range(1, radius + 1):
+        n = int(np.searchsorted(ball.norms, rho, side="right"))
+        src, gen = np.nonzero((ball.table[:n] >= 0) & (ball.table[:n] < n))
+        graph = csr_matrix(
+            (np.ones(len(src)), (src, ball.table[src, gen])), shape=(n, n)
+        )
+        dist = shortest_path(graph, unweighted=True, directed=False)
+        assert np.array_equal(dist, words[:n, :n]), rho
