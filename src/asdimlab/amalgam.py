@@ -168,9 +168,9 @@ class TableAmalgamEngine:
 
     # -- elementary algebra -------------------------------------------------
 
-    def mul_elem(self, x, side, s, sections=None):
+    def mul_elem(self, x, side, s):
         """Right-multiply normal form x by factor element s of `side`."""
-        reps = (sections or self.sections)[side]
+        reps = self.sections[side]
         grp = (self.a, self.b)[side]
         emb, emb_inv = self.embed[side], self._emb_inv[side]
         zs, c = x
@@ -235,6 +235,21 @@ class TableAmalgamEngine:
         if c != self.c_identity:
             parts.append("C." + self.c_group.names[c])
         return ".".join(parts) if parts else "e"
+
+    def factor_arrays(self):
+        """(table, inv, embed, c_index, coset_of): the factors as int64 arrays
+        indexed by side first and padded to the larger factor.  c_index[side,
+        x] is the C index of factor element x, -1 outside C."""
+        grps = (self.a, self.b)
+        g = max(grp.size for grp in grps)
+        table = np.zeros((2, g, g), dtype=np.int64)
+        inv, c_index, coset_of = (np.full((2, g), -1, dtype=np.int64) for _ in range(3))
+        for side, grp in enumerate(grps):
+            table[side, : grp.size, : grp.size] = grp.table
+            inv[side, : grp.size] = grp.inv
+            c_index[side, self.embed[side]] = np.arange(self.c_size)
+            coset_of[side, : grp.size] = self.coset_of[side]
+        return table, inv, np.array(self.embed, dtype=np.int64), c_index, coset_of
 
 
 # ---------------------------------------------------------------------------
@@ -325,15 +340,15 @@ class TableAmalgam(AmalgamContext):
         return ((), cx)
 
     def section(self, side, x, sections=None):
+        """The section representative of x's coset in the factor, as an engine
+        element (normal forms are always over the default sections)."""
         zs, c = x
         if not zs:
             return self.engine.identity
         if len(zs) != 1 or zs[0][0] != side:
             raise InputError("element not in the requested factor")
         reps = (sections or self.engine.sections)[side]
-        return self.engine.mul_elem(
-            self.engine.identity, side, reps[zs[0][1]], sections=sections
-        )
+        return self.engine.mul_elem(self.engine.identity, side, reps[zs[0][1]])
 
     def gate_tail(self, inv_gate_rep, x):
         zs, c = self.engine.multiply(inv_gate_rep, x)
@@ -344,6 +359,58 @@ class TableAmalgam(AmalgamContext):
 
     def random_sections(self, seed):
         return self.engine.random_sections(seed)
+
+    def normal_form_columns(self, ball, dual) -> NormalFormColumns:
+        """The NormalFormColumns of a ball of this amalgam and its dual graph."""
+        reps = [zs for zs, _ in dual.rep_element]
+        last = np.array(
+            [zs[-1] if zs else (SIDE_BASE, 0) for zs in reps], dtype=np.int64
+        ).reshape(-1, 2)
+        vertex_of = dual.vertex_of_element.tolist()
+        return NormalFormColumns(
+            length=np.fromiter(map(len, reps), dtype=np.int64, count=len(reps)),
+            side=last[:, 0],
+            coset=last[:, 1],
+            extends_parent=np.fromiter(
+                (
+                    (bool(zs) and zs[:-1] == reps[p]) if p >= 0 else not zs
+                    for zs, p in zip(reps, dual.parent.tolist())
+                ),
+                dtype=bool,
+                count=len(reps),
+            ),
+            c_part=np.fromiter((c for _, c in ball.elements), dtype=np.int64, count=len(ball)),
+            in_rep_coset=np.fromiter(
+                (zs == reps[v] for (zs, _), v in zip(ball.elements, vertex_of)),
+                dtype=bool,
+                count=len(ball),
+            ),
+        )
+
+
+@dataclass(frozen=True)
+class NormalFormColumns:
+    """Integer columns of the normal forms z_1...z_k c (default sections) of
+    a table-amalgam ball, all read-only.
+
+    Per vertex v, read from its representative's letters: their number
+    `length`, the `side` and `coset` id of the last letter (SIDE_BASE and 0
+    for none), and `extends_parent`: the letters are those of v's parent in
+    K plus one (no letters for a vertex without parent).  Per element x:
+    its C-part `c_part` and `in_rep_coset`: x has the letters of its
+    vertex's representative, so x lies in that coset.
+    """
+
+    length: np.ndarray
+    side: np.ndarray
+    coset: np.ndarray
+    extends_parent: np.ndarray
+    c_part: np.ndarray
+    in_rep_coset: np.ndarray
+
+    def __post_init__(self):
+        for column in vars(self).values():
+            column.flags.writeable = False
 
 
 class RacgAmalgam(AmalgamContext):
@@ -598,6 +665,7 @@ class AmalgamBall:
     core_radius: int
     _levels: dict = field(default_factory=dict, init=False, repr=False)
     _vertex_by_key: dict = field(default=None, init=False, repr=False)
+    _columns: NormalFormColumns = field(default=None, init=False, repr=False)
 
     @property
     def n(self):
@@ -629,6 +697,13 @@ class AmalgamBall:
             anc.flags.writeable = False
             self._levels[lvl] = (self.metric.dist_field(ids), anc)
         return self._levels[lvl]
+
+    def normal_form_columns(self) -> NormalFormColumns:
+        """`ctx.normal_form_columns` of this ball, computed once (table
+        amalgams only)."""
+        if self._columns is None:
+            self._columns = self.ctx.normal_form_columns(self.ball, self.dual)
+        return self._columns
 
     def _vertex_of(self, x):
         """pi(x) as a vertex id, None when its coset is not in the ball.  The
@@ -731,7 +806,22 @@ class CheckVerdict:
 
 def check_assertion_2_1(ab: AmalgamBall) -> CheckVerdict:
     """Every Cayley edge maps to a K-vertex or a K-edge between factor-adjacent
-    cosets; hence pi extends simplicially and is 1-Lipschitz."""
+    cosets; hence pi extends simplicially and is 1-Lipschitz.
+
+    Edges are taken in `Ball.cayley_edges` order, and a failure reports the
+    first failing edge with `checked` counting the edges up to it.  Table
+    amalgams read the normal-form columns (`_assertion_2_1_columns`); RACG
+    splittings, whose C has no table, multiply representatives
+    (`_assertion_2_1_walk`).
+    """
+    if isinstance(ab.ctx, TableAmalgam):
+        return _assertion_2_1_columns(ab)
+    return _assertion_2_1_walk(ab)
+
+
+def _assertion_2_1_walk(ab: AmalgamBall) -> CheckVerdict:
+    """Assertion 2.1 by word arithmetic: in_factor(rep(u)^{-1} rep(v)) and the
+    level gap of every edge between distinct vertices u, v."""
     ctx, dual, ball = ab.ctx, ab.dual, ab.ball
     eng = ctx.engine
     checked = 0
@@ -741,50 +831,123 @@ def check_assertion_2_1(ab: AmalgamBall) -> CheckVerdict:
         if ku == kv:
             continue
         h = eng.multiply(eng.inverse(dual.rep_element[ku]), dual.rep_element[kv])
-        if ctx.in_factor(h) is None:
-            return CheckVerdict(
-                "assertion-2.1",
-                False,
-                checked,
-                witness=(eng.word_str(ball.elements[u]), eng.word_str(ball.elements[v])),
-            )
-        if abs(int(dual.level[ku]) - int(dual.level[kv])) > 1:
-            return CheckVerdict(
-                "assertion-2.1",
-                False,
-                checked,
-                witness=(u, v),
-                note="projection not 1-Lipschitz on this edge",
-            )
+        off_factor = ctx.in_factor(h) is None
+        if off_factor or abs(int(dual.level[ku]) - int(dual.level[kv])) > 1:
+            return _assertion_2_1_failure(ab, u, v, checked, off_factor)
     return CheckVerdict("assertion-2.1", True, checked)
+
+
+def _assertion_2_1_failure(ab, u, v, checked, off_factor):
+    if off_factor:
+        word = ab.ctx.engine.word_str
+        witness = (word(ab.ball.elements[u]), word(ab.ball.elements[v]))
+        return CheckVerdict("assertion-2.1", False, checked, witness=witness)
+    return CheckVerdict(
+        "assertion-2.1",
+        False,
+        checked,
+        witness=(u, v),
+        note="projection not 1-Lipschitz on this edge",
+    )
+
+
+def _assertion_2_1_columns(ab: AmalgamBall) -> CheckVerdict:
+    """Assertion 2.1 on a table amalgam, all edges at once.
+
+    Let P(v) be the product of the default sections of rep(v)'s letters, so
+    rep(v) = P(v) c_v.  Then rep(u)^{-1} rep(v) = c_u^{-1} P(u)^{-1} P(v) c_v,
+    and multiplying by C on either side keeps the number of letters, so
+    in_factor holds exactly when P(u)^{-1} P(v) has at most one letter.  When
+    the letters form K's parent tree (`_letters_form_the_tree`), distinct
+    vertices have distinct letters, and the letters that u and v share are
+    those of their lowest common ancestor a.  P(u)^{-1} P(v) then has one
+    letter per step from u down to a and from a up to v, except that the two
+    steps at a merge into one factor element (never in C, as they name
+    different cosets) when their letters lie on one side.  So for u != v,
+    in_factor holds exactly when u and v are parent and child, or siblings
+    whose last letters lie on one side.  Where the letters do not form the
+    tree, the walk decides.
+    """
+    dual, cols = ab.dual, ab.normal_form_columns()
+    if not _letters_form_the_tree(dual, cols):
+        return _assertion_2_1_walk(ab)
+    lo, hi = ab.ball.cayley_edge_arrays()
+    ku, kv = dual.vertex_of_element[lo], dual.vertex_of_element[hi]
+    pu, pv = dual.parent[ku], dual.parent[kv]
+    cross = ku != kv
+    off_factor = (
+        cross & (pv != ku) & (pu != kv) & ((pu != pv) | (cols.side[ku] != cols.side[kv]))
+    )
+    bad = off_factor | (cross & (np.abs(dual.level[ku] - dual.level[kv]) > 1))
+    if not bad.any():
+        return CheckVerdict("assertion-2.1", True, len(lo))
+    i = int(np.argmax(bad))
+    return _assertion_2_1_failure(ab, int(lo[i]), int(hi[i]), i + 1, bool(off_factor[i]))
+
+
+def _letters_form_the_tree(dual, cols):
+    """Every vertex's letters are its parent's plus one (none for a root),
+    sides alternate along the parent tree, and no two vertices share a
+    parent and a last letter."""
+    child = np.nonzero(dual.parent >= 0)[0]
+    keys = ((dual.parent + 1) * 3 + cols.side + 1) * (int(cols.coset.max()) + 1) + cols.coset
+    return bool(
+        cols.extends_parent.all()
+        and (cols.side[child] != cols.side[dual.parent[child]]).all()
+        and len(np.unique(keys)) == len(keys)
+    )
 
 
 def check_assertion_2_2(ab: AmalgamBall, sections=None, max_norm=None) -> CheckVerdict:
     """||gamma|| >= d(z_k c, C) for the normal presentation, any sections.
 
     The prefix z_1...z_j of a normal form depends only on the K-vertex, so
-    one depth-first walk of K's parent tree yields every normal form: per
-    vertex u, h = prefix(parent)^{-1} . rep(u) gives the letter z_u =
-    section(h), and prefix(u)^{-1} = z_u^{-1} . prefix(parent)^{-1}; per
-    element x of the fiber of u, c = prefix(u)^{-1} . x is the tail.  These
-    are the letters and tails of `amalgam_normal_form`, and only the live
-    root-to-vertex path of prefixes is held.  The walk visits elements out
-    of ball order, so a failure reports the lowest failing ball index, with
+    each vertex's letter is found once and each element only adds its tail
+    c.  The scan covers the in-scope elements (norm <= max_norm, the whole
+    enumerated ball by default) and the vertices their normal forms walk
+    through.  A failure reports the lowest failing ball index, with
     `checked` counting the elements up to it: the verdict of a scan in ball
-    order.  Invariant failures raise as soon as the walk meets them.
-
-    Everything here is exact word arithmetic, so the scan covers the whole
-    enumerated ball by default.
+    order.  Table amalgams read the normal-form columns
+    (`_assertion_2_2_columns`); RACG splittings, whose C has no table, walk
+    K by word arithmetic (`_assertion_2_2_walk`).  Everything is exact.
     """
-    ctx, ball, dual = ab.ctx, ab.ball, ab.dual
-    eng = ctx.engine
-    limit = ball.radius if max_norm is None else max_norm
-    in_scope = ball.norms <= limit
-    # the vertices a normal form of an in-scope element walks through
+    if isinstance(ab.ctx, TableAmalgam):
+        return _assertion_2_2_columns(ab, sections, max_norm)
+    return _assertion_2_2_walk(ab, sections, max_norm)
+
+
+def _padded(rows):
+    """Rows of unequal length as one int64 array, padded with -1."""
+    out = np.full((len(rows), max(map(len, rows))), -1, dtype=np.int64)
+    for i, row in enumerate(rows):
+        out[i, : len(row)] = row
+    return out
+
+
+def _live_vertices(dual, in_scope):
+    """The vertices a normal form of an in-scope element walks through."""
     live = np.zeros(dual.n_vertices, dtype=bool)
     live[dual.vertex_of_element[in_scope]] = True
     for lvl in range(int(dual.level.max()), 0, -1):
         live[dual.parent[live & (dual.level == lvl)]] = True
+    return live
+
+
+def _assertion_2_2_walk(ab: AmalgamBall, sections, max_norm) -> CheckVerdict:
+    """Assertion 2.2 by one depth-first walk of K's parent tree.
+
+    Per vertex u, h = prefix(parent)^{-1} . rep(u) gives the letter z_u =
+    section(h), and prefix(u)^{-1} = z_u^{-1} . prefix(parent)^{-1}; per
+    element x of the fiber of u, c = prefix(u)^{-1} . x is the tail.  These
+    are the letters and tails of `amalgam_normal_form`, and only the live
+    root-to-vertex path of prefixes is held.  The walk visits elements out
+    of ball order, so the lowest failing index is kept.  Invariant failures
+    raise as soon as the walk meets them.
+    """
+    ctx, ball, dual = ab.ctx, ab.ball, ab.dual
+    eng = ctx.engine
+    in_scope = ball.norms <= (ball.radius if max_norm is None else max_norm)
+    live = _live_vertices(dual, in_scope)
     children = [[] for _ in range(dual.n_vertices)]
     for v in np.nonzero(live & (dual.level > 0))[0].tolist():
         children[int(dual.parent[v])].append(v)
@@ -835,6 +998,99 @@ def check_assertion_2_2(ab: AmalgamBall, sections=None, max_norm=None) -> CheckV
             witness=eng.word_str(ball.elements[first_fail]),
         )
     return CheckVerdict("assertion-2.2", True, int(counted.sum()))
+
+
+def _assertion_2_2_columns(ab: AmalgamBall, sections, max_norm) -> CheckVerdict:
+    """Assertion 2.2 on a table amalgam from the normal-form columns.
+
+    Let P(v) be the prefix of v's normal forms over the default sections and
+    P'(v) the prefix over the given ones; P'(v) = P'(u) z'_v for v's parent
+    u, so delta(v) = P(v)^{-1} P'(v) lies in C.  With r_v the default section
+    of v's last letter, P(v) = P(u) r_v and the walk's step is h = P'(u)^{-1}
+    rep(v) = delta(u)^{-1} r_v c_v.  Hence, in the factor of v's last
+    letter: z'_v is the section of the coset of w = delta(u)^{-1} r_v, and
+    delta(v) = r_v^{-1} delta(u) z'_v.  An element x = P(v) c_x of the fiber
+    of v has the tail P'(v)^{-1} x = delta(v)^{-1} c_x, which is one C-table
+    lookup, and d(z'_v c, C) is asked once per distinct (z'_v, c).
+
+    The walk's checks hold here when the base's representative has no
+    letters, every other live vertex has positive level, a live parent, its
+    parent's letters plus one, and the other side, and every in-scope
+    element has its representative's letters: then the parent tree on the
+    live vertices is the one the walk visits, each step lies in a factor,
+    and each tail lies in C.  w's coset is then non-trivial and delta(v)
+    lies in C whenever every section lies in its coset.  Where any of this
+    fails, the walk decides, and raises its own message.
+    """
+    ctx, ball, dual = ab.ctx, ab.ball, ab.dual
+    eng = ctx.engine
+    cols = ab.normal_form_columns()
+    in_scope = ball.norms <= (ball.radius if max_norm is None else max_norm)
+    live = _live_vertices(dual, in_scope)
+    base = dual.base()
+    vs = np.nonzero(live)[0]
+    vs = vs[vs != base]
+    us = dual.parent[vs]
+    if not (
+        cols.length[base] == 0
+        and (dual.level[vs] > 0).all()
+        and (us >= 0).all()
+        and live[us].all()
+        and cols.extends_parent[vs].all()
+        and (cols.side[vs] != cols.side[us]).all()
+        and cols.in_rep_coset[in_scope].all()
+    ):
+        return _assertion_2_2_walk(ab, sections, max_norm)
+
+    ids = np.nonzero(in_scope & (dual.vertex_of_element != base))[0]
+    found = _section_tails(ab, sections, vs, ids)
+    if found is None:
+        return _assertion_2_2_walk(ab, sections, max_norm)
+    letter, tail = found
+    side = cols.side[dual.vertex_of_element[ids]]
+    g, nc = max(eng.a.size, eng.b.size), eng.c_size
+    keys, which = np.unique((side * g + letter) * nc + tail, return_inverse=True)
+    dist = np.zeros(len(keys), dtype=np.int64)
+    for j, key in enumerate(keys.tolist()):
+        side, z, c = key // (g * nc), key // nc % g, key % nc
+        zc = eng.mul_elem(eng.mul_elem(eng.identity, side, z), side, eng.embed[side][c])
+        dist[j] = ctx.dist_to_c(zc)
+    fail = ball.norms[ids] < dist[which]
+    if fail.any():
+        j = int(np.argmax(fail))
+        return CheckVerdict(
+            "assertion-2.2", False, j + 1, witness=eng.word_str(ball.elements[ids[j]])
+        )
+    return CheckVerdict("assertion-2.2", True, len(ids))
+
+
+def _section_tails(ab: AmalgamBall, sections, vs, ids):
+    """(z'_v, tail) of every element in `ids` as factor-element and C-index
+    arrays, for the given sections: the last letter and the C-part of its
+    normal form.  `vs` must hold the vertices of `ids` and every non-base
+    vertex on their way to the base, with parents in K.  None when a step
+    meets the trivial coset or delta(v) leaves C (a section outside its
+    coset)."""
+    eng, dual, cols = ab.ctx.engine, ab.dual, ab.normal_form_columns()
+    table, inv, embed, c_index, coset_of = eng.factor_arrays()
+    default, chosen = (_padded(reps) for reps in (eng.sections, sections or eng.sections))
+    delta = np.full(dual.n_vertices, eng.c_identity, dtype=np.int64)
+    letter = np.zeros(dual.n_vertices, dtype=np.int64)  # z'_v
+    for k in range(1, int(cols.length[vs].max(initial=0)) + 1):
+        v = vs[cols.length[vs] == k]
+        side = cols.side[v]
+        r = default[side, cols.coset[v]]
+        du = embed[side, delta[dual.parent[v]]]
+        cw = coset_of[side, table[side, inv[side, du], r]]
+        z = chosen[side, cw]
+        dv = c_index[side, table[side, table[side, inv[side, r], du], z]]
+        if (cw == 0).any() or (dv < 0).any():
+            return None
+        delta[v], letter[v] = dv, z
+    v = dual.vertex_of_element[ids]
+    c_table = np.array(eng.c_group.table, dtype=np.int64)
+    c_inv = np.array(eng.c_group.inv, dtype=np.int64)
+    return letter[v], c_table[c_inv[delta[v]], cols.c_part[ids]]
 
 
 def compute_D_R(ab: AmalgamBall, u, R, side=None):

@@ -51,6 +51,8 @@ from .metric import UNREACHED, GraphMetric
 
 # bytes of one `set_diameters` block: its reach bitsets and two temporaries
 DIAMETER_BLOCK_BYTES = 64 << 20
+# sets of at most this many points share `set_diameters` blocks
+PACKED_BLOCK_SOURCES = 256
 
 
 # ---------------------------------------------------------------------------
@@ -99,12 +101,15 @@ def color_depth_floor(sets, metric: GraphMetric, carrier_mask, cap, gap):
 def set_diameters(ball: Ball, sets):
     """Exact word-metric diameter of every set of ball ids, as floats.
 
-    One bit-parallel BFS per block of sources taken from one set: bit j of
-    `reach[x]` says that source j has reached x, and a step ORs every row
-    with the rows of its table neighbours.  A block ends at the first step
-    at which every source has reached every point of its set, so that step
-    count is the largest graph distance from the block to the set.  The BFS
-    runs on the smallest ball B(rho) holding every set: ids are in BFS
+    One bit-parallel BFS per block of sources: bit j of `reach[x]` says that
+    source j has reached x, and a step ORs every row with the rows of its
+    table neighbours.  A set's value is the first step at which each of its
+    sources has reached each of its points, which is the largest graph
+    distance between two of its points.  Sets of at most
+    PACKED_BLOCK_SOURCES points share blocks, each set bringing all of its
+    points as sources; a larger set gets blocks of its own, each holding a
+    slice of its points, and its value is the largest over its blocks.  The
+    BFS runs on the smallest ball B(rho) holding every set: ids are in BFS
     order, so it is an id prefix, and table entries past it act as -1.
 
     Graph distance inside B(rho) equals word distance between points of
@@ -127,7 +132,7 @@ def set_diameters(ball: Ball, sets):
     * A finite group's closed ball is its whole Cayley graph.
 
     The block width comes from DIAMETER_BLOCK_BYTES, so a block's memory is
-    bounded whatever the set size.
+    bounded whatever the set size; shared blocks are no wider.
     """
     sets = [np.fromiter(s, dtype=np.int64, count=len(s)) for s in sets]
     rho = max((int(ball.norms[s].max()) for s in sets if len(s)), default=0)
@@ -135,36 +140,67 @@ def set_diameters(ball: Ball, sets):
     rows = ball.table[:n]
     nbr = np.ascontiguousarray(np.where((rows >= 0) & (rows < n), rows, n).T)
     width = 64 * max(1, DIAMETER_BLOCK_BYTES // (3 * 8 * (n + 1)))
-    out = []
-    for s in sets:
-        best = 0
-        if len(s) > 1:
+    packed = min(PACKED_BLOCK_SOURCES, width)
+    out = [0.0] * len(sets)
+    block = []  # (set index, sources, targets) of the shared block being filled
+
+    def run(block):
+        steps = _block_eccentricities(nbr, [(src, dst) for _, src, dst in block], 2 * rho)
+        for (i, _, _), step in zip(block, steps):
+            out[i] = max(out[i], float(step))
+
+    for i, s in enumerate(sets):
+        if len(s) <= 1:
+            continue
+        if len(s) > packed:
             for a in range(0, len(s), width):
-                best = max(best, _block_eccentricity(nbr, s[a : a + width], s, 2 * rho))
-        out.append(float(best))
+                run([(i, s[a : a + width], s)])
+            continue
+        if sum(len(src) for _, src, _ in block) + len(s) > packed:
+            run(block)
+            block = []
+        block.append((i, s, s))
+    if block:
+        run(block)
     return out
 
 
-def _block_eccentricity(nbr, sources, targets, limit):
-    """Steps of the bit-parallel BFS from `sources` until every source has
-    reached every target.  `nbr[g]` is the neighbour column of generator g;
-    row n of the bitsets is the empty sentinel.  Any two points of B(rho)
-    meet through the identity within 2 rho steps, so `limit` = 2 rho ends
-    the loop."""
+def _block_eccentricities(nbr, groups, limit):
+    """For each (sources, targets) group, the first step of one bit-parallel
+    BFS from all groups' sources at which every source of the group has
+    reached every target of the group.  `nbr[g]` is the neighbour column of
+    generator g; row n of the bitsets is the empty sentinel.  Any two
+    points of B(rho) meet through the identity within 2 rho steps, so
+    `limit` = 2 rho ends the loop."""
     k, n = nbr.shape
-    w = -(-len(sources) // 64)
-    bits = np.arange(len(sources))
+    ends = np.cumsum([len(src) for src, _ in groups])
+    bits = np.arange(ends[-1])
+    w = -(-len(bits) // 64)
+    one = np.left_shift(np.uint64(1), (bits & 63).astype(np.uint64))
     reach = np.zeros((n + 1, w), dtype=np.uint64)
-    reach[sources, bits >> 6] = np.left_shift(np.uint64(1), (bits & 63).astype(np.uint64))
-    full = np.full(w, np.iinfo(np.uint64).max, dtype=np.uint64)
-    if len(sources) % 64:
-        full[-1] = (1 << (len(sources) % 64)) - 1
+    # groups may share a source, so its row gets their bits by OR
+    np.bitwise_or.at(reach, (np.concatenate([src for src, _ in groups]), bits >> 6), one)
+    # want[i]: the bits of group i, which each of its targets must reach
+    owner_of_bit = np.searchsorted(ends, bits, side="right")
+    want = np.zeros((len(groups), w), dtype=np.uint64)
+    np.bitwise_or.at(want, (owner_of_bit, bits >> 6), one)
+    rows = np.concatenate([dst for _, dst in groups])
+    owner = np.repeat(np.arange(len(groups)), [len(dst) for _, dst in groups])
+    steps_of = np.zeros(len(groups), dtype=np.int64)
+    open_groups = np.ones(len(groups), dtype=bool)
     grown = np.zeros((n + 1, w), dtype=np.uint64)
     row = np.empty((n, w), dtype=np.uint64)
     for steps in range(limit + 1):
-        targets = targets[(reach[targets] != full).any(axis=1)]
-        if not len(targets):
-            return steps
+        # a lone group (a slice of a large set) broadcasts its row of `want`
+        need = want[owner] if len(groups) > 1 else want
+        short = (need & ~reach[rows]).any(axis=1)
+        rows, owner = rows[short], owner[short]
+        done = open_groups.copy()
+        done[owner] = False
+        steps_of[done] = steps
+        open_groups &= ~done
+        if not open_groups.any():
+            return steps_of.tolist()
         # every index is in range, and mode="clip" skips numpy's bounds check
         np.take(reach, nbr[0], axis=0, out=row, mode="clip")
         np.bitwise_or(reach[:n], row, out=grown[:n])

@@ -182,8 +182,12 @@ def cmd_cover(args):
 def cmd_check(args):
     data = load_input(args.input)
     ctx = build_context(data, name=Path(args.input).stem)
-    radius = args.ball or 8
+    radius = 8 if args.ball is None else args.ball
     big_r = args.R if args.R is not None else max(1, args.r // 4)
+    if radius < 3 * big_r:
+        raise InputError(
+            f"--ball {radius} is below 3R = {3 * big_r}: the checkers' core radius would be negative"
+        )
     ab = prepare(ctx, radius, core_radius=radius - 3 * big_r, cap=args.cap_elements)
     verdicts = [check_assertion_2_1(ab), check_assertion_2_2(ab)]
     if args.seed is not None:

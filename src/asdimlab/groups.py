@@ -406,12 +406,18 @@ class Ball:
             if np.array_equal(labels, before):
                 return labels[:n]
 
-    def cayley_edges(self):
-        """Distinct undirected Cayley edges inside the ball, as sorted pairs."""
+    def cayley_edge_arrays(self):
+        """(lo, hi): the distinct undirected Cayley edges inside the ball,
+        lo < hi, in ascending (lo, hi) order."""
         src, _, dst = self._edges()
         lo, hi = np.minimum(src, dst), np.maximum(src, dst)
         keys = np.unique((lo * len(self) + hi)[lo != hi])
-        return list(zip((keys // len(self)).tolist(), (keys % len(self)).tolist()))
+        return keys // len(self), keys % len(self)
+
+    def cayley_edges(self):
+        """`cayley_edge_arrays` as a list of int pairs."""
+        lo, hi = self.cayley_edge_arrays()
+        return list(zip(lo.tolist(), hi.tolist()))
 
     def to_json(self):
         src, gen, dst = self._edges()

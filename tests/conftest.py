@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from asdimlab.amalgam import RacgAmalgam, TableAmalgam
@@ -25,6 +27,28 @@ def z2z3_amalgam():
 def z4z2z4_amalgam():
     return TableAmalgam(
         z_n_group(4, "x"), z_n_group(4, "y"), [0, 2], [0, 2], name="Z4*Z2*Z4"
+    )
+
+
+def a4_group():
+    """The alternating group A4 on {0, 1, 2, 3}, elements named by images."""
+    perms = [
+        p for p in itertools.permutations(range(4))
+        if sum(p[i] > p[j] for i in range(4) for j in range(i + 1, 4)) % 2 == 0
+    ]
+    index = {p: i for i, p in enumerate(perms)}
+    table = [[index[tuple(p[q[k]] for k in range(4))] for q in perms] for p in perms]
+    return FiniteTableGroup(table, names=["".join(map(str, p)) for p in perms]), index
+
+
+@pytest.fixture(scope="session")
+def a4z3z6_amalgam():
+    """A4 *_{Z3} Z6: C = <(0 1 2)> has order 3 and is not normal in A4, so a
+    coset of delta^{-1} r differs from that of delta r."""
+    a4, index = a4_group()
+    g = index[(1, 2, 0, 3)]
+    return TableAmalgam(
+        a4, z_n_group(6, "y"), [index[(0, 1, 2, 3)], g, a4.table[g][g]], [0, 2, 4], name="A4*Z3*Z6"
     )
 
 

@@ -4,6 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
+from asdimlab import amalgam
 from asdimlab.amalgam import (
     SIDE_A,
     SIDE_B,
@@ -26,6 +27,8 @@ from asdimlab.amalgam import (
     project_pi,
     verify_partition,
     TableAmalgam,
+    _assertion_2_1_walk,
+    _assertion_2_2_walk,
 )
 from asdimlab.errors import InputError, OutOfBallError, PreconditionError
 from asdimlab.groups import Ball, RacgEngine, build_ball
@@ -416,17 +419,36 @@ def _tails(ab, sections):
     return out
 
 
-@pytest.mark.parametrize("split", ["table", "racg"])
-def test_assertion_2_2_walk_reports_lowest_failing_element(monkeypatch, split):
-    if split == "table":
+def forbid_walks(monkeypatch):
+    """Make the table-amalgam checkers fail instead of handing over to the walk."""
+
+    def walk(*args):
+        raise RuntimeError("the normal-form columns handed over to the walk")
+
+    monkeypatch.setattr(amalgam, "_assertion_2_1_walk", walk)
+    monkeypatch.setattr(amalgam, "_assertion_2_2_walk", walk)
+
+
+@pytest.mark.parametrize("split", ["table", "racg", "table-walk", "a4z3z6", "a4z3z6-walk"])
+def test_assertion_2_2_walk_reports_lowest_failing_element(request, monkeypatch, split):
+    check = check_assertion_2_2
+    if split.endswith("-walk"):
+        check = _assertion_2_2_walk  # the walk kept for RACG splittings, on a table amalgam
+    if split.startswith("table"):
         ctx = TableAmalgam(z_n_group(2, "a"), z_n_group(3, "b"), [0], [0])
         ab = prepare(ctx, 10)
+    elif split.startswith("a4z3z6"):
+        # C has order 3, so delta(v) and delta(v)^{-1} differ under seeded sections
+        ctx = request.getfixturevalue("a4z3z6_amalgam")
+        ab = prepare(ctx, 5)
     else:
         ctx = path4_split()
         ab = prepare(ctx, 7)
+    if split in ("table", "a4z3z6"):
+        forbid_walks(monkeypatch)
     eng, elements = ctx.engine, ab.ball.elements
     real = ctx.dist_to_c
-    for sections in (None, ctx.random_sections(7)):
+    for sections in (None, ctx.random_sections(7), ctx.random_sections(8)):
         tails = _tails(ab, sections)
         classes = {}
         for i, t in tails.items():
@@ -440,13 +462,171 @@ def test_assertion_2_2_walk_reports_lowest_failing_element(monkeypatch, split):
             monkeypatch.setattr(
                 ctx, "dist_to_c", lambda x: ab.ball.radius + 1 if x in bad else real(x)
             )
-            walk = check_assertion_2_2(ab, sections=sections)
+            walk = check(ab, sections, None)
             ref = reference_assertion_2_2(ab, sections=sections)
             checked = sum(1 for i in tails if i <= chosen[0])
             expected = CheckVerdict(
                 "assertion-2.2", False, checked, witness=eng.word_str(elements[chosen[0]])
             )
             assert walk.line() == ref.line() == expected.line()
+
+
+NF_COLUMN_CASES = (
+    [("dinf_amalgam", r) for r in (0, 1, 2, 7, 22)]
+    + [("z2z3_amalgam", r) for r in (1, 6, 13, 22)]
+    + [("z4z2z4_amalgam", r) for r in (0, 1, 5, 22)]
+    + [("a4z3z6_amalgam", r) for r in (1, 3, 6)]
+)
+
+
+@pytest.mark.parametrize("fixture, radius", NF_COLUMN_CASES)
+def test_normal_form_columns_match_the_walk(request, monkeypatch, fixture, radius):
+    ctx = request.getfixturevalue(fixture)
+    ab = prepare(ctx, radius)
+    choices = [None] + [ctx.random_sections(seed) for seed in (1, 2, 3)]
+    runs = [(sections, max_norm) for sections in choices for max_norm in (None, radius - 3)]
+    walk_2_1 = _assertion_2_1_walk(ab).line()
+    walks = [_assertion_2_2_walk(ab, *run).line() for run in runs]
+    forbid_walks(monkeypatch)
+    assert check_assertion_2_1(ab).line() == walk_2_1
+    assert [check_assertion_2_2(ab, *run).line() for run in runs] == walks
+    columns = ab.normal_form_columns()
+    assert ab.normal_form_columns() is columns
+    assert not any(column.flags.writeable for column in vars(columns).values())
+
+
+@pytest.mark.parametrize("fixture, radius", [("z4z2z4_amalgam", 9), ("a4z3z6_amalgam", 5)])
+def test_section_tails_are_the_normal_form_tails(request, fixture, radius):
+    # every element's last letter and C-part, at every level, for default
+    # and seeded sections
+    ctx = request.getfixturevalue(fixture)
+    ab = prepare(ctx, radius)
+    eng, dual = ctx.engine, ab.dual
+    vs = np.nonzero(dual.level > 0)[0]
+    ids = np.nonzero(dual.level[dual.vertex_of_element] > 0)[0]
+    side = ab.normal_form_columns().side[dual.vertex_of_element[ids]]
+    for sections in (None, *(ctx.random_sections(seed) for seed in (1, 2, 3))):
+        letter, tail = amalgam._section_tails(ab, sections, vs, ids)
+        for i, s, z, c in zip(ids.tolist(), side.tolist(), letter.tolist(), tail.tolist()):
+            nf = amalgam_normal_form(ab, ab.ball.elements[i], sections=sections)
+            assert nf.letters[-1] == eng.mul_elem(eng.identity, s, z)
+            assert nf.c_part == ((), c)
+
+
+def test_normal_form_letters_are_the_given_sections(z4z2z4_amalgam, a4z3z6_amalgam):
+    for ctx in (z4z2z4_amalgam, a4z3z6_amalgam):
+        ab = prepare(ctx, 4)
+        eng = ctx.engine
+        for seed in (1, 2, 5):
+            sections = ctx.random_sections(seed)
+            assert sections != eng.sections
+            for x in ab.ball.elements:
+                nf = amalgam_normal_form(ab, x, sections=sections)
+                prod = eng.identity
+                for z, side in zip(nf.letters, nf.sides):
+                    ((_, cid),), c = z
+                    grp = (eng.a, eng.b)[side]
+                    assert grp.table[eng.sections[side][cid]][eng.embed[side][c]] == sections[side][cid]
+                    prod = eng.multiply(prod, z)
+                assert eng.multiply(prod, nf.c_part) == x
+
+
+def with_dual(ab, **fields):
+    """A copy of ab whose dual graph has the given fields replaced, with its
+    fibers rebuilt from vertex_of_element."""
+    dual = dataclasses.replace(ab.dual, **fields)
+    vertex_of = dual.vertex_of_element
+    dual.fiber_order = np.argsort(vertex_of, kind="stable")
+    dual.fiber_start = np.zeros(dual.n_vertices + 1, dtype=np.int64)
+    np.cumsum(np.bincount(vertex_of, minlength=dual.n_vertices), out=dual.fiber_start[1:])
+    return dataclasses.replace(ab, dual=dual)
+
+
+def parent_moved(ab):
+    # a level-3 vertex hangs from a level-2 vertex that is not its parent
+    dual = ab.dual
+    v = dual.vertices_at_level(3)[0]
+    parent = dual.parent.copy()
+    parent[v] = next(u for u in dual.vertices_at_level(2) if u != dual.parent[v])
+    return with_dual(ab, parent=parent)
+
+
+def level_off_by_two(ab):
+    level = ab.dual.level.copy()
+    level[ab.dual.vertices_at_level(2)[0]] += 2
+    return with_dual(ab, level=level)
+
+
+def element_moved(ab):
+    # an element of a level-3 fiber joins a level-3 vertex of another branch
+    dual = ab.dual
+    v = dual.vertices_at_level(3)[0]
+    root = dual.ancestor_at_level([v], 1)[0]
+    w = next(u for u in dual.vertices_at_level(3) if dual.ancestor_at_level([u], 1)[0] != root)
+    vertex_of = dual.vertex_of_element.copy()
+    vertex_of[dual.fiber(v)[-1]] = w
+    return with_dual(ab, vertex_of_element=vertex_of)
+
+
+def sibling_sides(ab):
+    # an element of a level-1 A-fiber joins a level-1 B-fiber: siblings whose
+    # letters lie on different sides
+    dual = ab.dual
+    v = dual.vertices_at_level(1, side=SIDE_A)[0]
+    vertex_of = dual.vertex_of_element.copy()
+    vertex_of[dual.fiber(v)[-1]] = dual.vertices_at_level(1, side=SIDE_B)[0]
+    return with_dual(ab, vertex_of_element=vertex_of)
+
+
+def outcome(check, *args):
+    try:
+        return check(*args).line()
+    except AssertionError as exc:
+        return f"AssertionError: {exc}"
+
+
+@pytest.mark.parametrize("corrupt", [parent_moved, level_off_by_two, element_moved, sibling_sides])
+@pytest.mark.parametrize("fixture", ["dinf_amalgam", "z2z3_amalgam", "z4z2z4_amalgam", "a4z3z6_amalgam"])
+def test_normal_form_columns_match_the_walk_on_corrupted_dual_graphs(request, fixture, corrupt):
+    ctx = request.getfixturevalue(fixture)
+    ab = corrupt(prepare(ctx, 5))
+    got = [outcome(check_assertion_2_1, ab)]
+    expected = [outcome(_assertion_2_1_walk, ab)]
+    for sections in (None, ctx.random_sections(1)):
+        got.append(outcome(check_assertion_2_2, ab, sections))
+        expected.append(outcome(_assertion_2_2_walk, ab, sections, None))
+    assert got == expected
+    assert any(": pass " not in line for line in got)
+
+
+@pytest.mark.parametrize("fixture", ["dinf_amalgam", "z2z3_amalgam", "z4z2z4_amalgam", "a4z3z6_amalgam"])
+def test_assertion_2_1_reports_the_first_failing_edge(request, monkeypatch, fixture):
+    ctx = request.getfixturevalue(fixture)
+    eng = ctx.engine
+    # a vertex two levels too high: its first edge to its parent or a child
+    ab = level_off_by_two(prepare(ctx, 5))
+    lo, hi = ab.ball.cayley_edge_arrays()
+    levels = ab.dual.level[ab.dual.vertex_of_element]
+    i = int(np.nonzero(np.abs(levels[lo] - levels[hi]) > 1)[0][0])
+    expected = CheckVerdict(
+        "assertion-2.1",
+        False,
+        i + 1,
+        witness=(int(lo[i]), int(hi[i])),
+        note="projection not 1-Lipschitz on this edge",
+    ).line()
+    # an element moved to a sibling fiber on the other side: the first edge
+    # that leaves the factor touches it
+    fresh = prepare(ctx, 5)
+    i = int(fresh.dual.fiber(fresh.dual.vertices_at_level(1, side=SIDE_A)[0])[-1])
+    moved = sibling_sides(fresh)
+    walk = _assertion_2_1_walk(moved).line()
+    assert _assertion_2_1_walk(ab).line() == expected
+    forbid_walks(monkeypatch)
+    assert check_assertion_2_1(ab).line() == expected
+    got = check_assertion_2_1(moved)
+    assert got.line() == walk
+    assert not got.passed and eng.word_str(moved.ball.elements[i]) in got.witness
 
 
 def test_fibers_match_vertex_scan(dinf_amalgam, z2z3_amalgam, z4z2z4_amalgam):

@@ -324,6 +324,26 @@ def test_algebraic_diameter_exact_and_bounded(monkeypatch):
     assert set_diameters(ball, []) == []
 
 
+def test_packed_block_gives_each_set_its_own_diameter(monkeypatch):
+    # small sets of different diameters, some sharing points, share one
+    # block; each must get its own diameter, not the block's largest
+    engine = RacgEngine(PATH4)
+    ball = build_ball(engine, 5)
+    rng = np.random.default_rng(5)
+    shells = [np.nonzero(ball.norms == j)[0] for j in range(6)]
+    sets = [frozenset(rng.choice(len(ball), size=40, replace=False).tolist())]
+    sets += [frozenset(shells[j][:k].tolist()) for j, k in ((1, 2), (2, 5), (4, 30), (1, 3))]
+    sets += [frozenset([0]), frozenset(), frozenset([int(shells[1][0]), int(shells[1][1])])]
+    sets += [frozenset(rng.choice(len(ball), size=k, replace=False).tolist()) for k in (3, 9, 60)]
+    assert sum(len(s) for s in sets) <= builder.PACKED_BLOCK_SOURCES
+    expected = [algebraic_diameter([ball.elements[i] for i in s], engine) for s in sets]
+    assert len(set(expected)) >= 4
+    assert set_diameters(ball, sets) == expected
+    # with 64-source blocks the same sets spread over several shared blocks
+    monkeypatch.setattr(builder, "DIAMETER_BLOCK_BYTES", 1)
+    assert set_diameters(ball, sets) == expected
+
+
 # the twelve covers of the benchmark's cover workloads: (input, r, ball, d)
 BENCH_COVERS = [
     ("cycle5", 4, 11, 16.0),

@@ -228,6 +228,17 @@ def test_check_dinf_all_pass(tmp_path, capsys):
     assert "partition: pass" in out
 
 
+@pytest.mark.parametrize("ball", ["0", "1", "2"])
+def test_check_ball_below_3R_exits_2(tmp_path, capsys, ball):
+    # --ball 0 is a radius, not "no override"; a ball below 3R leaves a
+    # negative core, on which every checker would pass vacuously
+    path = write(tmp_path, "dinf.json", DINF_DOC)
+    assert main(["check", path, "--r", "8", "--R", "1", "--ball", ball]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("input error:") and "3R = 3" in captured.err
+    assert captured.out == ""
+
+
 def test_davis_z2(tmp_path, capsys):
     path = write(tmp_path, "z2.json", Z2_DOC)
     assert main(["davis", path, "--R", "1", "--out", str(tmp_path / "d")]) == 0
