@@ -19,11 +19,21 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import chain
 
 import numpy as np
 
 from .errors import InputError, OutOfBallError, PreconditionError
-from .groups import Ball, FiniteTableGroup, RacgEngine, build_ball, first_sight
+from .groups import (
+    Ball,
+    FiniteTableGroup,
+    RacgEngine,
+    SphereTable,
+    build_ball,
+    first_sight,
+    reserve_rows,
+)
 from .metric import UNREACHED, GraphMetric
 
 SIDE_A, SIDE_B, SIDE_BASE = 0, 1, -1
@@ -250,6 +260,135 @@ class TableAmalgamEngine:
             c_index[side, self.embed[side]] = np.arange(self.c_size)
             coset_of[side, : grp.size] = self.coset_of[side]
         return table, inv, np.array(self.embed, dtype=np.int64), c_index, coset_of
+
+    def sphere_ball(self, radius, cap) -> Ball:
+        """`groups.build_ball` on integers, one numpy step per sphere.
+
+        An element z_1...z_k c is keyed by its vertex, the letters
+        z_1...z_k, and its C-part c; each vertex records its parent vertex
+        and its last letter (side, coset).  For x = z_1...z_k c and a
+        generator g = (t, h) of factor t, x g is `mul_elem` as one gather
+        over all (x, g) of a sphere: w = emb_t(c) h, and when t is the side
+        of z_k, w = rep(z_k) w and the host vertex is x's parent, else x's
+        own vertex.  Then x g = (host, c_w) for w in C, and otherwise
+        (child(host, wC), rep(wC)^-1 w).  New vertices and new elements are
+        numbered by first sight over the sphere's (x, g) pairs in row-major
+        order, which gives `bfs_ball`'s ids.  All elements of a vertex lie in
+        one sphere, except the root's (the identity and C - {1} in sphere
+        1), and share the vertex's letter tuple, built once from its
+        parent's.  `words` builds each vertex's word from its parent's."""
+        mul, inv, emb, c_index, coset_of = self.factor_arrays()
+        n_cosets = max(map(len, self.cosets))
+        reps = np.zeros((2, n_cosets), dtype=np.int64)
+        for side, row in enumerate(self.sections):
+            reps[side, : len(row)] = row
+        # letters: the non-trivial cosets, numbered side by side; index -1
+        # (the root's last letter) reads the padding entry
+        letters = [(side, cid) for side in (0, 1) for cid in range(1, len(self.cosets[side]))]
+        letter_id = np.full((2, n_cosets), -1, dtype=np.int64)
+        for i, (side, cid) in enumerate(letters):
+            letter_id[side, cid] = i
+        letter_side = np.array([side for side, _ in letters] + [SIDE_BASE], dtype=np.int64)
+        letter_rep = np.array([reps[side, cid] for side, cid in letters] + [0], dtype=np.int64)
+        k, n_c, n_l = self.gen_count, self.c_size, len(letters)
+        gen_side = np.array([side for side, _ in self.gens], dtype=np.int64)
+        gen_elem = np.array([s for _, s in self.gens], dtype=np.int64)
+
+        spheres = SphereTable(k, cap)
+        # vertex columns (vertex 0 is the root), grown geometrically
+        parent = np.full(1, -1, dtype=np.int64)
+        last = np.full(1, -1, dtype=np.int64)
+        child = np.full((1, n_l), -1, dtype=np.int64)
+        elem = np.full((1, n_c), -1, dtype=np.int64)
+        elem[0, self.c_identity] = 0
+        n_vertices = 1
+        vertex_letters = [()]
+        elements = [self.identity]
+        # the current sphere's vertices and C-parts; per sphere, those
+        # columns and the (parent, letter) of the vertices it opened
+        sv = np.zeros(1, dtype=np.int64)
+        sc = np.full(1, self.c_identity, dtype=np.int64)
+        sphere_columns = [(sv, sc)]
+        level_columns = []
+        for j in range(radius + 1):
+            v, c = np.repeat(sv, k), np.repeat(sc, k)
+            t, h = np.tile(gen_side, len(sv)), np.tile(gen_elem, len(sv))
+            w, lv = mul[t, emb[t, c], h], last[v]
+            back = letter_side[lv] == t
+            w[back] = mul[t[back], letter_rep[lv[back]], w[back]]
+            host = np.where(back, parent[v], v)
+            coset = coset_of[t, w]
+            out = coset > 0
+            lid = letter_id[t, coset]
+            # the C-part: rep(wC)^-1 w, which is w itself for w in C
+            rc = c_index[t, mul[t, inv[t, reps[t, coset]], w]]
+            rv = np.where(out, child[host, lid], host)
+            fresh = rv < 0
+            if j < radius:
+                number, heads = first_sight(host[fresh] * n_l + lid[fresh])
+                p, ls = host[fresh][heads], lid[fresh][heads]
+                opened = np.arange(n_vertices, n_vertices + len(heads))
+                for column in (parent, last, child, elem):
+                    reserve_rows(column, n_vertices + len(heads))
+                parent[opened], last[opened], child[p, ls] = p, ls, opened
+                rv[fresh] = n_vertices + number
+                n_vertices += len(heads)
+                vertex_letters.extend(
+                    [vertex_letters[q] + (letters[i],) for q, i in zip(p.tolist(), ls.tolist())]
+                )
+                level_columns.append((p, ls))
+            ids = np.full(len(rv), -1, dtype=np.int64)
+            inside = rv >= 0
+            ids[inside] = elem[rv[inside], rc[inside]]
+            lo, n = spheres.starts[-2], spheres.starts[-1]
+            if j < radius:
+                new = ids < 0
+                number, heads = first_sight(rv[new] * n_c + rc[new])
+                m = len(heads)
+                spheres.claim(m)
+                ids[new] = n + number
+                sv, sc = rv[new][heads], rc[new][heads]
+                elem[sv, sc] = np.arange(n, n + m)
+                elements.extend(zip(map(vertex_letters.__getitem__, sv.tolist()), sc.tolist()))
+                sphere_columns.append((sv, sc))
+            spheres.table[lo:n] = ids.reshape(n - lo, k)
+        return spheres.ball(
+            self, radius, elements, partial(self._sphere_words, sphere_columns, level_columns)
+        )
+
+    def _sphere_words(self, sphere_columns, level_columns):
+        """Every element's `word_str` in id order, from the columns of
+        `sphere_ball`: a vertex's word is its parent's plus one letter name,
+        an element's is its vertex's plus `.C.<name>` when c is not 1.  Only
+        the words of two consecutive spheres are held at once."""
+        names = [
+            ("A." if side == 0 else "B.") + (self.a, self.b)[side].names[self.sections[side][cid]]
+            for side in (0, 1)
+            for cid in range(1, len(self.cosets[side]))
+        ]
+        dotted = ["." + name for name in names]
+        c_names = self.c_group.names
+        root = ["C." + name for name in c_names]
+        root[self.c_identity] = "e"
+        suffix = [".C." + name for name in c_names]
+        suffix[self.c_identity] = ""
+
+        def spheres():
+            words, start = [""], 0  # the vertex words of one level, its first vertex id
+            for j, (sv, sc) in enumerate(sphere_columns):
+                if j:
+                    p, ls = level_columns[j - 1]
+                    if j == 1:
+                        level = [names[i] for i in ls.tolist()]
+                    else:
+                        level = [words[q - start] + dotted[i] for q, i in zip(p.tolist(), ls.tolist())]
+                    words, start = level, start + len(words)
+                yield [
+                    words[v - start] + suffix[c] if v else root[c]
+                    for v, c in zip(sv.tolist(), sc.tolist())
+                ]
+
+        return chain.from_iterable(spheres())
 
 
 # ---------------------------------------------------------------------------

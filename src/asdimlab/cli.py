@@ -184,6 +184,12 @@ def cmd_check(args):
     ctx = build_context(data, name=Path(args.input).stem)
     radius = 8 if args.ball is None else args.ball
     big_r = args.R if args.R is not None else max(1, args.r // 4)
+    if big_r < 1:
+        raise InputError(f"--R {big_r} is below 1: D_R needs R >= 1")
+    if big_r > args.r / 4:
+        raise InputError(
+            f"--R {big_r} is above r/4 = {args.r / 4:g}: translate disjointness needs R <= r/4"
+        )
     if radius < 3 * big_r:
         raise InputError(
             f"--ball {radius} is below 3R = {3 * big_r}: the checkers' core radius would be negative"

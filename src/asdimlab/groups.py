@@ -14,7 +14,8 @@ from __future__ import annotations
 import numbers
 from array import array
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import islice
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -369,13 +370,16 @@ class Ball:
     """Closed Cayley ball around the identity with BFS ids and its edge table,
     the ball's only element index: `table[x, g]` is the id of x * generator
     g, or -1 outside the ball (read-only).  Row-major order over (element, generator) is the edge
-    order of `to_json` and `iter_json`."""
+    order of `to_json` and `iter_json`.  `words`, when given, is a
+    zero-argument callable iterating every element's `engine.word_str` in
+    id order, which `iter_json` streams instead of calling `word_str`."""
 
     engine: object
     radius: int
     elements: list
     norms: np.ndarray
     table: np.ndarray
+    words: object = field(default=None, repr=False)
 
     def __post_init__(self):
         self.table.flags.writeable = False
@@ -449,14 +453,14 @@ class Ball:
         names = np.array(
             [encode_basestring_ascii(n) for n in self.engine.gen_names], dtype=object
         )
-        word = self.engine.word_str
+        words = map(self.engine.word_str, self.elements) if self.words is None else self.words()
 
         def edges(a, b):
             return zip(src[a:b].tolist(), dst[a:b].tolist(), names[gen[a:b]].tolist())
 
         def elements(a, b):
-            words = [encode_basestring_ascii(word(x)) for x in self.elements[a:b]]
-            return zip(range(a, b), self.norms[a:b].tolist(), words)
+            chunk = list(map(encode_basestring_ascii, islice(words, b - a)))
+            return zip(range(a, b), self.norms[a:b].tolist(), chunk)
 
         yield "{\n"
         yield from _json_array("edges", len(src), edges, _EDGE_JSON)
@@ -493,14 +497,20 @@ def build_ball(engine, radius, cap=DEFAULT_BALL_CAP) -> Ball:
     with t and lie in D(p).  This is the length-additive factorisation of
     Coxeter groups (Bjorner-Brenti, Combinatorics of Coxeter Groups, 2.4)
     and the descent-set automaton of Brink-Howlett (1993).  One `append`
-    per element builds its normal form from its parent's.  Every other
+    per element builds its normal form from its parent's.
+
+    An engine with a `sphere_ball(radius, cap)` method enumerates its own
+    balls one sphere per step on a `SphereTable`
+    (`amalgam.TableAmalgamEngine`, on integer normal forms).  Every other
     engine, and a RACG of more than `_DESCENT_BITS` generators, runs the
-    generic `bfs_ball`, the reference the RACG path is tested against.
+    generic `bfs_ball`, the reference both sphere paths are tested against.
     """
     if radius < 0:
         raise InputError("ball radius must be >= 0")
     if isinstance(engine, RacgEngine) and engine.rank <= _DESCENT_BITS:
         return _racg_ball(engine, radius, cap)
+    if hasattr(engine, "sphere_ball"):
+        return engine.sphere_ball(radius, cap)
     return bfs_ball(engine, radius, cap)
 
 
@@ -536,17 +546,54 @@ def bfs_ball(engine, radius, cap=DEFAULT_BALL_CAP) -> Ball:
     return Ball(engine, radius, elements, np.asarray(norms, dtype=np.int32), table)
 
 
+class SphereTable:
+    """The edge table of a ball enumerated one sphere per step: sphere j
+    holds ids starts[j]:starts[j + 1], and the table grows geometrically as
+    spheres are claimed."""
+
+    def __init__(self, k, cap):
+        self.table = np.full((1, k), -1, dtype=np.int64)
+        self.starts = [0, 1]
+        self.cap = cap
+
+    def claim(self, m):
+        """Open the next sphere with m new ids and table rows of -1.
+        Raises ResourceCapError when the ball would exceed the cap."""
+        n = self.starts[-1]
+        if n + m > self.cap:
+            raise ResourceCapError(f"ball would exceed the element cap {self.cap}", cap=self.cap)
+        reserve_rows(self.table, n + m)
+        self.starts.append(n + m)
+
+    def ball(self, engine, radius, elements, words=None) -> Ball:
+        """The finished Ball, its norms read from the sphere starts."""
+        starts = self.starts
+        self.table.resize((starts[-1], self.table.shape[1]), refcheck=False)
+        norms = np.repeat(np.arange(len(starts) - 1, dtype=np.int32), np.diff(starts))
+        return Ball(engine, radius, elements, norms, self.table, words)
+
+
+def reserve_rows(array, n):
+    """Grow `array` in place to at least n rows, at least doubling it, with
+    new rows of -1.  The array must own its data, and no view of it may be
+    in use."""
+    size = len(array)
+    if n > size:
+        array.resize((max(n, 2 * size),) + array.shape[1:], refcheck=False)
+        array[size:] = -1
+
+
 def _racg_ball(engine, radius, cap):
     """`build_ball` for a RACG, one sphere per step with numpy."""
     k = engine.rank
     bits = np.left_shift(1, np.arange(k, dtype=np.int64))
     comm = np.array([sum(1 << j for j in c) for c in engine.comm], dtype=np.int64)
-    table = np.full((1, k), -1, dtype=np.int64)
+    spheres = SphereTable(k, cap)
     elements = [engine.identity]
+    table = spheres.table  # grows in place
     descents = np.zeros(1, dtype=np.int64)  # of the current sphere
-    starts = [0, 1]  # sphere j holds ids starts[j]:starts[j + 1]
     for _ in range(radius):
-        lo, n = starts[-2], starts[-1]
+        lo, n = spheres.starts[-2], spheres.starts[-1]
         # every (x, g) with g not in D(x), in row-major order, and D(xg)
         xs, gs = np.nonzero((descents[:, None] & bits) == 0)
         d_new = bits[gs] | (descents[xs] & comm[gs])
@@ -560,14 +607,9 @@ def _racg_ball(engine, radius, cap):
         p[other] = table[table[xs[other], t[other]], gs[other]]
         new, heads = first_sight(p * k + t)
         m = len(heads)
-        if n + m > cap:
-            raise ResourceCapError(f"ball would exceed the element cap {cap}", cap=cap)
         if not m:
             break
-        if n + m > len(table):
-            size = len(table)
-            table.resize((max(n + m, 2 * size), k), refcheck=False)
-            table[size:] = -1
+        spheres.claim(m)
         table[xs, gs] = n + new
         ids, p, t, descents = np.arange(n, n + m), p[heads], t[heads], d_new[heads]
         # down-edges of the new sphere: y t = p, and y s = (p s) t for s in D(y)
@@ -577,10 +619,7 @@ def _racg_ball(engine, radius, cap):
             table[ids[down], g] = table[table[p[down], g], t[down]]
         append = engine.append
         elements.extend([append(elements[q], s) for q, s in zip(p.tolist(), t.tolist())])
-        starts.append(n + m)
-    table.resize((len(elements), k), refcheck=False)
-    norms = np.repeat(np.arange(len(starts) - 1, dtype=np.int32), np.diff(starts))
-    return Ball(engine, radius, elements, norms, table)
+    return spheres.ball(engine, radius, elements)
 
 
 def first_sight(keys):

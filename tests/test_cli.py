@@ -239,6 +239,23 @@ def test_check_ball_below_3R_exits_2(tmp_path, capsys, ball):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [(["--R", "0"], "--R 0 is below 1"), (["--r", "2", "--R", "1"], "--R 1 is above r/4 = 0.5")],
+    ids=["R-0", "R-above-r/4"],
+)
+def test_check_rejects_R_before_building_the_ball(tmp_path, capsys, monkeypatch, args, message):
+    def prepare(*_, **__):
+        raise AssertionError("the ball was built")
+
+    monkeypatch.setattr(cli, "prepare", prepare)
+    path = write(tmp_path, "dinf.json", DINF_DOC)
+    assert main(["check", path, "--ball", "12"] + args) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("input error:") and message in captured.err
+    assert captured.out == ""
+
+
 def test_davis_z2(tmp_path, capsys):
     path = write(tmp_path, "z2.json", Z2_DOC)
     assert main(["davis", path, "--R", "1", "--out", str(tmp_path / "d")]) == 0

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
+from asdimlab import groups
 from asdimlab.amalgam import TableAmalgam
 from asdimlab.errors import InputError, ResourceCapError, UnsupportedBackendError
 from asdimlab.groups import (
@@ -194,10 +195,39 @@ def test_racg_ball_at_the_descent_bit_limit(rank):
     assert np.array_equal(ball.table, reference.table)
 
 
+# the table amalgams of conftest, with the radii their sphere enumeration
+# is compared with the generic BFS at
+TABLE_AMALGAM_RADII = {
+    "dinf_amalgam": 10,
+    "z2z3_amalgam": 10,
+    "z4z2z4_amalgam": 10,
+    "a4z3z6_amalgam": 5,
+}
+
+
+@pytest.mark.parametrize("amalgam", sorted(TABLE_AMALGAM_RADII))
+def test_table_amalgam_ball_equals_generic_bfs(request, amalgam):
+    eng = request.getfixturevalue(amalgam).engine
+    for radius in range(TABLE_AMALGAM_RADII[amalgam] + 1):
+        ball, reference = build_ball(eng, radius), bfs_ball(eng, radius)
+        assert ball.elements == reference.elements, radius
+        assert ball.norms.dtype == reference.norms.dtype
+        assert np.array_equal(ball.norms, reference.norms)
+        assert ball.table.shape == reference.table.shape == (len(ball), eng.gen_count)
+        assert np.array_equal(ball.table, reference.table), radius
+        assert not ball.table.flags.writeable
+
+
 @pytest.mark.parametrize("enumerate_ball", [build_ball, bfs_ball], ids=["racg", "bfs"])
-@pytest.mark.parametrize("graph, radius", [("cycle5", 4), ("z2-cubed", 5), ("star", 3)])
-def test_ball_cap_is_the_element_count(enumerate_ball, graph, radius):
-    eng = RacgEngine(RACG_GRAPHS[graph])
+@pytest.mark.parametrize(
+    "graph, radius",
+    [("cycle5", 4), ("z2-cubed", 5), ("star", 3), ("z2z3_amalgam", 7), ("a4z3z6_amalgam", 3)],
+)
+def test_ball_cap_is_the_element_count(request, enumerate_ball, graph, radius):
+    if graph in RACG_GRAPHS:
+        eng = RacgEngine(RACG_GRAPHS[graph])
+    else:
+        eng = request.getfixturevalue(graph).engine
     size = len(enumerate_ball(eng, radius))
     assert len(enumerate_ball(eng, radius, cap=size)) == size
     with pytest.raises(ResourceCapError):
@@ -263,6 +293,25 @@ def reference_ball_json(ball):
 def test_ball_json_stream_equals_json_dumps(request, make_engine, radius):
     ball = build_ball(make_engine(request), radius)
     assert "".join(ball.iter_json()) == reference_ball_json(ball)
+
+
+@pytest.mark.parametrize("chunk", [BALL_JSON_CHUNK, 3], ids=["default-chunk", "chunk-3"])
+@pytest.mark.parametrize("amalgam, radius", [("z4z2z4_amalgam", 6), ("a4z3z6_amalgam", 3)])
+def test_table_amalgam_ball_words_are_word_str(request, monkeypatch, amalgam, radius, chunk):
+    # C is not trivial, so words carry the .C. suffix, and the identity is e
+    monkeypatch.setattr(groups, "BALL_JSON_CHUNK", chunk)
+    eng = request.getfixturevalue(amalgam).engine
+    ball = build_ball(eng, radius)
+    assert ball.words is not None
+    expected = [eng.word_str(x) for x in ball.elements]
+    assert expected[0] == "e" and any(".C." in w for w in expected)
+    chunks = list(ball.iter_json())
+    assert "".join(chunks) == reference_ball_json(ball)
+    streamed = [record["word"] for record in json.loads("".join(chunks))["elements"]]
+    assert streamed == list(ball.words()) == expected
+    if chunk < len(ball):
+        # chunks end inside spheres
+        assert np.bincount(ball.norms)[1:].min() > chunk
 
 
 def test_ball_json_stream_radius_zero_has_empty_edge_list():
