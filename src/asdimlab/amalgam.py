@@ -653,18 +653,27 @@ class DualGraph:
     Pieces are the cliques spanned by the cosets sharing one Bass-Serre
     vertex; edges are implicit (all pairs within a piece).  Vertices are
     numbered in ball order at first sight, so vertex order is the order of
-    the representatives' ball ids."""
+    the representatives' ball ids.  Pieces are stored as fibers are.  A
+    piece's first member is its gate, whose coset holds the piece's shortest
+    elements; every other member sits one level above it, with the gate as
+    parent.  Every array is read-only."""
 
     vertex_of_element: np.ndarray
     level: np.ndarray
     parent: np.ndarray
     side: np.ndarray
     rep_element: list
-    piece_members: list
-    piece_of_vertex: np.ndarray
-    piece_side: list
+    piece_of_vertex: np.ndarray  # (vertex, SIDE_A / SIDE_B) -> piece id
+    piece_side: np.ndarray
+    piece_order: np.ndarray  # vertex ids grouped by piece, ascending within a piece
+    piece_start: np.ndarray  # piece(p) = piece_order[piece_start[p]:piece_start[p + 1]]
     fiber_order: np.ndarray  # element ids grouped by vertex, ascending within a vertex
     fiber_start: np.ndarray  # fiber(u) = fiber_order[fiber_start[u]:fiber_start[u + 1]]
+
+    def __post_init__(self):
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
 
     @property
     def n_vertices(self):
@@ -673,6 +682,10 @@ class DualGraph:
     def fiber(self, u):
         """Element ids of the coset u, ascending (a read-only view)."""
         return self.fiber_order[self.fiber_start[u] : self.fiber_start[u + 1]]
+
+    def piece(self, p):
+        """Vertex ids of the piece p, ascending, gate first (a read-only view)."""
+        return self.piece_order[self.piece_start[p] : self.piece_start[p + 1]]
 
     def base(self):
         return int(np.nonzero(self.level == 0)[0][0])
@@ -724,19 +737,15 @@ def build_dual_graph(ctx: AmalgamContext, ball: Ball) -> DualGraph:
 
     labels = [ball.coset_labels(letters)[rep_ids] for letters in (a_letters, b_letters)]
     flat_piece, heads = first_sight((2 * np.column_stack(labels) + [SIDE_A, SIDE_B]).ravel())
-    n_pieces = len(heads)
     piece_of_vertex = flat_piece.reshape(n, 2)
-    piece_side = (heads % 2).tolist()
-    # vertices grouped by piece, ascending within a piece
-    member_of = np.argsort(flat_piece, kind="stable") // 2
-    piece_start = np.zeros(n_pieces + 1, dtype=np.int64)
-    np.cumsum(np.bincount(flat_piece, minlength=n_pieces), out=piece_start[1:])
+    piece_order, piece_start = _grouped(flat_piece, len(heads))
+    piece_order //= 2
 
     base = int(vertex_of[0])
     level = np.full(n, -1, dtype=np.int64)
     parent = np.full(n, -1, dtype=np.int64)
     level[base] = 0
-    piece_done = np.zeros(n_pieces, dtype=bool)
+    piece_done = np.zeros(len(heads), dtype=bool)
     frontiers = [np.array([base], dtype=np.int64)]
     while len(frontiers[-1]):
         frontier = frontiers[-1]
@@ -747,7 +756,7 @@ def build_dual_graph(ctx: AmalgamContext, ball: Ball) -> DualGraph:
         piece_done[pids] = True
         counts = piece_start[pids + 1] - piece_start[pids]
         offsets = np.repeat(piece_start[pids] - np.cumsum(counts) + counts, counts)
-        members = member_of[offsets + np.arange(len(offsets))]
+        members = piece_order[offsets + np.arange(len(offsets))]
         gates = np.repeat(gates, counts)
         up = members != gates
         members, gates = members[up], gates[up]
@@ -772,25 +781,28 @@ def build_dual_graph(ctx: AmalgamContext, ball: Ball) -> DualGraph:
     for frontier in frontiers[2:]:
         side[frontier] = side[parent[frontier]]
 
-    fiber_order = np.argsort(vertex_of, kind="stable")
-    fiber_order.flags.writeable = False
-    fiber_start = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(vertex_of, minlength=n), out=fiber_start[1:])
-
+    fiber_order, fiber_start = _grouped(vertex_of, n)
     return DualGraph(
         vertex_of_element=vertex_of,
         level=level,
         parent=parent,
         side=side,
         rep_element=rep_element,
-        piece_members=[
-            member_of[a:b].tolist() for a, b in zip(piece_start[:-1], piece_start[1:])
-        ],
         piece_of_vertex=piece_of_vertex,
-        piece_side=piece_side,
+        piece_side=heads % 2,
+        piece_order=piece_order,
+        piece_start=piece_start,
         fiber_order=fiber_order,
         fiber_start=fiber_start,
     )
+
+
+def _grouped(keys, n):
+    """(order, start): the positions of `keys` grouped by key 0 .. n - 1,
+    ascending within a key, and key k's group order[start[k]:start[k + 1]]."""
+    start = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys, minlength=n), out=start[1:])
+    return np.argsort(keys, kind="stable"), start
 
 
 @dataclass
@@ -1492,9 +1504,9 @@ def dual_graph_dot(ab: AmalgamBall) -> str:
         lines.append(
             f'  v{u} [label="{label}\\n|u|={int(dual.level[u])}", style=filled, fillcolor={shade}];'
         )
-    for pid, members in enumerate(dual.piece_members):
-        piece = dual.piece_side[pid]
+    for p, piece in enumerate(dual.piece_side.tolist()):
         style = "solid" if piece == SIDE_A else "dashed"
+        members = dual.piece(p).tolist()
         for i, u in enumerate(members):
             for v in members[i + 1 :]:
                 lines.append(

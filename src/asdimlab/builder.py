@@ -328,7 +328,7 @@ class CertificateReport:
 
 
 def verify_certificate(cert: CoverCertificate) -> CertificateReport:
-    """Independent re-check of the certificate claims.
+    """Re-check of the certificate claims by the builder's measurement code.
 
     Covering, color budget and order are exact; disjointness and depth are
     re-measured by the BFS-field method (exact within the margin regime the
@@ -506,14 +506,6 @@ def product_region(ab: AmalgamBall, m):
     return mask
 
 
-def entry_side(dual):
-    """Per vertex u of level >= 1, the side of the piece through which u is
-    entered from its parent: SIDE_A when u and its parent share their
-    A-piece, else SIDE_B (meaningless at the base)."""
-    a_piece = dual.piece_of_vertex[:, SIDE_A]
-    return np.where(a_piece == a_piece[dual.parent], SIDE_A, SIDE_B)
-
-
 def cover_product(ab: AmalgamBall, m, r) -> CoverCertificate:
     """Lemma 2.1 induction for finite factors: at stage k the new K-pieces
     (whole factor-cosets wF) are covered by single translated sets, separated
@@ -527,38 +519,29 @@ def cover_product(ab: AmalgamBall, m, r) -> CoverCertificate:
             "factors; infinite factors use the fiber-cylinder route"
         )
     core = ab.core_mask()
-    levels = ab.element_level()
-    target = product_region(ab, m)
-    depth = int(levels[target & core].max()) if (target & core).any() else 0
+    target = product_region(ab, m) & core
+    depth = int(ab.element_level()[target].max()) if target.any() else 0
 
-    base_fiber = np.zeros(ab.n, dtype=bool)
-    base_fiber[dual.fiber(dual.base())] = True
-    current_sets = [sorted(np.nonzero(base_fiber & core)[0].tolist())]
-    carrier_ids = list(current_sets[0])
+    base = dual.fiber(dual.base())
+    current_sets = [base[core[base]].tolist()]
+    carrier = np.zeros(ab.n, dtype=bool)
+    carrier[current_sets[0]] = True
     trace = {"op": "cover_product", "m": m, "r": r, "stages": []}
-    prev_ids = list(carrier_ids)
 
-    entry = entry_side(dual)
+    # a piece's first member is its gate and the rest sit one level above it,
+    # so the level-k pieces are those gated at level k - 1, in (gate, side) order
+    first, size = dual.piece_order[dual.piece_start[:-1]], np.diff(dual.piece_start)
     for k in range(1, depth + 1):
-        gates = {}
-        for u in range(dual.n_vertices):
-            if dual.level[u] != k:
-                continue
-            gates.setdefault((int(dual.parent[u]), int(entry[u])), []).append(u)
         piece_masks = []
-        for key in sorted(gates):
+        for p in np.nonzero((dual.level[first] == k - 1) & (size > 1))[0].tolist():
             mask = np.zeros(ab.n, dtype=bool)
-            for u in gates[key]:
+            for u in dual.piece(p)[1:].tolist():
                 mask[dual.fiber(u)] = True
-            piece_masks.append(mask & core & target)
+            piece_masks.append(mask & target)
 
-        fld_prev = metric.dist_field(sorted(prev_ids))
-        y_mask = (fld_prev <= r) & core
-        new_sets = []
-        for mask in piece_masks:
-            ids = np.nonzero(mask & ~y_mask)[0]
-            if len(ids):
-                new_sets.append(frozenset(int(i) for i in ids))
+        y_mask = (metric.dist_field(np.nonzero(carrier)[0]) <= r) & core
+        new_sets = [frozenset(np.nonzero(mask & ~y_mask)[0].tolist()) for mask in piece_masks]
+        new_sets = [s for s in new_sets if s]
         for i, j, d in metric.pair_gaps(new_sets):
             if d < r:
                 raise PreconditionError(
@@ -567,24 +550,16 @@ def cover_product(ab: AmalgamBall, m, r) -> CoverCertificate:
                 )
         # enlarge the previous sets over Y_r; first-wins keeps the single
         # color an honest partition (order stays 1)
-        claimed = np.zeros(ab.n, dtype=bool)
-        for mask in piece_masks:
-            claimed |= mask & ~y_mask
+        pieces = np.any(piece_masks, axis=0)
+        claimed = pieces & ~y_mask
         stage_sets = []
         for s in current_sets:
-            fld = metric.dist_field(sorted(s))
-            grown = (fld <= r) & core & ~claimed
+            grown = (metric.dist_field(s) <= r) & core & ~claimed
             claimed |= grown
-            stage_sets.append(frozenset(int(i) for i in np.nonzero(grown)[0]))
-        stage_sets.extend(new_sets)
-        carrier_ids = sorted(
-            set(np.nonzero(y_mask)[0].tolist())
-            | {int(i) for mask in piece_masks for i in np.nonzero(mask)[0]}
-            | set(carrier_ids)
-        )
-        current_sets = stage_sets
-        prev_ids = carrier_ids
-        trace["stages"].append({"k": k, "pieces": len(piece_masks), "sets": len(stage_sets)})
+            stage_sets.append(frozenset(np.nonzero(grown)[0].tolist()))
+        current_sets = stage_sets + new_sets
+        carrier |= pieces | y_mask
+        trace["stages"].append({"k": k, "pieces": len(piece_masks), "sets": len(current_sets)})
 
     cert = CoverCertificate(
         backend=f"{ctx.name}:(AB)^{m}",
@@ -593,7 +568,7 @@ def cover_product(ab: AmalgamBall, m, r) -> CoverCertificate:
         claimed_d=0.0,
         n=max(n_a, n_b),
         cover=Cover(sets=current_sets, colors=[0] * len(current_sets)),
-        carrier=carrier_ids,
+        carrier=np.nonzero(carrier)[0].tolist(),
         ball=ab.ball,
         metric=metric,
         core_radius=ab.core_radius,

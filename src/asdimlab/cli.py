@@ -47,11 +47,14 @@ EXIT_OK, EXIT_VERIFY, EXIT_INPUT, EXIT_CAP = 0, 1, 2, 3
 def load_input(path):
     try:
         with open(path) as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except FileNotFoundError as exc:
         raise InputError(f"input file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"malformed JSON in {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise InputError(f"input in {path} must be a JSON object")
+    return data
 
 
 def build_context(data, name="input"):
@@ -183,6 +186,8 @@ def cmd_check(args):
     data = load_input(args.input)
     ctx = build_context(data, name=Path(args.input).stem)
     radius = 8 if args.ball is None else args.ball
+    if args.r % 2:
+        raise InputError(f"--r {args.r} is odd: the partition's slab spacing r must be even")
     big_r = args.R if args.R is not None else max(1, args.r // 4)
     if big_r < 1:
         raise InputError(f"--R {big_r} is below 1: D_R needs R >= 1")
@@ -257,7 +262,7 @@ def cmd_dualgraph(args):
     ab = prepare(ctx, args.R, cap=args.cap_elements)
     dual = ab.dual
     print(
-        f"dual graph: vertices={dual.n_vertices} pieces={len(dual.piece_members)} "
+        f"dual graph: vertices={dual.n_vertices} pieces={len(dual.piece_side)} "
         f"max level={int(dual.level.max())}"
     )
     if args.out:
@@ -273,8 +278,8 @@ def cmd_dualgraph(args):
                 for u in range(dual.n_vertices)
             ],
             "pieces": [
-                {"side": int(dual.piece_side[p]), "members": list(map(int, m))}
-                for p, m in enumerate(dual.piece_members)
+                {"side": side, "members": dual.piece(p).tolist()}
+                for p, side in enumerate(dual.piece_side.tolist())
             ],
         }
         _write(args.out, "dualgraph.json", json.dumps(payload, indent=2, sort_keys=True) + "\n")

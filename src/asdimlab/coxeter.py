@@ -36,9 +36,15 @@ class CoxeterSystem(CoxeterMatrix):
         if "matrix" in data:
             return cls(data["matrix"], names=data.get("generators"))
         if "maximal_faces" in data:
-            return cls.from_nerve(
-                SimplicialComplex(data["vertices"], data["maximal_faces"])
-            )
+            vertices, faces = data.get("vertices"), data["maximal_faces"]
+            if not isinstance(vertices, list) or not (
+                isinstance(faces, list) and all(isinstance(f, list) for f in faces)
+            ):
+                raise InputError("nerve input needs 'vertices' and 'maximal_faces' lists of lists")
+            kinds = {type(v) for v in vertices + [v for f in faces for v in f]}
+            if len(kinds) > 1 or not kinds <= {str, int}:
+                raise InputError("nerve vertex labels must be all strings or all integers")
+            return cls.from_nerve(SimplicialComplex(vertices, faces))
         raise InputError("Coxeter input needs 'matrix' or 'vertices'/'maximal_faces'")
 
     @classmethod

@@ -188,11 +188,10 @@ def reference_dual_graph(ctx, ball):
         elif level[u] > 1:
             side[u] = side[parent[u]]
 
-    piece_side = [SIDE_A] * len(piece_members)
-    for pid in piece_ids[SIDE_B].values():
-        piece_side[pid] = SIDE_B
+    piece_side = np.full(len(piece_members), SIDE_A, dtype=np.int64)
+    piece_side[list(piece_ids[SIDE_B].values())] = SIDE_B
+    piece_start = np.cumsum([0] + [len(m) for m in piece_members], dtype=np.int64)
     fiber_order = np.argsort(vertex_of, kind="stable")
-    fiber_order.flags.writeable = False
     fiber_start = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(vertex_of, minlength=n), out=fiber_start[1:])
     return DualGraph(
@@ -201,9 +200,10 @@ def reference_dual_graph(ctx, ball):
         parent=parent,
         side=side,
         rep_element=rep_element,
-        piece_members=[sorted(m) for m in piece_members],
         piece_of_vertex=piece_of_vertex,
         piece_side=piece_side,
+        piece_order=np.array([u for m in piece_members for u in sorted(m)], dtype=np.int64),
+        piece_start=piece_start,
         fiber_order=fiber_order,
         fiber_start=fiber_start,
     )
@@ -251,7 +251,7 @@ def test_dual_graph_equals_word_keyed_reference(request, make_ctx, radius):
     dual = build_dual_graph(ctx, ball)
     assert_dual_graphs_equal(dual, reference_dual_graph(ctx, ball))
     # the pieces of K are proper: some piece has a gate and other members
-    assert max(len(m) for m in dual.piece_members) > 1
+    assert np.diff(dual.piece_start).max() > 1
 
 
 @pytest.mark.parametrize(
@@ -629,6 +629,19 @@ def test_assertion_2_1_reports_the_first_failing_edge(request, monkeypatch, fixt
     assert not got.passed and eng.word_str(moved.ball.elements[i]) in got.witness
 
 
+def test_dual_graph_arrays_are_read_only(z2z3_amalgam):
+    dual = prepare(z2z3_amalgam, 6).dual
+    names = [f.name for f in dataclasses.fields(DualGraph) if f.name != "rep_element"]
+    for name in names:
+        array = getattr(dual, name)
+        assert isinstance(array, np.ndarray), name
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+    # so are the views `piece` returns
+    with pytest.raises(ValueError, match="read-only"):
+        dual.piece(0)[0] = 0
+
+
 def test_fibers_match_vertex_scan(dinf_amalgam, z2z3_amalgam, z4z2z4_amalgam):
     for ctx in (dinf_amalgam, z2z3_amalgam, z4z2z4_amalgam, path4_split()):
         dual = prepare(ctx, 8).dual
@@ -867,7 +880,8 @@ def test_dinf_dual_graph_is_alternating_path(dinf_amalgam):
     # K for Dinf at radius 6: a path whose pieces alternate Delta(A)/Delta(B)
     ab = prepare(dinf_amalgam, 6)
     dual = ab.dual
-    multi = [m for m in dual.piece_members if len(m) > 1]
+    members = [dual.piece(p).tolist() for p in range(len(dual.piece_side))]
+    multi = [m for m in members if len(m) > 1]
     assert all(len(m) == 2 for m in multi)
     degree = {}
     for m in multi:
@@ -877,9 +891,7 @@ def test_dinf_dual_graph_is_alternating_path(dinf_amalgam):
     # consecutive pieces along the path have different types Delta(A)/Delta(B)
     for u in degree:
         meeting = [
-            dual.piece_side[p]
-            for p, mem in enumerate(dual.piece_members)
-            if u in mem and len(mem) > 1
+            dual.piece_side[p] for p, mem in enumerate(members) if u in mem and len(mem) > 1
         ]
         assert len(set(meeting)) == len(meeting)
 

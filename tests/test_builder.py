@@ -17,7 +17,6 @@ from asdimlab.builder import (
     cover_racg,
     cover_union_finite,
     cover_union_uniform,
-    entry_side,
     make_schedule,
     measure_certificate,
     product_region,
@@ -203,19 +202,61 @@ def test_cover_finite_group_equals_radius_probing(monkeypatch, z4z2z4_amalgam):
             assert cover_finite_group(eng, 6).to_json() == cert.to_json()
 
 
-def test_entry_side_is_the_factor_of_the_step_from_the_parent(
-    dinf_amalgam, z2z3_amalgam, z4z2z4_amalgam
-):
+def test_pieces_are_gated_by_their_first_member(dinf_amalgam, z2z3_amalgam, z4z2z4_amalgam):
     path4_split = RacgAmalgam(RacgEngine(PATH4), n1=[0, 1], knk=[1], n2=[1, 2, 3])
     cases = [(dinf_amalgam, 10), (z2z3_amalgam, 10), (z4z2z4_amalgam, 8), (path4_split, 8)]
     for ctx, radius in cases:
         dual, eng = prepare(ctx, radius).dual, ctx.engine
-        entry = entry_side(dual)
-        for u in np.nonzero(dual.level >= 1)[0].tolist():
-            parent_rep = dual.rep_element[dual.parent[u]]
-            step = eng.multiply(eng.inverse(parent_rep), dual.rep_element[u])
-            assert entry[u] == ctx.in_factor(step), (ctx.name, u)
-        assert set(entry[dual.level >= 1].tolist()) == {SIDE_A, SIDE_B}
+        sides = set()
+        for p in range(len(dual.piece_side)):
+            gate, *rest = dual.piece(p).tolist()
+            assert dual.level[gate] == dual.level[dual.piece(p)].min()
+            for u in rest:
+                assert dual.level[u] == dual.level[gate] + 1 and dual.parent[u] == gate
+                step = eng.multiply(eng.inverse(dual.rep_element[gate]), dual.rep_element[u])
+                assert ctx.in_factor(step) == dual.piece_side[p], (ctx.name, p, u)
+                sides.add(int(dual.piece_side[p]))
+        assert sides == {SIDE_A, SIDE_B}
+
+
+@pytest.mark.parametrize(
+    "fixture, radius, core, m, r",
+    [
+        ("dinf_amalgam", 12, 9, 2, 4),
+        ("z2z3_amalgam", 12, 10, 2, 3),
+        ("z4z2z4_amalgam", 8, 6, 1, 2),
+        ("path3_amalgam", 10, 8, 2, 2),
+    ],
+)
+def test_cover_product_groups_are_the_parent_entry_side_groups(
+    request, monkeypatch, fixture, radius, core, m, r
+):
+    # the level-k groups of cover_product (the pieces gated at level k - 1,
+    # read through `DualGraph.piece`) are the level-k vertices grouped by
+    # parent and by the side through which each is entered from its parent
+    ab = prepare(request.getfixturevalue(fixture), radius, core_radius=core)
+    dual = ab.dual
+    a_piece = dual.piece_of_vertex[:, SIDE_A]
+    entry = np.where(a_piece == a_piece[dual.parent], SIDE_A, SIDE_B)
+    target = product_region(ab, m) & ab.core_mask()
+    expected = []
+    for k in range(1, int(ab.element_level()[target].max()) + 1):
+        groups = {}
+        for u in np.nonzero(dual.level == k)[0].tolist():
+            groups.setdefault((int(dual.parent[u]), int(entry[u])), []).append(u)
+        expected += [(k, groups[key]) for key in sorted(groups)]
+
+    got = []
+    piece = type(dual).piece
+
+    def recording_piece(self, p):
+        members = piece(self, p)
+        got.append((int(self.level[members[0]]) + 1, members[1:].tolist()))
+        return members
+
+    monkeypatch.setattr(type(dual), "piece", recording_piece)
+    cover_product(ab, m, r)
+    assert got == expected
 
 
 def test_cover_product_region_contains_projected_balls(dinf_amalgam):

@@ -198,6 +198,38 @@ def test_malformed_input_exits_2(tmp_path, capsys, command, doc):
     assert "input error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["bound", "cover", "check", "davis", "dualgraph"])
+@pytest.mark.parametrize("text", ["[1, 2]", "null", '"matrix"'], ids=["list", "null", "string"])
+def test_non_object_document_exits_2(tmp_path, capsys, command, text):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    assert main([command, str(path)]) == 2
+    assert "input error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["bound", "davis"])
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"vertices": 5, "maximal_faces": [[1]]},
+        {"vertices": [1, 2], "maximal_faces": [5]},
+        {"vertices": [1, 2], "maximal_faces": 5},
+        {"maximal_faces": [[1]]},
+        {"vertices": [[1], 2], "maximal_faces": [[2]]},
+        {"vertices": [1, 2], "maximal_faces": [[[1]]]},
+        {"vertices": [1, "a"], "maximal_faces": [[1], ["a"]]},
+    ],
+    ids=[
+        "vertices-not-list", "face-not-list", "faces-not-list", "no-vertices",
+        "unhashable-vertex", "unhashable-face-vertex", "mixed-labels",
+    ],
+)
+def test_malformed_nerve_exits_2(tmp_path, capsys, command, doc):
+    path = write(tmp_path, "nerve.json", doc)
+    assert main([command, path]) == 2
+    assert capsys.readouterr().err.startswith("input error: ")
+
+
 def test_cover_cap_exit_3(tmp_path):
     path = write(tmp_path, "c5.json", CYCLE5_DOC)
     assert main(["cover", path, "--r", "4", "--cap-elements", "50"]) == 3
@@ -241,8 +273,12 @@ def test_check_ball_below_3R_exits_2(tmp_path, capsys, ball):
 
 @pytest.mark.parametrize(
     "args, message",
-    [(["--R", "0"], "--R 0 is below 1"), (["--r", "2", "--R", "1"], "--R 1 is above r/4 = 0.5")],
-    ids=["R-0", "R-above-r/4"],
+    [
+        (["--R", "0"], "--R 0 is below 1"),
+        (["--r", "2", "--R", "1"], "--R 1 is above r/4 = 0.5"),
+        (["--r", "9", "--R", "2"], "--r 9 is odd"),
+    ],
+    ids=["R-0", "R-above-r/4", "r-odd"],
 )
 def test_check_rejects_R_before_building_the_ball(tmp_path, capsys, monkeypatch, args, message):
     def prepare(*_, **__):
