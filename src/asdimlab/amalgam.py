@@ -817,16 +817,26 @@ class AmalgamBall:
     _levels: dict = field(default_factory=dict, init=False, repr=False)
     _vertex_by_key: dict = field(default=None, init=False, repr=False)
     _columns: NormalFormColumns = field(default=None, init=False, repr=False)
+    _core: np.ndarray = field(default=None, init=False, repr=False)
+    _sides: np.ndarray = field(default=None, init=False, repr=False)
 
     @property
     def n(self):
         return len(self.ball)
 
     def core_mask(self):
-        return self.ball.norms <= self.core_radius
+        """Elements of norm <= core_radius, computed once per ball, read-only."""
+        if self._core is None:
+            self._core = self.ball.norms <= self.core_radius
+            self._core.flags.writeable = False
+        return self._core
 
     def side_of_elements(self):
-        return self.dual.side[self.dual.vertex_of_element]
+        """Each element's side of K, computed once per ball, read-only."""
+        if self._sides is None:
+            self._sides = self.dual.side[self.dual.vertex_of_element]
+            self._sides.flags.writeable = False
+        return self._sides
 
     def element_level(self):
         return self.dual.level[self.dual.vertex_of_element]
@@ -1345,7 +1355,21 @@ def check_separation(ab: AmalgamBall, u, u_prime, R, boundary_override=None) -> 
 
 def check_translate_disjointness(ab: AmalgamBall, r, R) -> CheckVerdict:
     """Prop 2.2: translates of D_R at level multiples of r are 2R-disjoint,
-    and 3R-disjoint across unequal levels."""
+    and 3R-disjoint across unequal levels.
+
+    A pass is decided by one BFS from every translate point at once, read
+    twice by `GraphMetric.label_gaps`: labelled by translate, its least gap
+    is the least distance between two translates (at least 2R is needed);
+    labelled by the translate's level, the least distance between translates
+    of unequal levels (at least 3R).  Both minima are exact: a shortest path
+    between the closest differently labelled pair has an edge (u, v) whose
+    ends have differently labelled nearest sources, and there fld[u] + 1 +
+    fld[v] is at most the path's length, while every gap is at least the
+    distance between two differently labelled points.  A point in two
+    translates is the one thing a labelled BFS cannot see, so the ids must
+    be distinct first.  When they are not, or either minimum is too small,
+    the per-pair scan gives the verdict: the first failing pair in (i, j)
+    order."""
     if R > r / 4:
         raise PreconditionError("requires R <= r/4")
     if ab.core_radius + 3 * R > ab.ball.radius:
@@ -1366,6 +1390,11 @@ def check_translate_disjointness(ab: AmalgamBall, r, R) -> CheckVerdict:
             ids = compute_D_R(ab, u, R)
             if len(ids):
                 translates.append((u, lvl, ids))
+    count = len(translates)
+    if count < 2 or _translates_disjoint(ab.metric, translates, R):
+        return CheckVerdict(
+            "prop-2.2-disjointness", True, count * (count - 1) // 2, note=f"{count} translates"
+        )
     checked = 0
     for i, j, d in ab.metric.pair_gaps([ids for _, _, ids in translates]):
         (ui, li, _), (uj, lj, _) = translates[i], translates[j]
@@ -1383,6 +1412,24 @@ def check_translate_disjointness(ab: AmalgamBall, r, R) -> CheckVerdict:
     return CheckVerdict(
         "prop-2.2-disjointness", True, checked, note=f"{len(translates)} translates"
     )
+
+
+def _translates_disjoint(metric: GraphMetric, translates, R) -> bool:
+    """True when the (u, level, ids) translates are pairwise disjoint point
+    sets, 2R apart and 3R apart across unequal levels: one labelled BFS,
+    read by translate and by level (`check_translate_disjointness`)."""
+    points = np.concatenate([ids for _, _, ids in translates])
+    if len(np.unique(points)) < len(points):
+        return False
+    owner = np.repeat(np.arange(len(translates)), [len(ids) for _, _, ids in translates])
+    level = np.array([lvl for _, lvl, _ in translates])
+    field = metric.dist_field(points, with_sources=True)
+    for label, need in ((owner, 2 * R), (level[owner], 3 * R)):
+        labels = np.full(metric.n, -1, dtype=np.int64)
+        labels[points] = label
+        if metric.label_gaps(labels, field=field)[2].min(initial=UNREACHED) < need:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -185,7 +185,6 @@ def cmd_cover(args):
 def cmd_check(args):
     data = load_input(args.input)
     ctx = build_context(data, name=Path(args.input).stem)
-    radius = 8 if args.ball is None else args.ball
     if args.r % 2:
         raise InputError(f"--r {args.r} is odd: the partition's slab spacing r must be even")
     big_r = args.R if args.R is not None else max(1, args.r // 4)
@@ -195,6 +194,9 @@ def cmd_check(args):
         raise InputError(
             f"--R {big_r} is above r/4 = {args.r / 4:g}: translate disjointness needs R <= r/4"
         )
+    # by default the least radius from 8 whose core, radius - 3R, holds a
+    # level-(R + 1) fiber for the separation check (pi is 1-Lipschitz)
+    radius = max(8, 4 * big_r + 1) if args.ball is None else args.ball
     if radius < 3 * big_r:
         raise InputError(
             f"--ball {radius} is below 3R = {3 * big_r}: the checkers' core radius would be negative"

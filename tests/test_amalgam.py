@@ -32,6 +32,7 @@ from asdimlab.amalgam import (
 )
 from asdimlab.errors import InputError, OutOfBallError, PreconditionError
 from asdimlab.groups import Ball, RacgEngine, build_ball
+from asdimlab.metric import GraphMetric
 
 from conftest import CYCLE5, PATH4, RACG_GRAPHS, z_n_group
 
@@ -642,6 +643,16 @@ def test_dual_graph_arrays_are_read_only(z2z3_amalgam):
         dual.piece(0)[0] = 0
 
 
+def test_ball_masks_are_computed_once_and_read_only(z2z3_amalgam):
+    ab = prepare(z2z3_amalgam, 8, core_radius=5)
+    for mask in (ab.core_mask, ab.side_of_elements):
+        assert mask() is mask()
+        with pytest.raises(ValueError, match="read-only"):
+            mask()[0] = 0
+    assert np.array_equal(ab.core_mask(), ab.ball.norms <= 5)
+    assert np.array_equal(ab.side_of_elements(), ab.dual.side[ab.dual.vertex_of_element])
+
+
 def test_fibers_match_vertex_scan(dinf_amalgam, z2z3_amalgam, z4z2z4_amalgam):
     for ctx in (dinf_amalgam, z2z3_amalgam, z4z2z4_amalgam, path4_split()):
         dual = prepare(ctx, 8).dual
@@ -788,6 +799,133 @@ def test_translate_disjointness_bounds(dinf_amalgam, z2z3_amalgam, z4z2z4_amalga
             ab = prepare(ctx, 3 * r, core_radius=3 * r - 3 * big_r)
             verdict = check_translate_disjointness(ab, r, big_r)
             assert verdict.passed, (ctx.name, r, verdict.line())
+
+
+def reference_translate_disjointness(ab, r, R):
+    """Prop 2.2 by the per-pair scan: one field per translate, every pair in
+    (i, j) order, the first failing pair reported."""
+    dual = ab.dual
+    translates = []
+    for lvl in range(0, int(dual.level.max()) + 1, r):
+        if lvl == 0:
+            gates, side = [dual.base()], SIDE_A
+        else:
+            gates, side = dual.vertices_at_level(lvl, side=SIDE_A), None
+        for u in gates:
+            ids = amalgam.compute_D_R(ab, u, R, side=side)
+            if len(ids):
+                translates.append((u, lvl, ids))
+    checked = 0
+    for i, j, d in ab.metric.pair_gaps([ids for _, _, ids in translates]):
+        (ui, li, _), (uj, lj, _) = translates[i], translates[j]
+        d = float("inf") if d >= amalgam.UNREACHED else float(d)
+        checked += 1
+        need = 3 * R if li != lj else 2 * R
+        if d < need:
+            return CheckVerdict(
+                "prop-2.2-disjointness",
+                False,
+                checked,
+                witness=(int(ui), int(uj), d),
+                note=f"needed >= {need}",
+            )
+    return CheckVerdict(
+        "prop-2.2-disjointness", True, checked, note=f"{len(translates)} translates"
+    )
+
+
+TRANSLATE_SETTINGS = [
+    (fixture, r, big_r, 3 * r)
+    for fixture in ("dinf_amalgam", "z4z2z4_amalgam")
+    for r in (4, 8, 12)
+    for big_r in range(1, r // 4 + 1)
+] + [
+    ("z2z3_amalgam", 4, 1, 12),
+    ("z2z3_amalgam", 8, 2, 24),
+    ("z2z3_amalgam", 8, 1, 20),
+    ("z2z3_amalgam", 12, 1, 16),
+    ("z2z3_amalgam", 12, 3, 24),
+    (None, 4, 1, 12),
+    (None, 8, 1, 13),
+    (None, 8, 2, 14),
+]
+
+
+@pytest.mark.parametrize("fixture, r, big_r, radius", TRANSLATE_SETTINGS)
+def test_translate_disjointness_equals_per_pair_scan(request, fixture, r, big_r, radius):
+    ctx = request.getfixturevalue(fixture) if fixture else path4_split()
+    ab = prepare(ctx, radius, core_radius=radius - 3 * big_r)
+    expected = reference_translate_disjointness(ab, r, big_r)
+    assert check_translate_disjointness(ab, r, big_r).line() == expected.line()
+
+
+def _point(ab, *conditions):
+    """The first ball id at exact or least distance from given points:
+    conditions are (point, distance, exact)."""
+    ok = np.ones(ab.n, dtype=bool)
+    for p, d, exact in conditions:
+        field = ab.metric.dist_field([p])
+        ok &= field == d if exact else field >= d
+    return int(np.nonzero(ok)[0][0])
+
+
+def shared_point(ab, R, base, u1, u2):
+    # two same-level translates meet in the identity; otherwise 2R apart
+    a = _point(ab, (0, 3 * R, False))
+    b = _point(ab, (0, 3 * R, False), (a, 3 * R, False))
+    return {u1: [0, a], u2: [0, b]}
+
+
+def same_level_too_close(ab, R, base, u1, u2):
+    # the last pair of three is at 2R - 1, both at one level
+    y = _point(ab, (0, 2 * R - 1, True))
+    z = _point(ab, (0, 3 * R, False), (y, 3 * R, False))
+    return {base: [z], u1: [0], u2: [y]}
+
+
+def cross_level_too_close(ab, R, base, u1, u2):
+    # levels 0 and r at 2R, short of 3R; the same-level pair is 2R apart
+    y = _point(ab, (0, 2 * R, True))
+    w = _point(ab, (0, 3 * R, False), (y, 2 * R, False))
+    return {base: [0], u1: [y], u2: [w]}
+
+
+@pytest.mark.parametrize(
+    "plant", [shared_point, same_level_too_close, cross_level_too_close]
+)
+def test_translate_disjointness_fails_on_planted_translates(z2z3_amalgam, monkeypatch, plant):
+    r, big_r = 8, 2
+    ab = prepare(z2z3_amalgam, 16, core_radius=16 - 3 * big_r)
+    base = ab.dual.base()
+    u1, u2 = ab.dual.vertices_at_level(r, side=SIDE_A)[:2]
+    planted = plant(ab, big_r, base, u1, u2)
+
+    def compute_D_R(ab, u, R, side=None):
+        return np.asarray(planted.get(int(u), []), dtype=np.int64)
+
+    monkeypatch.setattr(amalgam, "compute_D_R", compute_D_R)
+    expected = reference_translate_disjointness(ab, r, big_r)
+    got = check_translate_disjointness(ab, r, big_r)
+    assert not expected.passed
+    assert got.line() == expected.line()
+
+
+def test_translate_disjointness_is_one_bfs_on_a_pass(z2z3_amalgam, monkeypatch):
+    r, big_r = 8, 1
+    ab = prepare(z2z3_amalgam, 20, core_radius=20 - 3 * big_r)
+    for lvl in range(0, int(ab.dual.level.max()) + 1, r):
+        ab.level_field(lvl)
+    calls = []
+    dist_field = GraphMetric.dist_field
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return dist_field(self, *args, **kwargs)
+
+    monkeypatch.setattr(GraphMetric, "dist_field", counted)
+    verdict = check_translate_disjointness(ab, r, big_r)
+    assert verdict.line() == "prop-2.2-disjointness: pass [37128 checks] (273 translates)"
+    assert len(calls) <= 1
 
 
 def test_translate_disjointness_precondition(dinf_ball):

@@ -29,6 +29,13 @@ DINF_DOC = {
     "embed_A": [0],
     "embed_B": [0],
 }
+Z2Z3_DOC = {
+    "type": "table_amalgam",
+    "A": {"elements": ["e", "a"], "table": [[0, 1], [1, 0]]},
+    "B": {"elements": ["e", "b", "b2"], "table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]},
+    "embed_A": [0],
+    "embed_B": [0],
+}
 Z2_DOC = {"generators": ["a"], "matrix": [[1]]}
 PATH4_SPLIT_DOC = {
     "type": "racg_amalgam",
@@ -260,6 +267,16 @@ def test_check_dinf_all_pass(tmp_path, capsys):
     assert "partition: pass" in out
 
 
+@pytest.mark.parametrize("doc", [DINF_DOC, Z2Z3_DOC], ids=["dinf", "z2z3"])
+def test_check_default_ball_holds_the_separation_witness(tmp_path, capsys, doc):
+    # R = 2 by default; the default ball 4R + 1 = 9 leaves a core of radius
+    # 3, which holds the level-3 fiber the separation check starts from
+    path = write(tmp_path, "doc.json", doc)
+    assert main(["check", path, "--r", "8"]) == 0
+    out = capsys.readouterr().out
+    assert "prop-2.1-separation: pass" in out
+
+
 @pytest.mark.parametrize("ball", ["0", "1", "2"])
 def test_check_ball_below_3R_exits_2(tmp_path, capsys, ball):
     # --ball 0 is a radius, not "no override"; a ball below 3R leaves a
@@ -304,15 +321,6 @@ def test_dualgraph_dinf(tmp_path, capsys):
     assert main(["dualgraph", path, "--R", "6", "--out", str(tmp_path / "g")]) == 0
     dot = (tmp_path / "g" / "dualgraph.dot").read_text()
     assert 'label="A"' in dot and 'label="B"' in dot
-
-
-Z2Z3_DOC = {
-    "type": "table_amalgam",
-    "A": {"elements": ["e", "a"], "table": [[0, 1], [1, 0]]},
-    "B": {"elements": ["e", "b", "b2"], "table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]},
-    "embed_A": [0],
-    "embed_B": [0],
-}
 
 
 @pytest.mark.parametrize(
