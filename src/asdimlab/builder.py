@@ -13,12 +13,18 @@ the C-part c).
 
 Certificates record *measured* parameters: the requested scale r fixes the
 schedule (R, E, L); the emitted claimed_r is the largest scale at which the
-colored families verify (never above the ball's verification margin, where
-graph distances are provably exact for the word metric), and claimed_d is the
-largest exact word-metric set diameter, from a bit-parallel BFS on the ball's
-edge table (`set_diameters`; Cayley balls are convex).  This realizes the
-d(r) of the (r,d)-dimension characterization empirically, the only honest
-option at fixed ball radius.
+colored families verify (never above the ball's margin, its radius minus the
+core radius), and claimed_d is the largest exact word-metric set diameter,
+from a bit-parallel BFS on the ball's edge table (`set_diameters`; Cayley
+balls are convex).  This realizes the d(r) of the (r,d)-dimension
+characterization empirically, the only honest option at fixed ball radius.
+
+Without an explicit ball radius the sets are built once on
+B(core + max(2, E)) and measured there with the schedule's margin, since
+gaps and depths between core points are exact on any ball holding the core
+(`measure_certificate`).  The ball then grows straight to
+core + max(2, E, ceil(claimed_r)), the least radius whose margin holds the
+claim; ball ids are BFS order, so the sets carry over.
 """
 
 from __future__ import annotations
@@ -46,7 +52,7 @@ from .errors import (
     ResourceCapError,
     SchedulingError,
 )
-from .groups import DEFAULT_BALL_CAP, Ball, build_ball
+from .groups import DEFAULT_BALL_CAP, Ball, bfs_ball, build_ball
 from .metric import UNREACHED, GraphMetric
 
 # bytes of one `set_diameters` block: its reach bitsets and two temporaries
@@ -130,6 +136,25 @@ def set_diameters(ball: Ball, sets):
       factor.  The step count is the syllable count of x^-1 y, so the walk
       is a geodesic, and every point on it is a prefix of x or of y.
     * A finite group's closed ball is its whole Cayley graph.
+
+    The same argument bounds the ball `cover_amalgam` builds its sets on.
+    For x beyond a gate u, the level field is d(x, g_u C) in any ball
+    holding x, because a nearest point p of g_u C has |p| <= |x|: in a table
+    amalgam all of g_u C has the norm of g_u; in a RACG a geodesic from e to
+    x meets g_u C in some q, g_u is the least element of its coset, and the
+    gate property of the coset, d(x, q) = d(x, p) + d(p, q), gives
+    |x| >= |p| + d(x, p).  So every field a core point reads is exact on
+    any ball holding the core, except one: a core point joins the E-collar
+    of a web point (level field R beyond an admitted gate) within distance
+    E, and that web point may lie past the core, up to norm core + E.  In a
+    table amalgam every web point of a level-l gate has norm l + R, and an
+    admitted gate has one of norm <= core - E, so no collar leaves the
+    core.  A RACG coset g_u C with C infinite reaches past norm |g_u|, so
+    collars do: this is why the 5-cycle sets (E = 1) change at ball = core
+    and not at core + 1.  B(core + max(2, E)) holds every web point a
+    collar reads.  Only `_merge_close_webs` compares webs anywhere in the
+    ball; its groups on B(core + 2) equal those on the schedule's full
+    margin for every bench cover (tests/test_builder.py).
 
     The block width comes from DIAMETER_BLOCK_BYTES, so a block's memory is
     bounded whatever the set size; shared blocks are no wider.
@@ -270,15 +295,21 @@ class CoverCertificate:
         }
 
 
-def measure_certificate(cert: CoverCertificate):
+def measure_certificate(cert: CoverCertificate, margin=None):
     """Fill claimed_r / claimed_d / lebesgue_floor from the constructed sets.
 
-    claimed_r = min(family gaps, depth floor - 1, verification margin); all
-    three quantities are exact for the word metric within the margin regime.
+    claimed_r = min(family gaps, depth floor - 1, margin), with the depth of
+    each point capped at margin + 1; `margin` defaults to the ball's, its
+    radius minus the core radius.  Gaps and depths are graph distances
+    between carrier points, which equal word distances in any ball holding
+    the carrier (Cayley balls are convex, `set_diameters`).  So claimed_r
+    measured with a margin M above the ball's gives, for every m <= M, the
+    claimed_r of the same sets on B(core + m): the smaller of it and m.
+    claimed_d does not depend on the ball either.
     """
     carrier_mask = np.zeros(cert.metric.n, dtype=bool)
     carrier_mask[list(cert.carrier)] = True
-    cap = cert.margin + 1
+    margin = float(cert.margin if margin is None else margin)
     gap_all = math.inf
     depth_all = math.inf
     for color in range(cert.cover.n_colors):
@@ -286,12 +317,11 @@ def measure_certificate(cert: CoverCertificate):
         gap = color_gap(fam, cert.metric)
         gap_all = min(gap_all, gap)
         depth_all = min(
-            depth_all, color_depth_floor(fam, cert.metric, carrier_mask, cap, gap)
+            depth_all, color_depth_floor(fam, cert.metric, carrier_mask, margin + 1, gap)
         )
-    claimed = min(gap_all, depth_all - 1, float(cert.margin))
-    cert.claimed_r = max(0.0, claimed if not math.isinf(claimed) else float(cert.margin))
+    claimed = min(gap_all, depth_all - 1, margin)
+    cert.claimed_r = max(0.0, claimed if not math.isinf(claimed) else margin)
     cert.lebesgue_floor = depth_all
-
     cert.claimed_d = max(set_diameters(cert.ball, cert.cover.sets), default=0.0)
     return cert
 
@@ -625,9 +655,12 @@ def make_schedule(r, min_core=0, R_override=None):
     return Schedule(r=r, R=R, E=E, L=L, core=core, margin=margin)
 
 
-def projected_ball_size(engine, radius, probe_radius=6):
-    """Conservative growth-based estimate of |ball(radius)| from small spheres."""
-    probe = build_ball(engine, min(radius, probe_radius))
+def projected_ball_size(engine, radius, probe_radius=6, ball=None):
+    """Conservative growth-based estimate of |ball(radius)|: the spheres of
+    `ball`, or of a fresh probe ball of radius `probe_radius`, extrapolated
+    at the ratio of their last two sizes.  The probe is enumerated by the
+    generic BFS, which beats the numpy sphere steps on balls this small."""
+    probe = ball if ball is not None else bfs_ball(engine, min(radius, probe_radius))
     sizes = np.bincount(probe.norms, minlength=probe.radius + 1).astype(float)
     if radius <= probe.radius:
         return float(len(probe))
@@ -642,17 +675,39 @@ def projected_ball_size(engine, radius, probe_radius=6):
     return total
 
 
-def _pick_ball_radius(engine, schedule: Schedule, cap):
-    for margin in range(schedule.margin, 2, -1):
-        radius = schedule.core + margin
-        if projected_ball_size(engine, radius) * 1.3 <= cap * 0.5:
-            return radius, margin
-    radius = schedule.core + 3
-    if projected_ball_size(engine, radius) * 1.1 <= cap:
-        return radius, 3
-    raise ResourceCapError(
-        f"no feasible ball radius for core {schedule.core} under cap {cap}", cap=cap
-    )
+def _grow_ball(cert: CoverCertificate, cap):
+    """Move `cert` from the ball its sets were built on to the least ball
+    whose margin holds its claimed_r, or to the largest smaller one the cap
+    admits, judged by the spheres already built and by the enumeration
+    itself.  Ball ids are BFS order, so the sets carry over.  Held below its
+    claim by the cap, claimed_r falls to the margin of the ball kept
+    (`measure_certificate`)."""
+    first, engine = cert.ball, cert.ball.engine
+    for radius in range(cert.core_radius + math.ceil(cert.claimed_r), first.radius, -1):
+        if projected_ball_size(engine, radius, ball=first) > cap:
+            continue
+        try:
+            grown = build_ball(engine, radius, cap)
+        except ResourceCapError:
+            continue
+        _check_prefix(first, grown)
+        cert.ball, cert.metric = grown, grown.graph_metric()
+        break
+    cert.claimed_r = min(cert.claimed_r, float(cert.margin))
+
+
+def _check_prefix(ball: Ball, grown: Ball):
+    """The sets of `ball` carry over to `grown` only if its first len(ball)
+    ids are the same elements with the same in-ball edges."""
+    n = len(ball)
+    inner = grown.table[:n]
+    if grown.elements[:n] != ball.elements or not np.array_equal(
+        np.where(inner < n, inner, -1), ball.table
+    ):
+        raise AssertionError(
+            f"the radius-{grown.radius} ball does not extend the "
+            f"radius-{ball.radius} ball id for id"
+        )
 
 
 def _certificate_with_floor(make_cert, min_scale, max_tries=8, start=None):
@@ -774,8 +829,16 @@ def cover_amalgam(
     schedule = make_schedule(r, min_core=min_core, R_override=R_override)
     R, E, L = schedule.R, schedule.E, schedule.L
 
-    if ball_radius is None:
-        ball_radius, _ = _pick_ball_radius(ctx.engine, schedule, cap)
+    grow = ball_radius is None
+    if grow:
+        # the collars read web points up to norm core + E (`set_diameters`)
+        ball_radius = schedule.core + max(2, E)
+        if projected_ball_size(ctx.engine, ball_radius) > cap:
+            raise ResourceCapError(
+                f"ball of radius {ball_radius} for core {schedule.core} is "
+                f"projected past the cap {cap}",
+                cap=cap,
+            )
     elif ball_radius < schedule.core + 2:
         raise InputError(
             f"ball radius {ball_radius} below schedule core {schedule.core} + 2"
@@ -946,14 +1009,19 @@ def cover_amalgam(
             "n": n,
             "factor_dims": [n_a, n_b, n_c],
             "schedule": schedule.to_json(),
-            "ball_radius": int(ball_radius),
             "inner_scale": inner_scale,
             "max_m_norm": max_m_norm,
             "c_certificate": c_cert.trace,
             "sets": set_tags,
         },
     )
-    measure_certificate(cert)
+    if grow:
+        # claimed_r of the schedule's whole margin, read on the first ball
+        measure_certificate(cert, margin=schedule.margin)
+        _grow_ball(cert, cap)
+    else:
+        measure_certificate(cert)
+    cert.trace["ball_radius"] = int(cert.ball.radius)
     return cert
 
 

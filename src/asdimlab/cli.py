@@ -10,7 +10,10 @@ Commands:
   davis      glue a finite-radius Davis complex, emit DOT + JSON
   dualgraph  emit the dual graph K with levels and piece types
 
-Exit codes: 0 success, 1 verification failure, 2 input error, 3 resource cap.
+Exit codes: 0 success, 1 verification failure, 2 input error, 3 resource cap,
+4 internal invariant failure (an AssertionError: a grown ball that does not
+extend the ball the sets were built on, region assembly leaving a core point
+unassigned, a piece of K with two gates).
 All outputs are deterministic byte-for-byte for a fixed input and seed.
 """
 
@@ -41,7 +44,7 @@ from .coxeter import CoxeterSystem, bound_report, build_davis_ball, decompose, d
 from .errors import AsdimlabError, InputError, OutOfBallError, ResourceCapError
 from .groups import DEFAULT_BALL_CAP, FiniteTableGroup
 
-EXIT_OK, EXIT_VERIFY, EXIT_INPUT, EXIT_CAP = 0, 1, 2, 3
+EXIT_OK, EXIT_VERIFY, EXIT_INPUT, EXIT_CAP, EXIT_INTERNAL = 0, 1, 2, 3, 4
 
 
 def load_input(path):
@@ -350,6 +353,9 @@ def main(argv=None):
     except AsdimlabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except AssertionError as exc:
+        print(f"internal error: {' '.join(str(exc).split()) or 'assertion failed'}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

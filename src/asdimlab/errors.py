@@ -3,7 +3,8 @@
 Exit-code mapping used by the CLI (`cli.main`): ResourceCapError -> 3;
 InputError (with UnsupportedBackendError), OutOfBallError, PreconditionError,
 SchedulingError and every other AsdimlabError -> 2; verification failures
--> 1 (no exception; reported in verdicts).
+-> 1 (no exception; reported in verdicts); an AssertionError, the failure of
+an internal invariant, -> 4.
 """
 
 

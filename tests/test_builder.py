@@ -431,3 +431,73 @@ def test_certificate_json_schema(dinf_amalgam):
     assert len(payload["colors"]) == cert.n + 1
     ids = {i for color in payload["colors"] for s in color["sets"] for i in s}
     assert ids == set(cert.carrier)
+
+
+# the eleven default-radius covers of the benchmark: (input, r, emitted radius)
+DEFAULT_BALL_COVERS = [
+    ("dinf", 4, 10),
+    ("dinf", 8, 12),
+    ("dinf", 16, 25),
+    ("z2z3", 4, 10),
+    ("z2z3", 8, 12),
+    ("z2z3", 16, 23),
+    ("z4z2z4", 4, 10),
+    ("z4z2z4", 8, 12),
+    ("z4z2z4", 16, 25),
+    ("path4", 4, 10),
+    ("path4", 8, 12),
+]
+
+
+def bench_cover(request, name, r, ball_radius=None):
+    if name == "path4":
+        return cover_racg(CoxeterSystem(PATH4), r, ball_radius=ball_radius)
+    return cover_amalgam(request.getfixturevalue(f"{name}_amalgam"), r, ball_radius=ball_radius)
+
+
+def sets_by_word(cert):
+    ball = cert.ball
+    return sorted(
+        (color, sorted(ball.engine.word_str(ball.elements[i]) for i in s))
+        for s, color in zip(cert.cover.sets, cert.cover.colors)
+    )
+
+
+@pytest.mark.parametrize(
+    "name, r, radius", DEFAULT_BALL_COVERS, ids=[f"{c[0]}-r{c[1]}" for c in DEFAULT_BALL_COVERS]
+)
+def test_default_ball_certificate_equals_the_full_margin_one(request, name, r, radius):
+    # the sets are built on B(core + 2) and the ball grows only while
+    # claimed_r equals the margin; on the ball of the schedule's whole
+    # margin the same sets and the same r and d come out
+    cert = bench_cover(request, name, r)
+    core = cert.core_radius
+    assert cert.ball.radius == core + max(2, math.ceil(cert.claimed_r)) == radius
+    assert cert.trace.get("amalgam", cert.trace)["ball_radius"] == radius
+    full = bench_cover(request, name, r, ball_radius=core + make_schedule(r).margin)
+    assert full.ball.radius > radius
+    assert (cert.claimed_r, cert.claimed_d) == (full.claimed_r, full.claimed_d)
+    assert sets_by_word(cert) == sets_by_word(full)
+    assert verify_certificate(cert).passed
+
+
+@pytest.mark.parametrize("projected", [True, False], ids=["projected", "enumerated"])
+def test_a_cap_below_the_claim_binds_claimed_r_at_the_margin(monkeypatch, dinf_amalgam, projected):
+    # Dinf r 16 claims 4; a cap that admits B(core + 2) but not B(core + 3)
+    # keeps the first ball, by the projection from its spheres or, when
+    # that projection is fooled, by the enumeration's own cap check, and
+    # claimed_r is then the margin 2, measured on the ball kept
+    core = make_schedule(16).core
+    cap = len(build_ball(dinf_amalgam.engine, core + 2))
+    assert cap < len(build_ball(dinf_amalgam.engine, core + 3))
+    if not projected:
+        real = builder.projected_ball_size
+        monkeypatch.setattr(
+            builder,
+            "projected_ball_size",
+            lambda engine, radius, ball=None: 0.0 if ball is not None else real(engine, radius),
+        )
+    cert = cover_amalgam(dinf_amalgam, 16, cap=cap)
+    assert cert.ball.radius == core + 2
+    assert cert.claimed_r == cert.margin == 2.0
+    assert verify_certificate(cert).passed

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -6,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from asdimlab import amalgam, cli, groups
+from asdimlab import amalgam, builder, cli, groups
 from asdimlab.cli import build_context, main
 from asdimlab.groups import build_ball
 
@@ -240,6 +241,58 @@ def test_malformed_nerve_exits_2(tmp_path, capsys, command, doc):
 def test_cover_cap_exit_3(tmp_path):
     path = write(tmp_path, "c5.json", CYCLE5_DOC)
     assert main(["cover", path, "--r", "4", "--cap-elements", "50"]) == 3
+
+
+def test_cover_cap_at_core_plus_2_verifies(tmp_path, capsys):
+    # |B(23)| = 47 for Dinf: the cap admits core 21 + 2 and not core + 3, so
+    # claimed_r (4 without the cap) is bound by the margin 2, and the
+    # certificate passes --verify
+    path = write(tmp_path, "dinf.json", DINF_DOC)
+    assert main(["cover", path, "--r", "16", "--cap-elements", "47", "--verify"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == (
+        "certificate: n=1 colors=2 claimed_r=2.0 claimed_d=10.0 sets=5 ball=23 core=21"
+    )
+    assert all(": pass" in line for line in out[1:])
+
+
+def test_cover_cap_below_core_plus_2_exits_3_before_enumerating(tmp_path, capsys, monkeypatch):
+    # the first ball's size is projected from a radius-6 probe ball, so a
+    # cap too small for B(core + 2) exits 3 with the probe the only ball
+    # enumerated
+    radii = []
+
+    def recording(engine, radius, *args, **kwargs):
+        radii.append(radius)
+        return groups.bfs_ball(engine, radius, *args, **kwargs)
+
+    for module, name in ((builder, "build_ball"), (builder, "bfs_ball"), (amalgam, "build_ball")):
+        monkeypatch.setattr(module, name, recording)
+    path = write(tmp_path, "dinf.json", DINF_DOC)
+    assert main(["cover", path, "--r", "16", "--cap-elements", "46"]) == 3
+    assert capsys.readouterr().err.startswith("resource cap exceeded: ")
+    assert radii == [6]
+
+
+def test_internal_invariant_failure_exits_4(tmp_path, capsys, monkeypatch):
+    # Dinf r 16 builds its sets on B(23) and grows to B(25); a grown ball
+    # whose ids do not extend B(23) fails the builder's prefix check: exit 4
+    # and one line on stderr
+    real = build_ball
+
+    def shuffled(engine, radius, *args, **kwargs):
+        ball = real(engine, radius, *args, **kwargs)
+        if radius <= 23:
+            return ball
+        return dataclasses.replace(ball, elements=ball.elements[::-1])
+
+    monkeypatch.setattr(builder, "build_ball", shuffled)
+    path = write(tmp_path, "dinf.json", DINF_DOC)
+    assert main(["cover", path, "--r", "16"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: the radius-25 ball does not extend")
+    assert captured.err.count("\n") == 1
 
 
 def test_cover_bad_R_override_rejected(tmp_path, capsys):

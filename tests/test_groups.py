@@ -373,3 +373,39 @@ def test_cayley_balls_are_convex(name):
         )
         dist = shortest_path(graph, unweighted=True, directed=False)
         assert np.array_equal(dist, words[:n, :n]), rho
+
+
+# S3 as permutations of {0, 1, 2}, generated by the transpositions (0 1)
+# and (1 2), elements 1 and 2
+_S3 = [(0, 1, 2), (1, 0, 2), (0, 2, 1), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
+S3_TABLE = [[_S3.index(tuple(p[q[k]] for k in range(3))) for q in _S3] for p in _S3]
+
+# engines of every enumeration path, with the largest radius n at which
+# B(n) is compared with B(n + 1): numpy spheres on table amalgams
+# (`sphere_ball`), numpy spheres by descent sets on RACGs, and the generic
+# BFS on finite groups (whose balls close at their diameter)
+PREFIX_ENGINES = {
+    "dinf": (lambda: _table_amalgam_engine((2, 2), "a", "b", [0]), 12),
+    "z2z3": (lambda: _table_amalgam_engine((2, 3), "a", "b", [0]), 10),
+    "z4z2z4": (lambda: _table_amalgam_engine((4, 4), "x", "y", [0, 2]), 8),
+    "path4": (lambda: RacgEngine(RACG_GRAPHS["path4"]), 7),
+    "cycle5": (lambda: RacgEngine(CYCLE5), 5),
+    "z5": (lambda: FiniteTableGroup(*cyclic_table(5), generators=[1, 4]), 3),
+    "s3": (lambda: FiniteTableGroup(S3_TABLE, generators=[1, 2]), 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PREFIX_ENGINES))
+def test_ball_is_the_id_prefix_of_the_next_ball(name):
+    # the builder grows a certificate's ball one sphere at a time and keeps
+    # its sets' ids, so B(n) must be the first |B(n)| ids of B(n + 1)
+    make, top = PREFIX_ENGINES[name]
+    engine = make()
+    big = build_ball(engine, 0)
+    for n in range(top + 1):
+        small, big = big, build_ball(engine, n + 1)
+        m = len(small)
+        assert big.elements[:m] == small.elements, n
+        assert np.array_equal(big.norms[:m], small.norms), n
+        inner = big.table[:m]
+        assert np.array_equal(np.where(inner < m, inner, -1), small.table), n
