@@ -869,7 +869,7 @@ class AmalgamBall:
     def _vertex_of(self, x):
         """pi(x) as a vertex id, None when its coset is not in the ball.  The
         map from `ctx.vertex_key` of each representative is built on first
-        use; only the word-level helpers below need it."""
+        use; only `amalgam_normal_form` below needs it."""
         if self._vertex_by_key is None:
             key = self.ctx.vertex_key
             self._vertex_by_key = {key(rep): u for u, rep in enumerate(self.dual.rep_element)}
@@ -936,14 +936,6 @@ def amalgam_normal_form(ab: AmalgamBall, x, sections=None) -> NormalFormAm:
         if s1 == s2:
             raise AssertionError("normal form letters fail to alternate")
     return NormalFormAm(letters=letters, sides=sides, c_part=c, length=len(letters))
-
-
-def project_pi(ab: AmalgamBall, x):
-    """pi(g) = gC as a dual-graph vertex id."""
-    vid = ab._vertex_of(x)
-    if vid is None:
-        raise OutOfBallError("coset outside enumerated ball")
-    return vid
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,6 @@ import numpy as np
 from .amalgam import (
     SIDE_A,
     SIDE_B,
-    AmalgamBall,
     AmalgamContext,
     RacgAmalgam,
     TableAmalgam,
@@ -265,7 +264,6 @@ class CoverCertificate:
     metric: GraphMetric
     core_radius: int
     trace: dict
-    lebesgue_floor: float = None
 
     @property
     def n_colors(self):
@@ -296,7 +294,7 @@ class CoverCertificate:
 
 
 def measure_certificate(cert: CoverCertificate, margin=None):
-    """Fill claimed_r / claimed_d / lebesgue_floor from the constructed sets.
+    """Fill claimed_r / claimed_d from the constructed sets.
 
     claimed_r = min(family gaps, depth floor - 1, margin), with the depth of
     each point capped at margin + 1; `margin` defaults to the ball's, its
@@ -321,7 +319,6 @@ def measure_certificate(cert: CoverCertificate, margin=None):
         )
     claimed = min(gap_all, depth_all - 1, margin)
     cert.claimed_r = max(0.0, claimed if not math.isinf(claimed) else margin)
-    cert.lebesgue_floor = depth_all
     cert.claimed_d = max(set_diameters(cert.ball, cert.cover.sets), default=0.0)
     return cert
 
@@ -432,179 +429,7 @@ def cover_finite_group(engine, r, name=None) -> CoverCertificate:
     measure_certificate(cert)
     # single whole-carrier set: Lebesgue unbounded, any requested scale holds
     cert.claimed_r = float(r)
-    cert.lebesgue_floor = math.inf
     return cert
-
-
-# ---------------------------------------------------------------------------
-# union operations
-
-
-def cover_union_finite(primary: CoverCertificate, secondary: CoverCertificate, threshold=None):
-    """Finite-union color surgery: same-color secondary sets closer than the
-    threshold to a primary set are absorbed into it, the rest pass through.
-
-    Both certificates must live on the same ball.  The output is re-measured.
-    """
-    if primary.ball is not secondary.ball:
-        raise InputError("union surgery requires certificates on one ball")
-    if threshold is None:
-        threshold = max(1.0, min(primary.claimed_r, secondary.claimed_r))
-    metric = primary.metric
-    n = max(primary.n, secondary.n)
-    new_sets = [set(s) for s in primary.cover.sets]
-    new_colors = list(primary.cover.colors)
-    absorbed = 0
-    for s, color in zip(secondary.cover.sets, secondary.cover.colors):
-        same_color = [i for i, c in enumerate(new_colors) if c == color]
-        target = None
-        if same_color:
-            fld = metric.dist_field(sorted(s))
-            best = math.inf
-            for i in same_color:
-                d = min((fld[x] for x in new_sets[i]), default=math.inf)
-                if d < best:
-                    best, target = d, i
-            if best >= threshold:
-                target = None
-        if target is None:
-            new_sets.append(set(s))
-            new_colors.append(color)
-        else:
-            new_sets[target] |= s
-            absorbed += 1
-    carrier = sorted(set(primary.carrier) | set(secondary.carrier))
-    cert = CoverCertificate(
-        backend=primary.backend,
-        requested_r=primary.requested_r,
-        claimed_r=0.0,
-        claimed_d=0.0,
-        n=n,
-        cover=Cover(sets=[frozenset(s) for s in new_sets], colors=new_colors),
-        carrier=carrier,
-        ball=primary.ball,
-        metric=metric,
-        core_radius=min(primary.core_radius, secondary.core_radius),
-        trace={
-            "op": "cover_union_finite",
-            "threshold": threshold,
-            "absorbed": absorbed,
-            "parts": [primary.trace, secondary.trace],
-        },
-    )
-    return measure_certificate(cert)
-
-
-def cover_union_uniform(metric, pieces, template_sets, translations, r, core_ids=None):
-    """Infinite-union assembly: isometric pieces carrying translates of one
-    template family, r-separated off the core piece Y_r.
-
-    `pieces` are element-id sets, `translations[i]` maps a template element id
-    to a piece element id (or None when the translate leaves the ball).
-    Separation off Y_r is checked exactly; failure raises with a witness pair.
-    Returns the translated per-piece sets; the caller merges them with the
-    Y_r cover by the finite-union surgery.
-    """
-    core = set(core_ids or [])
-    trimmed = [sorted(set(p) - core) for p in pieces]
-    for i, j, d in metric.pair_gaps(trimmed):
-        if d < r:
-            raise PreconditionError(
-                f"pieces {i} and {j} are not r-separated off Y_r (d={d} < {r})",
-                witness=(i, j),
-            )
-    out = []
-    for piece, tr in zip(pieces, translations):
-        piece = set(piece)
-        for t in template_sets:
-            img = frozenset(tr[x] for x in t if tr.get(x) is not None) & piece
-            out.append(img)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# the product covers of Lemma 2.1 (finite-factor route)
-
-
-def product_region(ab: AmalgamBall, m):
-    """(AB)^m inside the ball: levels < 2m, or level exactly 2m entered on the
-    A side.  Contains pi^{-1}(B_{2m-1})."""
-    levels = ab.element_level()
-    sides = ab.side_of_elements()
-    mask = levels <= 2 * m - 1
-    mask |= (levels == 2 * m) & (sides == SIDE_A)
-    return mask
-
-
-def cover_product(ab: AmalgamBall, m, r) -> CoverCertificate:
-    """Lemma 2.1 induction for finite factors: at stage k the new K-pieces
-    (whole factor-cosets wF) are covered by single translated sets, separated
-    off Y_r = the r-neighborhood of the previous stage, and merged with the
-    enlarged previous cover by the finite-union surgery."""
-    ctx, dual, metric = ab.ctx, ab.dual, ab.metric
-    n_a, n_b, _ = ctx.factor_dims()
-    if max(n_a, n_b) != 0:
-        raise SchedulingError(
-            "cover_product's literal induction is implemented for finite "
-            "factors; infinite factors use the fiber-cylinder route"
-        )
-    core = ab.core_mask()
-    target = product_region(ab, m) & core
-    depth = int(ab.element_level()[target].max()) if target.any() else 0
-
-    base = dual.fiber(dual.base())
-    current_sets = [base[core[base]].tolist()]
-    carrier = np.zeros(ab.n, dtype=bool)
-    carrier[current_sets[0]] = True
-    trace = {"op": "cover_product", "m": m, "r": r, "stages": []}
-
-    # a piece's first member is its gate and the rest sit one level above it,
-    # so the level-k pieces are those gated at level k - 1, in (gate, side) order
-    first, size = dual.piece_order[dual.piece_start[:-1]], np.diff(dual.piece_start)
-    for k in range(1, depth + 1):
-        piece_masks = []
-        for p in np.nonzero((dual.level[first] == k - 1) & (size > 1))[0].tolist():
-            mask = np.zeros(ab.n, dtype=bool)
-            for u in dual.piece(p)[1:].tolist():
-                mask[dual.fiber(u)] = True
-            piece_masks.append(mask & target)
-
-        y_mask = (metric.dist_field(np.nonzero(carrier)[0]) <= r) & core
-        new_sets = [frozenset(np.nonzero(mask & ~y_mask)[0].tolist()) for mask in piece_masks]
-        new_sets = [s for s in new_sets if s]
-        for i, j, d in metric.pair_gaps(new_sets):
-            if d < r:
-                raise PreconditionError(
-                    f"level-{k} pieces not r-separated off Y_r (d={d})",
-                    witness=(i, j),
-                )
-        # enlarge the previous sets over Y_r; first-wins keeps the single
-        # color an honest partition (order stays 1)
-        pieces = np.any(piece_masks, axis=0)
-        claimed = pieces & ~y_mask
-        stage_sets = []
-        for s in current_sets:
-            grown = (metric.dist_field(s) <= r) & core & ~claimed
-            claimed |= grown
-            stage_sets.append(frozenset(np.nonzero(grown)[0].tolist()))
-        current_sets = stage_sets + new_sets
-        carrier |= pieces | y_mask
-        trace["stages"].append({"k": k, "pieces": len(piece_masks), "sets": len(current_sets)})
-
-    cert = CoverCertificate(
-        backend=f"{ctx.name}:(AB)^{m}",
-        requested_r=r,
-        claimed_r=0.0,
-        claimed_d=0.0,
-        n=max(n_a, n_b),
-        cover=Cover(sets=current_sets, colors=[0] * len(current_sets)),
-        carrier=np.nonzero(carrier)[0].tolist(),
-        ball=ab.ball,
-        metric=metric,
-        core_radius=ab.core_radius,
-        trace=trace,
-    )
-    return measure_certificate(cert)
 
 
 # ---------------------------------------------------------------------------
@@ -710,24 +535,21 @@ def _check_prefix(ball: Ball, grown: Ball):
         )
 
 
-def _certificate_with_floor(make_cert, min_scale, max_tries=8, start=None):
-    """Scheduling loop: raise the requested scale until the measured claimed_r
-    reaches the floor an enclosing construction needs."""
-    r_try = start if start is not None else max(4, 4 * math.ceil(min_scale))
-    if r_try % 2:
-        r_try += 1
-    last = None
-    for _ in range(max_tries):
+def _certificate_with_floor(make_cert, min_scale):
+    """Scheduling loop: try up to eight rising requested scales until the
+    measured claimed_r reaches the floor an enclosing construction needs."""
+    r_try = max(4, 4 * math.ceil(min_scale))
+    best = -math.inf
+    for _ in range(8):
         cert = make_cert(r_try)
         if cert.claimed_r >= min_scale:
             return cert
-        last = cert
-        r_try = r_try + max(4, r_try // 2)
-        if r_try % 2:
-            r_try += 1
+        best = max(best, cert.claimed_r)
+        r_try += max(4, r_try // 2)
+        r_try += r_try % 2
     raise SchedulingError(
         f"inner-scale certificate unavailable: needed claimed_r >= {min_scale}, "
-        f"best was {last.claimed_r if last else None}"
+        f"best was {best}"
     )
 
 

@@ -169,13 +169,6 @@ class FiniteTableGroup:
         return range(self.size)
 
 
-def cyclic_table(n):
-    """Multiplication table of Z_n with names e, g, g2, ..."""
-    table = [[(i + j) % n for j in range(n)] for i in range(n)]
-    names = ["e"] + [f"g{i}" if i > 1 else "g" for i in range(1, n)]
-    return table, names
-
-
 class CoxeterMatrix:
     """Named generators and a Coxeter matrix, validated: square, symmetric,
     unit diagonal, off-diagonal entries 0 (infinity) or integers >= 2, one
@@ -337,15 +330,6 @@ class RacgEngine(CoxeterMatrix):
         """Generator names joined by dots; the identity is the empty word,
         since any name, `e` included, can be a generator's."""
         return ".".join(self.names[g] for g in x)
-
-    def parse_word(self, text):
-        """Inverse of `word_str` (spaces also separate letters): every token
-        is a generator name, and only the empty word is the identity."""
-        idx = {n: i for i, n in enumerate(self.names)}
-        try:
-            return tuple(idx[t] for t in text.replace(".", " ").split())
-        except KeyError as exc:
-            raise InputError(f"unknown generator name {exc.args[0]!r}") from exc
 
     def coset_minrep(self, x, letters):
         """Minimal-length representative of the left coset x * Gamma_W."""
@@ -631,22 +615,3 @@ def first_sight(keys):
     number = np.empty(len(order), dtype=np.int64)
     number[order] = np.arange(len(order))
     return number[inverse], first[order]
-
-
-def enumerate_words_brute(engine, radius):
-    """Independent oracle: normalize every generator string of length <= radius.
-
-    Exponential; only for cross-checking small balls in tests.
-    """
-    seen = {engine.identity}
-    layer = [engine.identity]
-    for _ in range(radius):
-        nxt = []
-        for x in layer:
-            for gi in range(engine.gen_count):
-                y = engine.mul_gen(x, gi)
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        layer = nxt
-    return seen

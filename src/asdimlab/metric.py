@@ -42,11 +42,6 @@ class FiniteMetric:
         """
         raise NotImplementedError
 
-    def set_dist(self, a, b) -> float:
-        """min over pairs; +inf when either side is empty."""
-        d = min((d for _, _, d in self.pair_gaps([list(a), list(b)])), default=UNREACHED)
-        return float("inf") if d >= UNREACHED else float(d)
-
     def diam(self, pts) -> float:
         pts = list(pts)
         if len(pts) <= 1:

@@ -4,7 +4,33 @@ import pytest
 
 from asdimlab.amalgam import RacgAmalgam, TableAmalgam
 from asdimlab.coxeter import CoxeterSystem
-from asdimlab.groups import FiniteTableGroup, RacgEngine, cyclic_table
+from asdimlab.groups import FiniteTableGroup, RacgEngine
+
+
+def cyclic_table(n):
+    """Multiplication table of Z_n with names e, g, g2, ..."""
+    table = [[(i + j) % n for j in range(n)] for i in range(n)]
+    names = ["e"] + [f"g{i}" if i > 1 else "g" for i in range(1, n)]
+    return table, names
+
+
+def enumerate_words_brute(engine, radius):
+    """Independent oracle: normalize every generator string of length <= radius.
+
+    Exponential; only for cross-checking small balls.
+    """
+    seen = {engine.identity}
+    layer = [engine.identity]
+    for _ in range(radius):
+        nxt = []
+        for x in layer:
+            for gi in range(engine.gen_count):
+                y = engine.mul_gen(x, gi)
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        layer = nxt
+    return seen
 
 
 def z_n_group(n, stem):

@@ -24,7 +24,6 @@ from asdimlab.amalgam import (
     partition_ball,
     partition_json,
     prepare,
-    project_pi,
     verify_partition,
     TableAmalgam,
     _assertion_2_1_walk,
@@ -35,6 +34,13 @@ from asdimlab.groups import Ball, RacgEngine, build_ball
 from asdimlab.metric import GraphMetric
 
 from conftest import CYCLE5, PATH4, RACG_GRAPHS, z_n_group
+
+
+def project_pi(ab, x):
+    """pi(x) = xC as a dual-graph vertex id, by word arithmetic."""
+    vid = ab._vertex_of(x)
+    assert vid is not None, "coset outside enumerated ball"
+    return vid
 
 
 def path4_split():

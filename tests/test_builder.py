@@ -1,5 +1,6 @@
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,28 +8,22 @@ import pytest
 from asdimlab import builder
 from asdimlab.amalgam import SIDE_A, SIDE_B, RacgAmalgam, prepare
 from asdimlab.builder import (
-    CoverCertificate,
     algebraic_diameter,
     certificate_json_str,
     color_gap,
     cover_amalgam,
     cover_finite_group,
-    cover_product,
     cover_racg,
-    cover_union_finite,
-    cover_union_uniform,
     make_schedule,
-    measure_certificate,
-    product_region,
     set_diameters,
     verify_certificate,
 )
-from asdimlab.covers import Cover
+from asdimlab.cli import main
 from asdimlab.coxeter import CoxeterSystem
 from asdimlab.errors import InputError, PreconditionError, SchedulingError
-from asdimlab.groups import FiniteTableGroup, RacgEngine, build_ball, cyclic_table
+from asdimlab.groups import FiniteTableGroup, RacgEngine, build_ball
 
-from conftest import CYCLE5, PATH3, PATH4, commutation_matrix, z_n_group
+from conftest import CYCLE5, PATH3, PATH4, RACG_GRAPHS, commutation_matrix, cyclic_table, z_n_group
 
 
 def test_cover_finite_group_trivial_and_z2():
@@ -79,90 +74,6 @@ def test_cover_amalgam_replays_identically(z2z3_amalgam):
     assert first.cover.sets == second.cover.sets
     assert first.cover.colors == second.cover.colors
     assert certificate_json_str(first) == certificate_json_str(second)
-
-
-def test_cover_union_finite_absorbs_and_verifies(dinf_amalgam):
-    cert = cover_amalgam(dinf_amalgam, 4)
-    ball = cert.ball
-    metric = cert.metric
-    sides = prepare(dinf_amalgam, ball.radius, core_radius=cert.core_radius)
-    side_arr = sides.side_of_elements()
-    left_ids = [i for i in cert.carrier if side_arr[i] != 1]
-    right_ids = [i for i in cert.carrier if side_arr[i] == 1]
-
-    def half_cert(ids):
-        c = CoverCertificate(
-            backend="half",
-            requested_r=4,
-            claimed_r=0.0,
-            claimed_d=0.0,
-            n=0,
-            cover=Cover(sets=[frozenset(ids)]),
-            carrier=sorted(ids),
-            ball=ball,
-            metric=metric,
-            core_radius=cert.core_radius,
-            trace={"op": "test-half"},
-        )
-        return measure_certificate(c)
-
-    merged = cover_union_finite(half_cert(left_ids), half_cert(right_ids), threshold=1)
-    assert sorted(merged.carrier) == sorted(cert.carrier)
-    assert merged.cover.union() == set(cert.carrier)
-    report = verify_certificate(merged)
-    assert report.covers and report.order_ok
-
-
-def test_cover_union_uniform_checks_separation(dinf_amalgam):
-    ab = prepare(dinf_amalgam, 12, core_radius=9)
-    eng = dinf_amalgam.engine
-    dual = ab.dual
-    levels = ab.element_level()
-    # Lemma 2.1 family {wB : l(w) = 1}: the B-cosets entered at level 1
-    pieces = []
-    for u in dual.vertices_at_level(1, side=SIDE_A):
-        anc = dual.ancestor_at_level(dual.vertex_of_element, 1)
-        ids = {i for i in range(ab.n) if anc[i] == u and levels[i] <= 2}
-        pieces.append(ids)
-    fiber = set(int(i) for i in dual.fiber(dual.base()).tolist())
-    y_fld = ab.metric.dist_field(sorted(fiber))
-    y_r = {i for i in range(ab.n) if y_fld[i] <= 2}
-    template = [frozenset({0})]
-    translations = [{0: sorted(p)[0]} for p in pieces]
-    out = cover_union_uniform(ab.metric, pieces, template, translations, 2, core_ids=y_r)
-    assert len(out) == len(pieces)
-
-    # failure carries a witness pair when the pieces are not separated
-    overlapping = [set(range(0, 5)), set(range(3, 8))]
-    with pytest.raises(PreconditionError) as err:
-        cover_union_uniform(
-            ab.metric, overlapping, template, [{0: 0}, {0: 3}], 2, core_ids=set()
-        )
-    assert err.value.witness == (0, 1)
-
-
-def test_cover_union_uniform_web_translates(dinf_amalgam):
-    # translated copies of a D_R cover across levels n*r assemble into an
-    # (R, d)-cover of the boundary union Z; separation comes from the
-    # translate-disjointness statement and is re-checked exactly here
-    from asdimlab.amalgam import compute_D_R
-
-    r, big_r = 8, 2
-    ab = prepare(dinf_amalgam, 24, core_radius=24 - 3 * big_r)
-    dual = ab.dual
-    translates = [compute_D_R(ab, dual.base(), big_r, side=SIDE_A)]
-    for lvl in range(r, int(dual.level.max()) + 1, r):
-        for u in dual.vertices_at_level(lvl, side=SIDE_A):
-            ids = compute_D_R(ab, u, big_r)
-            if len(ids):
-                translates.append(ids)
-    assert len(translates) >= 2
-    pieces = [set(int(i) for i in t) for t in translates]
-    template = [frozenset(range(len(pieces[0])))]
-    trans = [dict(enumerate(sorted(p))) for p in pieces]
-    out = cover_union_uniform(ab.metric, pieces, template, trans, 2 * big_r)
-    assert set().union(*out) == set().union(*pieces)
-    assert color_gap(out, ab.metric) >= 2 * big_r
 
 
 def probing_finite_ball(engine):
@@ -220,85 +131,44 @@ def test_pieces_are_gated_by_their_first_member(dinf_amalgam, z2z3_amalgam, z4z2
 
 
 @pytest.mark.parametrize(
-    "fixture, radius, core, m, r",
-    [
-        ("dinf_amalgam", 12, 9, 2, 4),
-        ("z2z3_amalgam", 12, 10, 2, 3),
-        ("z4z2z4_amalgam", 8, 6, 1, 2),
-        ("path3_amalgam", 10, 8, 2, 2),
-    ],
+    "fixture, radius",
+    [("dinf_amalgam", 12), ("z2z3_amalgam", 12), ("z4z2z4_amalgam", 8), ("path3_amalgam", 10)],
 )
-def test_cover_product_groups_are_the_parent_entry_side_groups(
-    request, monkeypatch, fixture, radius, core, m, r
-):
-    # the level-k groups of cover_product (the pieces gated at level k - 1,
-    # read through `DualGraph.piece`) are the level-k vertices grouped by
-    # parent and by the side through which each is entered from its parent
-    ab = prepare(request.getfixturevalue(fixture), radius, core_radius=core)
-    dual = ab.dual
+def test_level_k_pieces_are_parent_entry_side_groups(request, fixture, radius):
+    # the pieces gated at level k - 1, in piece-id order, are the level-k
+    # vertices grouped by parent and by the side through which each is
+    # entered from its parent, in (parent, side) order
+    dual = prepare(request.getfixturevalue(fixture), radius).dual
     a_piece = dual.piece_of_vertex[:, SIDE_A]
     entry = np.where(a_piece == a_piece[dual.parent], SIDE_A, SIDE_B)
-    target = product_region(ab, m) & ab.core_mask()
-    expected = []
-    for k in range(1, int(ab.element_level()[target].max()) + 1):
+    first, size = dual.piece_order[dual.piece_start[:-1]], np.diff(dual.piece_start)
+    for k in range(1, int(dual.level.max()) + 1):
         groups = {}
         for u in np.nonzero(dual.level == k)[0].tolist():
             groups.setdefault((int(dual.parent[u]), int(entry[u])), []).append(u)
-        expected += [(k, groups[key]) for key in sorted(groups)]
-
-    got = []
-    piece = type(dual).piece
-
-    def recording_piece(self, p):
-        members = piece(self, p)
-        got.append((int(self.level[members[0]]) + 1, members[1:].tolist()))
-        return members
-
-    monkeypatch.setattr(type(dual), "piece", recording_piece)
-    cover_product(ab, m, r)
-    assert got == expected
+        gated = np.nonzero((dual.level[first] == k - 1) & (size > 1))[0].tolist()
+        assert [dual.piece(p)[1:].tolist() for p in gated] == [groups[key] for key in sorted(groups)]
 
 
-def test_cover_product_region_contains_projected_balls(dinf_amalgam):
-    # pi^{-1}(B_s) subset (AB)^{s+1}: membership scan
-    ab = prepare(dinf_amalgam, 10, core_radius=8)
-    levels = ab.element_level()
-    for s in (1, 2, 3):
-        region = product_region(ab, s + 1)
-        inside = levels <= s
-        assert bool(np.all(region[inside]))
+def test_an_unreachable_inner_floor_raises_scheduling_error(monkeypatch, tmp_path, capsys):
+    # eight rising scales, then SchedulingError naming the best claimed_r
+    tried = []
 
+    def stub(r_try):
+        tried.append(r_try)
+        return SimpleNamespace(claimed_r=min(r_try / 8, 3.0))
 
-def test_cover_product_dinf(dinf_amalgam):
-    ab = prepare(dinf_amalgam, 12, core_radius=9)
-    cert = cover_product(ab, 2, 4)
-    assert cert.n == 0
-    report = verify_certificate(cert)
-    assert report.passed, list(report.lines())
-
-
-def test_cover_product_single_factor_pair(z4z2z4_amalgam):
-    ab = prepare(z4z2z4_amalgam, 8, core_radius=6)
-    cert = cover_product(ab, 1, 2)
-    assert verify_certificate(cert).passed
-
-
-def test_cover_product_rejects_infinite_factors():
-    # the 4-path split at b has the infinite 3-path group as its B factor
-    from asdimlab.amalgam import RacgAmalgam
-
-    eng = RacgEngine(PATH4, names=["b", "c", "d", "e"])
-    ctx = RacgAmalgam(eng, n1=[0, 1], knk=[1], n2=[1, 2, 3], name="path4@b")
-    ab = prepare(ctx, 8, core_radius=6)
-    with pytest.raises(SchedulingError):
-        cover_product(ab, 2, 4)
-
-
-def test_cover_product_on_finite_factor_racg(path3_amalgam):
-    # the 3-path split has finite factors, so the literal induction applies
-    ab = prepare(path3_amalgam, 10, core_radius=8)
-    cert = cover_product(ab, 2, 2)
-    assert verify_certificate(cert).passed
+    with pytest.raises(SchedulingError, match=r"needed claimed_r >= 5, best was 3\.0$"):
+        builder._certificate_with_floor(stub, 5)
+    assert tried == [20, 30, 46, 70, 106, 160, 240, 360]
+    # the 4-cycle splits over the infinite D-infinity on {b, d}, whose
+    # certificate here never reaches its floor: exit 2 with an error line
+    monkeypatch.setattr(builder, "cover_racg", lambda *args, **kwargs: SimpleNamespace(claimed_r=0.0))
+    path = tmp_path / "cycle4.json"
+    path.write_text(json.dumps({"matrix": RACG_GRAPHS["cycle4"]}))
+    assert main(["cover", str(path), "--r", "4"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [err[0]] and err[0].startswith("error: inner-scale certificate unavailable")
 
 
 def test_cover_racg_rejects_non_right_angled():

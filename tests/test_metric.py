@@ -11,6 +11,12 @@ from asdimlab.groups import build_ball
 from asdimlab.metric import DenseMetric, GraphMetric, UNREACHED, line_metric
 
 
+def set_dist(m, a, b):
+    """min over pairs; +inf when either side is empty."""
+    d = min((d for _, _, d in m.pair_gaps([list(a), list(b)])), default=UNREACHED)
+    return float("inf") if d >= UNREACHED else float(d)
+
+
 def test_dense_metric_validation():
     with pytest.raises(InputError):
         DenseMetric([[0, 1], [2, 0]])  # not symmetric
@@ -26,7 +32,7 @@ def test_dense_metric_fields_and_diam():
     fld = m.dist_field([1, 2])
     assert list(fld) == [2, 0, 0, 4]
     assert m.diam([0, 1, 3]) == 9
-    assert m.set_dist([0], [2, 3]) == 5
+    assert set_dist(m, [0], [2, 3]) == 5
 
 
 def test_graph_metric_path():
@@ -118,7 +124,7 @@ def test_pair_gaps_order_skips_empty_sets_and_stops_early():
     m.dist_field = lambda src: calls.append(list(src)) or real(src)
     next(m.pair_gaps(sets))
     assert calls == [[0]]
-    assert m.set_dist({3}, {1, 2}) == 4 and math.isinf(m.set_dist({3}, []))
+    assert set_dist(m, {3}, {1, 2}) == 4 and math.isinf(set_dist(m, {3}, []))
 
 
 @pytest.fixture(scope="module")
