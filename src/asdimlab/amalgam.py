@@ -1248,7 +1248,28 @@ def _section_tails(ab: AmalgamBall, sections, vs, ids):
 
 def compute_D_R(ab: AmalgamBall, u, R, side=None):
     """D_R^u: elements at exact distance R from the coset of u, on u's far side
-    (for the base vertex, on the requested side of K)."""
+    (for the base vertex, on the requested side of K): u's group of
+    `translate_mask`."""
+    lvl = int(ab.dual.level[u])
+    mask = translate_mask(ab, lvl, R, side if lvl == 0 else int(ab.dual.side[u]))
+    return np.nonzero(mask & (ab.level_field(lvl)[1] == u))[0]
+
+
+def beyond_set(ab: AmalgamBall, u, R, side=None, strict=False):
+    """{x : pi(x) in K^u and d(x, g_u C) >= R} (or > R when strict); for the
+    base vertex restricted to the given side.  The per-gate form of the
+    level-wide selections in `partition_ball`."""
+    lvl = int(ab.dual.level[u])
+    if lvl == 0 and side is None:
+        raise InputError("base-vertex beyond-set needs a side")
+    fld, far = _beyond_gates(ab, lvl, side if lvl == 0 else int(ab.dual.side[u]))
+    return (fld > R if strict else fld >= R) & far & (ab.level_field(lvl)[1] == u)
+
+
+def translate_mask(ab: AmalgamBall, lvl, R, side):
+    """D_R^u of every level-`lvl` gate u on `side` of K at once: the core
+    points at exact distance R from their own gate's coset.  Split it by
+    gate (`split_by_gate` on the level's ancestors) for the translates."""
     if R < 1:
         raise PreconditionError("compute_D_R requires R >= 1")
     if ab.core_radius + R > ab.ball.radius:
@@ -1256,30 +1277,31 @@ def compute_D_R(ab: AmalgamBall, u, R, side=None):
             "ball cannot certify exact distance-R spheres on its core",
             needed_radius=ab.core_radius + R,
         )
-    lvl = int(ab.dual.level[u])
-    if lvl == 0 and side is None:
+    if side is None:
         raise InputError("base-vertex D_R needs a side (SIDE_A or SIDE_B)")
     if lvl % 2 != 0:
         raise PreconditionError("translate D_R^u defined for even-level u")
-    fld, far = _gate_field(ab, u, side)
-    return np.nonzero((fld == R) & far & ab.core_mask())[0]
+    fld, far = _beyond_gates(ab, lvl, side)
+    return (fld == R) & far & ab.core_mask()
 
 
-def beyond_set(ab: AmalgamBall, u, R, side=None, strict=False):
-    """{x : pi(x) in K^u and d(x, g_u C) >= R} (or > R when strict); for the
-    base vertex restricted to the given side."""
-    if int(ab.dual.level[u]) == 0 and side is None:
-        raise InputError("base-vertex beyond-set needs a side")
-    fld, far = _gate_field(ab, u, side)
-    return (fld > R if strict else fld >= R) & far
-
-
-def _gate_field(ab: AmalgamBall, u, side):
-    """(field, far): u's level field, and the mask of pi^{-1}(K^u) (for the
-    base vertex, of the given side of K), where that field is d(x, g_u C)."""
-    lvl = int(ab.dual.level[u])
+def _beyond_gates(ab: AmalgamBall, lvl, side):
+    """(field, far): the level-`lvl` field, and the mask of the points beyond
+    a level-`lvl` gate on `side` of K, where that field is the distance to
+    their own gate's coset.  At level 0 every point's ancestor is the base."""
     fld, anc = ab.level_field(lvl)
-    return fld, (ab.side_of_elements() == side if lvl == 0 else anc == u)
+    return fld, (anc >= 0) & (ab.side_of_elements() == side)
+
+
+def split_by_gate(ids, gate):
+    """[(g, ids of gate g)] over the distinct gates g of the ascending `ids`,
+    gates ascending and ids ascending within a gate.  `gate` maps every
+    element id to a non-negative key: a level's ancestors (`level_field`), or
+    any other grouping of the ids."""
+    keys = gate[ids]
+    order, start = _grouped(keys, int(keys.max(initial=-1)) + 1)
+    ids = ids[order]
+    return [(g, ids[start[g] : start[g + 1]]) for g in np.flatnonzero(np.diff(start)).tolist()]
 
 
 def check_separation(ab: AmalgamBall, u, u_prime, R, boundary_override=None) -> CheckVerdict:
@@ -1369,19 +1391,7 @@ def check_translate_disjointness(ab: AmalgamBall, r, R) -> CheckVerdict:
             "disjointness claims need core_radius + 3R <= ball radius",
             needed_radius=ab.core_radius + 3 * R,
         )
-    dual = ab.dual
-    levels = range(0, int(dual.level.max()) + 1, r)
-    translates = []
-    for lvl in levels:
-        if lvl == 0:
-            ids = compute_D_R(ab, dual.base(), R, side=SIDE_A)
-            if len(ids):
-                translates.append((dual.base(), 0, ids))
-            continue
-        for u in dual.vertices_at_level(lvl, side=SIDE_A):
-            ids = compute_D_R(ab, u, R)
-            if len(ids):
-                translates.append((u, lvl, ids))
+    translates = collect_translates(ab, r, R)
     count = len(translates)
     if count < 2 or _translates_disjoint(ab.metric, translates, R):
         return CheckVerdict(
@@ -1404,6 +1414,19 @@ def check_translate_disjointness(ab: AmalgamBall, r, R) -> CheckVerdict:
     return CheckVerdict(
         "prop-2.2-disjointness", True, checked, note=f"{len(translates)} translates"
     )
+
+
+def collect_translates(ab: AmalgamBall, r, R):
+    """The non-empty translates (u, level, D_R^u) of Prop 2.2: the side-A
+    gates u at level multiples of r, the base first, one `translate_mask`
+    per level split by gate."""
+    return [
+        (u, lvl, ids)
+        for lvl in range(0, int(ab.dual.level.max()) + 1, r)
+        for u, ids in split_by_gate(
+            np.nonzero(translate_mask(ab, lvl, R, SIDE_A))[0], ab.level_field(lvl)[1]
+        )
+    ]
 
 
 def _translates_disjoint(metric: GraphMetric, translates, R) -> bool:
@@ -1453,28 +1476,17 @@ def partition_ball(ab: AmalgamBall, r, R, side) -> Partition:
     sides = ab.side_of_elements()
     on_side = (sides == side) | (sides == SIDE_BASE)
 
-    base = dual.base()
     central = np.nonzero(core & on_side & (ab.level_field(0)[0] <= R))[0]
-
-    max_level = int(dual.level.max())
-    gates = [(base, 0)]
-    for lvl in range(r, max_level + 1, r):
-        for u in dual.vertices_at_level(lvl, side=side):
-            gates.append((u, lvl))
-
     boundary_mask = np.zeros(ab.n, dtype=bool)
     pieces = []
-    for u, lvl in gates:
-        gate_side = side if lvl == 0 else None
-        boundary_mask[compute_D_R(ab, u, R, side=gate_side)] = True
-        mask = beyond_set(ab, u, R, side=gate_side)
-        # mask lies in pi^{-1}(K^u) (on `side` at level 0), so every
-        # level-(lvl + r) ancestor it meets is a gate of this side below u
+    for lvl in range(0, int(dual.level.max()) + 1, r):
+        boundary_mask |= translate_mask(ab, lvl, R, side)
+        fld, far = _beyond_gates(ab, lvl, side)
+        # far lies on `side`, so every level-(lvl + r) ancestor it meets is a
+        # gate of this side below its own level-lvl gate
         next_field, next_anc = ab.level_field(lvl + r)
-        mask &= ~((next_field > R) & (next_anc >= 0))
-        ids = np.nonzero(mask & core & on_side)[0]
-        if len(ids):
-            pieces.append((int(u), ids))
+        piece = far & core & (fld >= R) & ~((next_field > R) & (next_anc >= 0))
+        pieces += split_by_gate(np.nonzero(piece)[0], ab.level_field(lvl)[1])
 
     return Partition(
         r=r,

@@ -36,12 +36,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .amalgam import (
-    SIDE_A,
-    SIDE_B,
     AmalgamContext,
     RacgAmalgam,
     TableAmalgam,
     prepare,
+    split_by_gate,
 )
 from .covers import Cover, cover_order
 from .errors import (
@@ -537,14 +536,18 @@ def _check_prefix(ball: Ball, grown: Ball):
 
 def _certificate_with_floor(make_cert, min_scale):
     """Scheduling loop: try up to eight rising requested scales until the
-    measured claimed_r reaches the floor an enclosing construction needs."""
+    measured claimed_r reaches the floor an enclosing construction needs.
+    claimed_r never exceeds the schedule's margin, the cap `cover_amalgam`
+    measures it with, so a scale whose margin is below the floor is skipped
+    unbuilt."""
     r_try = max(4, 4 * math.ceil(min_scale))
     best = -math.inf
     for _ in range(8):
-        cert = make_cert(r_try)
-        if cert.claimed_r >= min_scale:
-            return cert
-        best = max(best, cert.claimed_r)
+        if make_schedule(r_try).margin >= min_scale:
+            cert = make_cert(r_try)
+            if cert.claimed_r >= min_scale:
+                return cert
+            best = max(best, cert.claimed_r)
         r_try += max(4, r_try // 2)
         r_try += r_try % 2
     raise SchedulingError(
@@ -581,9 +584,9 @@ def _merge_close_webs(metric, web_ids, anc_lvl, threshold, field):
 
     Web distances come from `GraphMetric.label_gaps` with each web point
     labelled by its gate, as in color_gap, on the web's own
-    `dist_field(web_ids, with_sources=True)` passed as `field`.  Returns
-    gate -> group root, where the root is the member gate with the smallest
-    id.
+    `dist_field(web_ids, with_sources=True)` passed as `field`.  Returns an
+    array mapping each gate to its group root, the member gate with the
+    smallest id.
     """
     labels = np.full(metric.n, -1, dtype=np.int64)
     labels[web_ids] = anc_lvl[web_ids]
@@ -602,7 +605,9 @@ def _merge_close_webs(metric, web_ids, anc_lvl, threshold, field):
         ra, rb = find(a), find(b)
         if ra != rb:
             parent[max(ra, rb)] = min(ra, rb)
-    return {g: find(g) for g in gates}
+    root = np.arange(metric.n)
+    root[gates] = [find(g) for g in gates]
+    return root
 
 
 class _CCertIndex:
@@ -682,7 +687,7 @@ def cover_amalgam(
     assigned = np.zeros(ab.n, dtype=bool)
     regions = []  # (kind, [(gate, ids)]) with gates of one merged web group
 
-    blob_ids = np.nonzero(core & (fields[0] <= R + E))[0].tolist()
+    blob_ids = np.nonzero(core & (fields[0] <= R + E))[0]
     assigned[blob_ids] = True
     regions.append(("collar", [(base, blob_ids)]))
 
@@ -704,28 +709,22 @@ def cover_amalgam(
         if not web_ids:
             continue
         cfld, csrc = metric.dist_field(web_ids, with_sources=True)
-        gate_group = _merge_close_webs(
+        root = _merge_close_webs(
             metric, web_ids, anc[lvl], 2 * E + 1, (cfld, csrc)
         )
-        region = (cfld <= E) & (csrc >= 0)
+        near = (cfld <= E) & (csrc >= 0)
+        region = near
         if lvl == top_level:
             # the outermost collar absorbs everything beyond its web up to
             # the core edge, so truncation never produces sliver slabs
-            region |= (fields[lvl] >= R) & np.isin(anc[lvl], sorted(ok_gates))
+            region = near | (fields[lvl] >= R) & np.isin(anc[lvl], sorted(ok_gates))
         take = np.nonzero(core & ~assigned & region)[0]
-        if not len(take):
-            continue
         assigned[take] = True
-        by_group = {}
-        for i in take.tolist():
-            if cfld[i] <= E and csrc[i] >= 0:
-                gate = int(anc[lvl][int(csrc[i])])
-            else:
-                gate = int(anc[lvl][i])
-            by_group.setdefault(gate_group[gate], {}).setdefault(gate, []).append(i)
-        for root in sorted(by_group):
-            parts = [(g, by_group[root][g]) for g in sorted(by_group[root])]
-            regions.append(("collar", parts))
+        # a point near the web goes with its nearest web point's gate
+        gate = anc[lvl].copy()
+        gate[near] = anc[lvl][csrc[near]]
+        for _, ids in split_by_gate(take, root[gate]):
+            regions.append(("collar", split_by_gate(ids, gate)))
 
     # slabs per gate level, trimmed by everything already claimed
     for lvl in gate_levels:
@@ -736,24 +735,12 @@ def cover_amalgam(
             )
         else:
             strictly_beyond_next = np.zeros(ab.n, dtype=bool)
-        if lvl == 0:
-            for side in (SIDE_A, SIDE_B):
-                mask = (fields[0] >= R) & (sides == side) & ~strictly_beyond_next
-                take = np.nonzero(mask & core & ~assigned)[0]
-                if len(take):
-                    assigned[take] = True
-                    regions.append(("slab", [(base, take.tolist())]))
-            continue
         mask = (fields[lvl] >= R) & (anc[lvl] >= 0) & ~strictly_beyond_next
         take = np.nonzero(mask & core & ~assigned)[0]
-        if not len(take):
-            continue
         assigned[take] = True
-        by_gate = {}
-        for i in take.tolist():
-            by_gate.setdefault(int(anc[lvl][i]), []).append(i)
-        for gate in sorted(by_gate):
-            regions.append(("slab", [(gate, by_gate[gate])]))
+        # one slab per gate and side: the base gates both sides of K
+        for gate, ids in split_by_gate(take, anc[lvl]):
+            regions += [("slab", [(gate, part)]) for _, part in split_by_gate(ids, sides)]
 
     uncovered = np.nonzero(core & ~assigned)[0]
     if len(uncovered):
@@ -771,7 +758,7 @@ def cover_amalgam(
         for u, ids in parts:
             if u not in inv_rep:
                 inv_rep[u] = ctx.engine.inverse(dual.rep_element[u])
-            for i in ids:
+            for i in ids.tolist():
                 m_norm, c_elem = ctx.gate_tail(inv_rep[u], ab.ball.elements[i])
                 pairs.append((i, c_elem))
                 max_m_norm = max(max_m_norm, m_norm)

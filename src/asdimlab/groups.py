@@ -81,35 +81,32 @@ class FiniteTableGroup:
         for row in self.table:
             if sorted(row) != list(range(n)):
                 raise InputError("table rows must be permutations")
-        for j in range(n):
-            if sorted(self.table[i][j] for i in range(n)) != list(range(n)):
-                raise InputError("table columns must be permutations")
-        identity = None
-        for e in range(n):
-            if all(self.table[e][x] == x and self.table[x][e] == x for x in range(n)):
-                identity = e
-                break
-        if identity is None:
+        t = np.array(self.table, dtype=np.int64).reshape(n, n)
+        if (np.sort(t, axis=0) != np.arange(n)[:, None]).any():
+            raise InputError("table columns must be permutations")
+        units = np.flatnonzero((t == np.arange(n)).all(axis=1) & (t.T == np.arange(n)).all(axis=1))
+        if not len(units):
             raise InputError("table has no identity element")
-        self.identity = identity
-        self.inv = [None] * n
-        for x in range(n):
-            for y in range(n):
-                if self.table[x][y] == identity:
-                    self.inv[x] = y
-                    break
-            if self.inv[x] is None:
-                raise InputError(f"element {x} has no inverse")
-        if n <= 32:
-            rng = range(n)
-            for a in rng:
-                for b in rng:
-                    for c in rng:
-                        if (
-                            self.table[self.table[a][b]][c]
-                            != self.table[a][self.table[b][c]]
-                        ):
-                            raise InputError("table is not associative")
+        self.identity = identity = int(units[0])
+        # every row is a permutation, so it holds the identity once
+        self.inv = np.argmax(t == identity, axis=1).tolist()
+        # Light's test on a generating set S built greedily: the z with
+        # (xy)z = x(yz) for all x, y are closed under products, so checking
+        # every z in S checks every z
+        seen = np.zeros(n, dtype=bool)
+        seen[identity] = True
+        gens = []
+        for g in range(n):
+            if seen[g]:
+                continue
+            gens.append(g)
+            if not np.array_equal(t[t, g], t[:, t[:, g]]):
+                raise InputError("table is not associative")
+            new = np.flatnonzero(seen)
+            while len(new):  # the left-normed products of S
+                new = np.unique(t[np.ix_(new, gens)])
+                new = new[~seen[new]]
+                seen[new] = True
 
     def _generates(self):
         seen = {self.identity}

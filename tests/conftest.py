@@ -14,6 +14,15 @@ def cyclic_table(n):
     return table, names
 
 
+def z34_loop():
+    """Z34 with the intercalate at rows 1, 18 and columns 2, 19 swapped: a
+    34-element Latin square with identity in which (1 1) 1 != 1 (1 1)."""
+    table, names = cyclic_table(34)
+    for row in (1, 18):
+        table[row][2], table[row][19] = table[row][19], table[row][2]
+    return table, names
+
+
 def enumerate_words_brute(engine, radius):
     """Independent oracle: normalize every generator string of length <= radius.
 

@@ -19,6 +19,7 @@ from asdimlab.amalgam import (
     check_assertion_2_2,
     check_separation,
     check_translate_disjointness,
+    collect_translates,
     compute_D_R,
     dual_graph_dot,
     partition_ball,
@@ -85,41 +86,57 @@ def reference_D_R(ab, u, R, side=None):
     return np.nonzero((field == R) & far & ab.core_mask())[0]
 
 
+def reference_gate_fields(ab, R, side):
+    """beyond(u, lvl) -> (field, far) for a gate u at level lvl: its coset's
+    distance field by BFS steps on the edge table, cut off past R + 1 (exact
+    for every threshold the references read), and pi^{-1}(K^u) (the given
+    side of K at the base), with one ancestor lookup per level."""
+    dual, sides, element_anc = ab.dual, ab.side_of_elements(), {}
+
+    def beyond(u, lvl):
+        field = np.full(ab.n, np.inf)
+        frontier = dual.fiber(u)
+        for d in range(R + 2):
+            field[frontier] = d
+            step = ab.ball.table[frontier].ravel()
+            frontier = np.unique(step[step >= 0])
+            frontier = frontier[np.isinf(field[frontier])]
+        if lvl not in element_anc:
+            element_anc[lvl] = dual.ancestor_at_level(dual.vertex_of_element, lvl)
+        return field, (sides == side if lvl == 0 else element_anc[lvl] == u)
+
+    return beyond
+
+
 def reference_partition(ab, r, R, side):
     """Theorem 2.1's partition with one coset field per gate, and per level-r
-    step one ancestor lookup and one strict beyond-set per gate pair."""
+    step the gates below each gate found by one ancestor lookup."""
     dual = ab.dual
     core = ab.core_mask()
     sides = ab.side_of_elements()
     on_side = (sides == side) | (sides == SIDE_BASE)
-
-    def beyond(u, strict=False):
-        field = ab.metric.dist_field(dual.fiber(u))
-        lvl = int(dual.level[u])
-        if lvl == 0:
-            far = sides == side
-        else:
-            far = dual.ancestor_at_level(dual.vertex_of_element, lvl) == u
-        return (field > R if strict else field >= R) & far
+    beyond = reference_gate_fields(ab, R, side)
 
     base = dual.base()
-    central = np.nonzero(core & on_side & (ab.metric.dist_field(dual.fiber(base)) <= R))[0]
-    gates = [(base, 0)] + [
-        (u, lvl)
-        for lvl in range(r, int(dual.level.max()) + 1, r)
-        for u in dual.vertices_at_level(lvl, side=side)
-    ]
+    central = np.nonzero(core & on_side & (beyond(base, 0)[0] <= R))[0]
+    gates = {0: [base]}
+    for lvl in range(r, int(dual.level.max()) + 1, r):
+        gates[lvl] = dual.vertices_at_level(lvl, side=side)
     boundary = np.zeros(ab.n, dtype=bool)
     pieces = []
-    for u, lvl in gates:
-        boundary[reference_D_R(ab, u, R, side=side)] = True
-        mask = beyond(u)
-        for w, wl in gates:
-            if wl == lvl + r and (lvl == 0 or dual.ancestor_at_level([w], lvl)[0] == u):
-                mask &= ~beyond(w, strict=True)
-        ids = np.nonzero(mask & core & on_side)[0]
-        if len(ids):
-            pieces.append((u, ids))
+    for lvl, us in gates.items():
+        below = np.asarray(gates.get(lvl + r, []), dtype=np.int64)
+        below_anc = dual.ancestor_at_level(below, lvl)
+        for u in us:
+            field, far = beyond(u, lvl)
+            boundary |= (field == R) & far & core
+            mask = (field >= R) & far
+            for w in below[below_anc == u].tolist():
+                field_w, far_w = beyond(w, lvl + r)
+                mask &= ~((field_w > R) & far_w)
+            ids = np.nonzero(mask & core & on_side)[0]
+            if len(ids):
+                pieces.append((u, ids))
     return central, pieces, np.nonzero(boundary)[0]
 
 
@@ -690,7 +707,9 @@ def test_level_field_is_the_gate_coset_field_beyond_each_gate(request, fixture, 
             assert np.array_equal(field[beyond], own[beyond])
 
 
-@pytest.mark.parametrize("split, radius", [("z2z3", 16), ("z2z3", 20), ("path4", 9)])
+@pytest.mark.parametrize(
+    "split, radius", [("z2z3", 16), ("z2z3", 20), ("path4", 9), ("path4", 14)]
+)
 def test_partition_matches_per_gate_reference(z2z3_amalgam, split, radius):
     ctx = z2z3_amalgam if split == "z2z3" else path4_split()
     ab = prepare(ctx, radius, core_radius=radius - 3)
@@ -807,20 +826,24 @@ def test_translate_disjointness_bounds(dinf_amalgam, z2z3_amalgam, z4z2z4_amalga
             assert verdict.passed, (ctx.name, r, verdict.line())
 
 
-def reference_translate_disjointness(ab, r, R):
-    """Prop 2.2 by the per-pair scan: one field per translate, every pair in
-    (i, j) order, the first failing pair reported."""
+def reference_translates(ab, r, R):
+    """Prop 2.2's non-empty translates (u, level, ids), one coset field per
+    side-A gate at level multiples of r, the base first."""
     dual = ab.dual
+    beyond = reference_gate_fields(ab, R, SIDE_A)
     translates = []
     for lvl in range(0, int(dual.level.max()) + 1, r):
-        if lvl == 0:
-            gates, side = [dual.base()], SIDE_A
-        else:
-            gates, side = dual.vertices_at_level(lvl, side=SIDE_A), None
-        for u in gates:
-            ids = amalgam.compute_D_R(ab, u, R, side=side)
+        for u in [dual.base()] if lvl == 0 else dual.vertices_at_level(lvl, side=SIDE_A):
+            field, far = beyond(u, lvl)
+            ids = np.nonzero((field == R) & far & ab.core_mask())[0]
             if len(ids):
                 translates.append((u, lvl, ids))
+    return translates
+
+
+def reference_pair_scan(ab, translates, R):
+    """Prop 2.2 by the per-pair scan: one field per translate, every pair in
+    (i, j) order, the first failing pair reported."""
     checked = 0
     for i, j, d in ab.metric.pair_gaps([ids for _, _, ids in translates]):
         (ui, li, _), (uj, lj, _) = translates[i], translates[j]
@@ -853,6 +876,7 @@ TRANSLATE_SETTINGS = [
     ("z2z3_amalgam", 12, 3, 24),
     (None, 4, 1, 12),
     (None, 8, 1, 13),
+    (None, 8, 1, 14),
     (None, 8, 2, 14),
 ]
 
@@ -861,7 +885,11 @@ TRANSLATE_SETTINGS = [
 def test_translate_disjointness_equals_per_pair_scan(request, fixture, r, big_r, radius):
     ctx = request.getfixturevalue(fixture) if fixture else path4_split()
     ab = prepare(ctx, radius, core_radius=radius - 3 * big_r)
-    expected = reference_translate_disjointness(ab, r, big_r)
+    translates = reference_translates(ab, r, big_r)
+    got = collect_translates(ab, r, big_r)
+    assert [(u, lvl) for u, lvl, _ in got] == [(u, lvl) for u, lvl, _ in translates]
+    assert all(np.array_equal(g[2], t[2]) for g, t in zip(got, translates))
+    expected = reference_pair_scan(ab, translates, big_r)
     assert check_translate_disjointness(ab, r, big_r).line() == expected.line()
 
 
@@ -904,13 +932,12 @@ def test_translate_disjointness_fails_on_planted_translates(z2z3_amalgam, monkey
     ab = prepare(z2z3_amalgam, 16, core_radius=16 - 3 * big_r)
     base = ab.dual.base()
     u1, u2 = ab.dual.vertices_at_level(r, side=SIDE_A)[:2]
-    planted = plant(ab, big_r, base, u1, u2)
-
-    def compute_D_R(ab, u, R, side=None):
-        return np.asarray(planted.get(int(u), []), dtype=np.int64)
-
-    monkeypatch.setattr(amalgam, "compute_D_R", compute_D_R)
-    expected = reference_translate_disjointness(ab, r, big_r)
+    planted = [
+        (u, int(ab.dual.level[u]), np.asarray(ids, dtype=np.int64))
+        for u, ids in sorted(plant(ab, big_r, base, u1, u2).items())
+    ]
+    monkeypatch.setattr(amalgam, "collect_translates", lambda ab, r, R: planted)
+    expected = reference_pair_scan(ab, planted, big_r)
     got = check_translate_disjointness(ab, r, big_r)
     assert not expected.passed
     assert got.line() == expected.line()
@@ -932,6 +959,24 @@ def test_translate_disjointness_is_one_bfs_on_a_pass(z2z3_amalgam, monkeypatch):
     verdict = check_translate_disjointness(ab, r, big_r)
     assert verdict.line() == "prop-2.2-disjointness: pass [37128 checks] (273 translates)"
     assert len(calls) <= 1
+
+
+def test_translates_and_partition_build_no_per_gate_mask(z2z3_amalgam, monkeypatch):
+    # with the level fields warmed, both checkers read one selection per
+    # level and split it by gate: neither calls the per-gate forms
+    r, big_r = 8, 1
+    ab = prepare(z2z3_amalgam, 20, core_radius=20 - 3 * big_r)
+    for lvl in range(0, int(ab.dual.level.max()) + r + 1, r):
+        ab.level_field(lvl)
+
+    def per_gate(*args, **kwargs):
+        raise AssertionError("per-gate mask built")
+
+    monkeypatch.setattr(amalgam, "compute_D_R", per_gate)
+    monkeypatch.setattr(amalgam, "beyond_set", per_gate)
+    assert check_translate_disjointness(ab, r, big_r).passed
+    for side in (SIDE_A, SIDE_B):
+        assert verify_partition(ab, partition_ball(ab, r, big_r, side)).passed
 
 
 def test_translate_disjointness_precondition(dinf_ball):

@@ -171,6 +171,23 @@ def test_an_unreachable_inner_floor_raises_scheduling_error(monkeypatch, tmp_pat
     assert err == [err[0]] and err[0].startswith("error: inner-scale certificate unavailable")
 
 
+@pytest.mark.parametrize("graph, ball, inner_r", [("cycle5", 11, 132), ("cycle4", None, 96)])
+def test_the_inner_certificate_is_built_once(monkeypatch, graph, ball, inner_r):
+    # r 88 and r 64 have margins 16 and 12, below the floors 22 and 16:
+    # those scales are skipped, not built and discarded
+    tried = []
+    cover = builder.cover_racg
+
+    def counted(cox, r, **kwargs):
+        tried.append(r)
+        return cover(cox, r, **kwargs)
+
+    monkeypatch.setattr(builder, "cover_racg", counted)
+    cert = cover(CoxeterSystem(RACG_GRAPHS[graph]), 4, ball_radius=ball)
+    assert tried == [inner_r]
+    assert cert.trace["amalgam"]["c_certificate"]["amalgam"]["schedule"]["r"] == inner_r
+
+
 def test_cover_racg_rejects_non_right_angled():
     from asdimlab.errors import UnsupportedBackendError
 

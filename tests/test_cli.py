@@ -11,6 +11,7 @@ from asdimlab import amalgam, builder, cli, groups
 from asdimlab.cli import build_context, main
 from asdimlab.groups import build_ball
 
+from conftest import z34_loop
 from test_amalgam import reference_dual_graph
 
 CYCLE5_DOC = {
@@ -236,6 +237,13 @@ def test_malformed_nerve_exits_2(tmp_path, capsys, command, doc):
     path = write(tmp_path, "nerve.json", doc)
     assert main([command, path]) == 2
     assert capsys.readouterr().err.startswith("input error: ")
+
+
+def test_cover_rejects_a_non_associative_factor(tmp_path, capsys):
+    table, names = z34_loop()
+    doc = dict(DINF_DOC, A={"elements": names, "table": table})
+    assert main(["cover", write(tmp_path, "loop.json", doc), "--r", "4"]) == 2
+    assert capsys.readouterr().err == "input error: table is not associative\n"
 
 
 def test_cover_cap_exit_3(tmp_path):

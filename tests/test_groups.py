@@ -25,6 +25,7 @@ from conftest import (
     commutation_matrix,
     cyclic_table,
     enumerate_words_brute,
+    z34_loop,
     z_n_group,
 )
 
@@ -62,6 +63,13 @@ def test_table_group_rejects_non_symmetric_generators():
 def test_table_group_rejects_non_group_table():
     with pytest.raises(InputError):
         FiniteTableGroup([[0, 1], [0, 1]])
+
+
+def test_table_group_rejects_a_non_associative_table_above_32_elements():
+    table, names = z34_loop()
+    assert table[table[1][1]][1] != table[1][table[1][1]]
+    with pytest.raises(InputError, match="^table is not associative$"):
+        FiniteTableGroup(table, names=names)
 
 
 def test_racg_normal_form_examples(path3_engine):
