@@ -426,12 +426,6 @@ class AmalgamContext:
     def section(self, side, x, sections=None):
         raise NotImplementedError
 
-    def gate_tail(self, inv_gate_rep, x):
-        """Decompose x = g_u . m . c against a gate representative: returns
-        (|m|, c) with m the minimal coset representative of g_u^{-1} x and c
-        an element of the C engine.  Exact word arithmetic, no enumeration."""
-        raise NotImplementedError
-
     def factor_dims(self):
         """(n_A, n_B, n_C): the asdim numbers the recursion assigns."""
         raise NotImplementedError
@@ -518,7 +512,6 @@ class TableAmalgam(AmalgamContext):
                 dtype=bool,
                 count=len(reps),
             ),
-            c_part=np.fromiter((c for _, c in ball.elements), dtype=np.int64, count=len(ball)),
             in_rep_coset=np.fromiter(
                 (zs == reps[v] for (zs, _), v in zip(ball.elements, vertex_of)),
                 dtype=bool,
@@ -536,15 +529,14 @@ class NormalFormColumns:
     `length`, the `side` and `coset` id of the last letter (SIDE_BASE and 0
     for none), and `extends_parent`: the letters are those of v's parent in
     K plus one (no letters for a vertex without parent).  Per element x:
-    its C-part `c_part` and `in_rep_coset`: x has the letters of its
-    vertex's representative, so x lies in that coset.
+    `in_rep_coset`: x has the letters of its vertex's representative, so x
+    lies in that coset.  x's C-part is `AmalgamBall.c_part`.
     """
 
     length: np.ndarray
     side: np.ndarray
     coset: np.ndarray
     extends_parent: np.ndarray
-    c_part: np.ndarray
     in_rep_coset: np.ndarray
 
     def __post_init__(self):
@@ -817,6 +809,7 @@ class AmalgamBall:
     _levels: dict = field(default_factory=dict, init=False, repr=False)
     _vertex_by_key: dict = field(default=None, init=False, repr=False)
     _columns: NormalFormColumns = field(default=None, init=False, repr=False)
+    _c_part: np.ndarray = field(default=None, init=False, repr=False)
     _core: np.ndarray = field(default=None, init=False, repr=False)
     _sides: np.ndarray = field(default=None, init=False, repr=False)
 
@@ -865,6 +858,34 @@ class AmalgamBall:
         if self._columns is None:
             self._columns = self.ctx.normal_form_columns(self.ball, self.dual)
         return self._columns
+
+    def c_part(self):
+        """Each element's C-part rep(pi(x))^-1 x as the ball id of that element
+        of C (in the base fiber), rep(v) the least id of v's fiber, computed
+        once per ball (read-only) by one BFS from the reps along `Ball.table`'s
+        C-letter columns: c(x k) = c(x) k.  For every ancestor u of v = pi(x),
+        x = rep(u) m c(x) with |m| = |rep(v)| - |rep(u)| (`gate_tail` is the
+        tests' reference), as rep(u) is a geodesic prefix of rep(v): in a RACG
+        a gate's rep is its piece's shortest element, so rep(v) = rep(u) m with
+        m minimal in mK (Bjorner-Brenti 2.4); in a table amalgam a coset's
+        least id, first seen from rep(parent) by its default section, has
+        trivial C-part.
+        """
+        if self._c_part is None:
+            table = self.ball.table[:, self.ctx.coset_letters()[0]]
+            c = np.full(self.n + 1, -1, dtype=np.int64)  # c[-1] is read for -1
+            x = self.dual.fiber_order[self.dual.fiber_start[:-1]]
+            c[x] = c[-1] = 0  # the identity's id
+            while len(x):
+                y, cy = table[x], table[c[x]]
+                new = (c[y] < 0) & (cy >= 0)  # c(y) past the ball leaves y unreached
+                c[y[new]] = cy[new]
+                x = np.unique(y[new])
+            if (c[:-1] < 0).any():
+                raise AssertionError("C-part not reached, or outside the ball")
+            c.flags.writeable = False
+            self._c_part = c[:-1]
+        return self._c_part
 
     def _vertex_of(self, x):
         """pi(x) as a vertex id, None when its coset is not in the ball.  The
@@ -1243,7 +1264,10 @@ def _section_tails(ab: AmalgamBall, sections, vs, ids):
     v = dual.vertex_of_element[ids]
     c_table = np.array(eng.c_group.table, dtype=np.int64)
     c_inv = np.array(eng.c_group.inv, dtype=np.int64)
-    return letter[v], c_table[c_inv[delta[v]], cols.c_part[ids]]
+    base = dual.fiber(dual.base())
+    c_of = np.zeros(ab.n, dtype=np.int64)  # the C index of each base-fiber id
+    c_of[base] = [ab.ctx.to_c(ab.ball.elements[i]) for i in base.tolist()]
+    return letter[v], c_table[c_inv[delta[v]], c_of[ab.c_part()[ids]]]
 
 
 def compute_D_R(ab: AmalgamBall, u, R, side=None):

@@ -51,7 +51,7 @@ from .errors import (
     SchedulingError,
 )
 from .groups import DEFAULT_BALL_CAP, Ball, bfs_ball, build_ball
-from .metric import UNREACHED, GraphMetric
+from .metric import GraphMetric
 
 # bytes of one `set_diameters` block: its reach bitsets and two temporaries
 DIAMETER_BLOCK_BYTES = 64 << 20
@@ -90,15 +90,10 @@ def color_depth_floor(sets, metric: GraphMetric, carrier_mask, cap, gap):
     outside = np.nonzero(carrier_mask & ~union_mask)[0].tolist()
     if not outside and len(sets) <= 1:
         return math.inf  # a whole-carrier set is unboundedly deep
-    if outside:
-        fld = metric.dist_field(outside)
-    else:
-        fld = np.full(metric.n, UNREACHED, dtype=float)
+    fld = metric.dist_field(outside)  # UNREACHED everywhere when empty
     floor = math.inf
     for s in sets:
-        pts = list(s)
-        best = max(min(float(fld[p]), gap, cap) for p in pts)
-        floor = min(floor, best)
+        floor = min(floor, float(fld[list(s)].max()), gap, cap)
     return floor
 
 
@@ -610,25 +605,6 @@ def _merge_close_webs(metric, web_ids, anc_lvl, threshold, field):
     return root
 
 
-class _CCertIndex:
-    """Element-keyed view of a C-certificate for cylinder assignments."""
-
-    def __init__(self, cert: CoverCertificate):
-        self.cert = cert
-        self.assign = {}
-        per_color_pos = {}
-        for s, c in zip(cert.cover.sets, cert.cover.colors):
-            pos = per_color_pos.setdefault(c, 0)
-            per_color_pos[c] = pos + 1
-            for i in sorted(s):
-                elem = cert.ball.elements[i]
-                if elem not in self.assign:
-                    self.assign[elem] = (c, pos)
-
-    def get(self, c_elem):
-        return self.assign.get(c_elem)
-
-
 # ---------------------------------------------------------------------------
 # the main assembly (Theorem 2.1)
 
@@ -647,9 +623,10 @@ def cover_amalgam(
     (2) carve the core into the central blob N_{R+E}(C), E-collars around the
     boundary webs D_R^u at the gate levels, and the trimmed slabs V^u;
     (3) recursive C-certificate at the measured inner scale; (4) split every
-    region by the C-part of the gate coset decomposition x = g_u m c, sending
-    collar material to the reserved top colors and slab material to the
-    bottom colors; (5) measure (claimed_r, claimed_d) and re-verify.
+    region by the C-part of the gate coset decomposition x = g_u m c, read
+    from `AmalgamBall.c_part` (`gate_tail` is only the tests' reference),
+    sending collar material to the reserved top colors and slab material to
+    the bottom colors; (5) measure (claimed_r, claimed_d) and re-verify.
     """
     n_a, n_b, n_c = ctx.factor_dims()
     n = max(n_a, n_b, n_c + 1)
@@ -685,11 +662,11 @@ def cover_amalgam(
     top_level = gate_levels[-1]
 
     assigned = np.zeros(ab.n, dtype=bool)
-    regions = []  # (kind, [(gate, ids)]) with gates of one merged web group
+    regions = []  # (kind, ids, [(gate, ids of the gate)]), gates of one web group
 
     blob_ids = np.nonzero(core & (fields[0] <= R + E))[0]
     assigned[blob_ids] = True
-    regions.append(("collar", [(base, blob_ids)]))
+    regions.append(("collar", blob_ids, [(base, blob_ids)]))
 
     # web collars per positive gate level.  Translates around sibling gates
     # sit at distance exactly 2R, so webs closer than 2E+2 are merged into
@@ -705,8 +682,8 @@ def cover_amalgam(
         ok_gates = set(int(g) for g in np.unique(anc[lvl][deep_enough]) if g >= 0)
         admitted[lvl] = ok_gates
         web_mask &= np.isin(anc[lvl], sorted(ok_gates))
-        web_ids = sorted(np.nonzero(web_mask)[0].tolist())
-        if not web_ids:
+        web_ids = np.nonzero(web_mask)[0]
+        if not len(web_ids):
             continue
         cfld, csrc = metric.dist_field(web_ids, with_sources=True)
         root = _merge_close_webs(
@@ -724,7 +701,7 @@ def cover_amalgam(
         gate = anc[lvl].copy()
         gate[near] = anc[lvl][csrc[near]]
         for _, ids in split_by_gate(take, root[gate]):
-            regions.append(("collar", split_by_gate(ids, gate)))
+            regions.append(("collar", ids, split_by_gate(ids, gate)))
 
     # slabs per gate level, trimmed by everything already claimed
     for lvl in gate_levels:
@@ -740,7 +717,7 @@ def cover_amalgam(
         assigned[take] = True
         # one slab per gate and side: the base gates both sides of K
         for gate, ids in split_by_gate(take, anc[lvl]):
-            regions += [("slab", [(gate, part)]) for _, part in split_by_gate(ids, sides)]
+            regions += [("slab", part, [(gate, part)]) for _, part in split_by_gate(ids, sides)]
 
     uncovered = np.nonzero(core & ~assigned)[0]
     if len(uncovered):
@@ -748,22 +725,17 @@ def cover_amalgam(
             f"region assembly left {len(uncovered)} core points unassigned"
         )
 
-    # coset decomposition x = g_u m c per region point (exact word arithmetic)
-    inv_rep = {}
-    tails = []
-    max_m_norm = 0
-    max_c_norm = 0
-    for kind, parts in regions:
-        pairs = []
-        for u, ids in parts:
-            if u not in inv_rep:
-                inv_rep[u] = ctx.engine.inverse(dual.rep_element[u])
-            for i in ids.tolist():
-                m_norm, c_elem = ctx.gate_tail(inv_rep[u], ab.ball.elements[i])
-                pairs.append((i, c_elem))
-                max_m_norm = max(max_m_norm, m_norm)
-                max_c_norm = max(max_c_norm, ctx.c_engine.norm(c_elem))
-        tails.append(pairs)
+    # x = g_u m c: |m| = |rep(v)| - |rep(u)|, c = `c_part`, C's norm the ball's.
+    # A collar point is beyond its gate u too: other branches are > R from u's web.
+    rep_norm = ab.ball.norms[dual.fiber_order[dual.fiber_start[:-1]]]
+    max_m_norm = max(
+        int((rep_norm[dual.vertex_of_element[ids]] - rep_norm[u]).max())
+        for *_, parts in regions
+        for u, ids in parts
+    )
+    c_part = ab.c_part()
+    tails = np.unique(c_part[np.concatenate([ids for _, ids, _ in regions])])
+    max_c_norm = int(ab.ball.norms[tails].max())
 
     inner_scale = (2 * R + 2) + 2 * max_m_norm + 2
     c_cert = _c_certificate(ctx, inner_scale, min_core=max_c_norm + 2, cap=cap)
@@ -772,30 +744,34 @@ def cover_amalgam(
             "C-certificate carrier smaller than the observed tail norms",
             needed_radius=max_c_norm,
         )
-    c_index = _CCertIndex(c_cert)
+
+    # each C-part's first C-certificate set, in certificate order
+    c_sets, c_colors = c_cert.cover.sets, c_cert.cover.colors
+    first_set = {}
+    for j in reversed(range(len(c_sets))):
+        first_set.update((c_cert.ball.elements[i], j) for i in c_sets[j])
+    set_of = np.full(ab.n, -1, dtype=np.int64)  # by C-part id, then by point
+    set_of[tails] = [first_set.get(ctx.to_c(ab.ball.elements[i]), -1) for i in tails.tolist()]
+    if (set_of[tails] < 0).any():
+        raise OutOfBallError("C-certificate misses a tail element")
+    set_of = set_of[c_part]
 
     sets, colors, set_tags = [], [], []
-    for (kind, parts), pairs in zip(regions, tails):
-        grouped = {}
-        for i, c_elem in pairs:
-            key = c_index.get(c_elem)
-            if key is None:
-                raise OutOfBallError("C-certificate misses a tail element")
-            grouped.setdefault(key, []).append(i)
-        gate_levels_of = sorted({int(dual.level[u]) for u, _ in parts})
+    for kind, ids, parts in regions:
         gate_list = [int(u) for u, _ in parts]
-        for c_color, c_pos in sorted(grouped):
-            members = grouped[(c_color, c_pos)]
+        groups = split_by_gate(ids, set_of)
+        for j, members in sorted(groups, key=lambda group: (c_colors[group[0]], group[0])):
+            c_color = c_colors[j]
             color = (n - n_c + c_color) if kind == "collar" else c_color
-            sets.append(frozenset(members))
+            sets.append(frozenset(members.tolist()))
             colors.append(color)
             set_tags.append(
                 {
                     "kind": kind,
                     "gates": gate_list,
-                    "gate_level": gate_levels_of[0],
+                    "gate_level": min(int(dual.level[u]) for u in gate_list),
                     "c_color": int(c_color),
-                    "c_set": int(c_pos),
+                    "c_set": c_colors[:j].count(c_color),
                     "size": len(members),
                 }
             )

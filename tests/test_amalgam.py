@@ -668,12 +668,52 @@ def test_dual_graph_arrays_are_read_only(z2z3_amalgam):
 
 def test_ball_masks_are_computed_once_and_read_only(z2z3_amalgam):
     ab = prepare(z2z3_amalgam, 8, core_radius=5)
-    for mask in (ab.core_mask, ab.side_of_elements):
+    for mask in (ab.core_mask, ab.side_of_elements, ab.c_part):
         assert mask() is mask()
         with pytest.raises(ValueError, match="read-only"):
             mask()[0] = 0
     assert np.array_equal(ab.core_mask(), ab.ball.norms <= 5)
     assert np.array_equal(ab.side_of_elements(), ab.dual.side[ab.dual.vertex_of_element])
+
+
+@pytest.mark.parametrize(
+    "make_ctx, radius",
+    [
+        (lambda request: request.getfixturevalue("dinf_amalgam"), 20),
+        (lambda request: request.getfixturevalue("z2z3_amalgam"), 15),
+        (lambda request: request.getfixturevalue("z4z2z4_amalgam"), 20),
+        (lambda request: request.getfixturevalue("a4z3z6_amalgam"), 6),
+        (lambda request: path4_split(), 10),
+        (lambda request: split_at(RACG_GRAPHS["cycle4"], 0), 12),
+        (lambda request: split_at(RACG_GRAPHS["cycle5"], 0), 7),
+        # C = Z2*Z2*Z2, on the link {1, 3, 5} of vertex 0
+        (lambda request: split_at(RACG_GRAPHS["six"], 0), 6),
+    ],
+    ids=["dinf", "z2z3", "z4z2z4", "a4z3z6", "path4", "cycle4", "cycle5", "six"],
+)
+def test_c_part_is_the_gate_tail_of_every_ancestor(request, make_ctx, radius):
+    # x = g_u m c for every ancestor u of pi(x) = v: word arithmetic gives
+    # |m| = |rep(v)| - |rep(u)| and c = the C-part column's element
+    ctx = make_ctx(request)
+    ab = prepare(ctx, radius)
+    ball, dual, eng = ab.ball, ab.dual, ctx.engine
+    c_part = ab.c_part()
+    base = dual.base()
+    assert (dual.vertex_of_element[c_part] == base).all()
+    reps = dual.fiber_order[dual.fiber_start[:-1]]
+    assert (c_part[reps] == 0).all()
+    rep_norm = ball.norms[reps].tolist()
+    inv_rep = [eng.inverse(rep) for rep in dual.rep_element]
+    parent = dual.parent.tolist()
+    pairs = 0
+    for x, v, c in zip(ball.elements, dual.vertex_of_element.tolist(), c_part.tolist()):
+        tail = ctx.to_c(ball.elements[c])
+        u = v
+        while u >= 0:
+            assert ctx.gate_tail(inv_rep[u], x) == (rep_norm[v] - rep_norm[u], tail)
+            pairs += 1
+            u = parent[u]
+    assert pairs > len(ball)
 
 
 def test_fibers_match_vertex_scan(dinf_amalgam, z2z3_amalgam, z4z2z4_amalgam):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from asdimlab import builder
-from asdimlab.amalgam import SIDE_A, SIDE_B, RacgAmalgam, prepare
+from asdimlab.amalgam import SIDE_A, SIDE_B, RacgAmalgam, TableAmalgam, prepare
 from asdimlab.builder import (
     algebraic_diameter,
     certificate_json_str,
@@ -91,6 +91,25 @@ def probing_finite_ball(engine):
                 break
             prev = len(ball)
     return build_ball(engine, max(radius, 0))
+
+
+def test_covers_read_the_decomposition_without_gate_tail(monkeypatch, z2z3_amalgam):
+    # x = g_u m c comes from `AmalgamBall.c_part`; word arithmetic is only
+    # the tests' reference.  The 4-cycle's C is D-infinity, so its C-parts
+    # go through a recursive RACG certificate.
+    runs = [
+        lambda: cover_amalgam(z2z3_amalgam, 8),
+        lambda: cover_racg(CoxeterSystem(PATH4), 4),
+        lambda: cover_racg(CoxeterSystem(RACG_GRAPHS["cycle4"]), 4),
+    ]
+    expected = [certificate_json_str(run()) for run in runs]
+
+    def forbidden(self, inv_gate_rep, x):
+        raise AssertionError("gate_tail called")
+
+    for backend in (TableAmalgam, RacgAmalgam):
+        monkeypatch.setattr(backend, "gate_tail", forbidden)
+    assert [certificate_json_str(run()) for run in runs] == expected
 
 
 def test_cover_finite_group_equals_radius_probing(monkeypatch, z4z2z4_amalgam):
