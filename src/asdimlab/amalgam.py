@@ -426,6 +426,11 @@ class AmalgamContext:
     def section(self, side, x, sections=None):
         raise NotImplementedError
 
+    def sections_lie_in_cosets(self, sections):
+        """True when every section of `sections` lies in the coset it stands
+        for, the premise under which `check_assertion_2_2` needs no sections."""
+        raise NotImplementedError
+
     def factor_dims(self):
         """(n_A, n_B, n_C): the asdim numbers the recursion assigns."""
         raise NotImplementedError
@@ -493,55 +498,11 @@ class TableAmalgam(AmalgamContext):
     def random_sections(self, seed):
         return self.engine.random_sections(seed)
 
-    def normal_form_columns(self, ball, dual) -> NormalFormColumns:
-        """The NormalFormColumns of a ball of this amalgam and its dual graph."""
-        reps = [zs for zs, _ in dual.rep_element]
-        last = np.array(
-            [zs[-1] if zs else (SIDE_BASE, 0) for zs in reps], dtype=np.int64
-        ).reshape(-1, 2)
-        vertex_of = dual.vertex_of_element.tolist()
-        return NormalFormColumns(
-            length=np.fromiter(map(len, reps), dtype=np.int64, count=len(reps)),
-            side=last[:, 0],
-            coset=last[:, 1],
-            extends_parent=np.fromiter(
-                (
-                    (bool(zs) and zs[:-1] == reps[p]) if p >= 0 else not zs
-                    for zs, p in zip(reps, dual.parent.tolist())
-                ),
-                dtype=bool,
-                count=len(reps),
-            ),
-            in_rep_coset=np.fromiter(
-                (zs == reps[v] for (zs, _), v in zip(ball.elements, vertex_of)),
-                dtype=bool,
-                count=len(ball),
-            ),
+    def sections_lie_in_cosets(self, sections):
+        coset_of = self.engine.coset_of
+        return all(
+            coset_of[side][rep] == cid for side in (0, 1) for cid, rep in enumerate(sections[side])
         )
-
-
-@dataclass(frozen=True)
-class NormalFormColumns:
-    """Integer columns of the normal forms z_1...z_k c (default sections) of
-    a table-amalgam ball, all read-only.
-
-    Per vertex v, read from its representative's letters: their number
-    `length`, the `side` and `coset` id of the last letter (SIDE_BASE and 0
-    for none), and `extends_parent`: the letters are those of v's parent in
-    K plus one (no letters for a vertex without parent).  Per element x:
-    `in_rep_coset`: x has the letters of its vertex's representative, so x
-    lies in that coset.  x's C-part is `AmalgamBall.c_part`.
-    """
-
-    length: np.ndarray
-    side: np.ndarray
-    coset: np.ndarray
-    extends_parent: np.ndarray
-    in_rep_coset: np.ndarray
-
-    def __post_init__(self):
-        for column in vars(self).values():
-            column.flags.writeable = False
 
 
 class RacgAmalgam(AmalgamContext):
@@ -623,6 +584,12 @@ class RacgAmalgam(AmalgamContext):
             return self.engine.multiply(minrep, self.from_c(cx))
 
         return sect
+
+    def sections_lie_in_cosets(self, sections):
+        """True: a section is a function of the coset's minimal
+        representative, and `random_sections` returns that representative
+        times an element of C."""
+        return True
 
     def factor_dims(self):
         from .coxeter import CoxeterSystem, asdim_recursive
@@ -808,8 +775,7 @@ class AmalgamBall:
     core_radius: int
     _levels: dict = field(default_factory=dict, init=False, repr=False)
     _vertex_by_key: dict = field(default=None, init=False, repr=False)
-    _columns: NormalFormColumns = field(default=None, init=False, repr=False)
-    _c_part: np.ndarray = field(default=None, init=False, repr=False)
+    _parts: dict = field(default_factory=dict, init=False, repr=False)
     _core: np.ndarray = field(default=None, init=False, repr=False)
     _sides: np.ndarray = field(default=None, init=False, repr=False)
 
@@ -852,40 +818,55 @@ class AmalgamBall:
             self._levels[lvl] = (self.metric.dist_field(ids), anc)
         return self._levels[lvl]
 
-    def normal_form_columns(self) -> NormalFormColumns:
-        """`ctx.normal_form_columns` of this ball, computed once (table
-        amalgams only)."""
-        if self._columns is None:
-            self._columns = self.ctx.normal_form_columns(self.ball, self.dual)
-        return self._columns
+    def coset_part(self, side):
+        """Each element's part g^-1 x as a ball id, for g the least id of x's
+        coset: of its fiber xC for side SIDE_BASE, of its piece xA or xB for
+        SIDE_A or SIDE_B; -1 where unreached.  Computed once per side
+        (read-only) by one BFS from those least ids along the coset's letter
+        columns of `Ball.table`, p(x k) = p(x) k, inside the dual graph's
+        fibers or pieces.  Every part is reached: in a RACG the least id of a
+        coset of a parabolic subgroup is its minimal representative g, and x
+        = g y with |x| = |g| + |y| (Bjorner-Brenti 2.4), so the path from g
+        along y and its parts, prefixes of y, stay in the ball; in a table
+        amalgam every non-identity element of A, B or C is one letter.
+        """
+        if side not in self._parts:
+            dual = self.dual
+            starts = dual.fiber_order[dual.fiber_start[:-1]]
+            group = dual.vertex_of_element
+            if side != SIDE_BASE:
+                # a piece's least id is its gate's representative
+                starts = starts[dual.piece_order[dual.piece_start[:-1]][dual.piece_side == side]]
+                group = dual.piece_of_vertex[group, side]
+            table = self.ball.table[:, self.ctx.coset_letters()[side + 1]]
+            p = np.full(self.n + 1, -1, dtype=np.int64)  # p[-1] is read for -1
+            p[starts] = p[-1] = 0  # the identity's id
+            x = starts
+            while len(x):
+                y, py = table[x], table[p[x]]
+                # a part past the ball leaves y unreached
+                new = (p[y] < 0) & (py >= 0) & (group[y] == group[x][:, None])
+                p[y[new]] = py[new]
+                x = np.unique(y[new])
+            p.flags.writeable = False
+            self._parts[side] = p[:-1]
+        return self._parts[side]
 
     def c_part(self):
         """Each element's C-part rep(pi(x))^-1 x as the ball id of that element
-        of C (in the base fiber), rep(v) the least id of v's fiber, computed
-        once per ball (read-only) by one BFS from the reps along `Ball.table`'s
-        C-letter columns: c(x k) = c(x) k.  For every ancestor u of v = pi(x),
-        x = rep(u) m c(x) with |m| = |rep(v)| - |rep(u)| (`gate_tail` is the
+        of C (in the base fiber), rep(v) the least id of v's fiber:
+        `coset_part(SIDE_BASE)`.  For every ancestor u of v = pi(x), x =
+        rep(u) m c(x) with |m| = |rep(v)| - |rep(u)| (`gate_tail` is the
         tests' reference), as rep(u) is a geodesic prefix of rep(v): in a RACG
         a gate's rep is its piece's shortest element, so rep(v) = rep(u) m with
         m minimal in mK (Bjorner-Brenti 2.4); in a table amalgam a coset's
         least id, first seen from rep(parent) by its default section, has
         trivial C-part.
         """
-        if self._c_part is None:
-            table = self.ball.table[:, self.ctx.coset_letters()[0]]
-            c = np.full(self.n + 1, -1, dtype=np.int64)  # c[-1] is read for -1
-            x = self.dual.fiber_order[self.dual.fiber_start[:-1]]
-            c[x] = c[-1] = 0  # the identity's id
-            while len(x):
-                y, cy = table[x], table[c[x]]
-                new = (c[y] < 0) & (cy >= 0)  # c(y) past the ball leaves y unreached
-                c[y[new]] = cy[new]
-                x = np.unique(y[new])
-            if (c[:-1] < 0).any():
-                raise AssertionError("C-part not reached, or outside the ball")
-            c.flags.writeable = False
-            self._c_part = c[:-1]
-        return self._c_part
+        c = self.coset_part(SIDE_BASE)
+        if (c < 0).any():
+            raise AssertionError("C-part not reached, or outside the ball")
+        return c
 
     def _vertex_of(self, x):
         """pi(x) as a vertex id, None when its coset is not in the ball.  The
@@ -974,7 +955,10 @@ class CheckVerdict:
     def line(self):
         status = "pass" if self.passed else "FAIL"
         extra = f" witness={self.witness}" if self.witness is not None else ""
-        note = f" ({self.note})" if self.note else ""
+        notes = [self.note] if self.note else []
+        if self.passed and not self.checked:
+            notes.append("vacuous: nothing in the ball to check")
+        note = f" ({'; '.join(notes)})" if notes else ""
         return f"{self.name}: {status} [{self.checked} checks]{extra}{note}"
 
 
@@ -982,120 +966,67 @@ def check_assertion_2_1(ab: AmalgamBall) -> CheckVerdict:
     """Every Cayley edge maps to a K-vertex or a K-edge between factor-adjacent
     cosets; hence pi extends simplicially and is 1-Lipschitz.
 
-    Edges are taken in `Ball.cayley_edges` order, and a failure reports the
-    first failing edge with `checked` counting the edges up to it.  Table
-    amalgams read the normal-form columns (`_assertion_2_1_columns`); RACG
-    splittings, whose C has no table, multiply representatives
-    (`_assertion_2_1_walk`).
+    For distinct vertices u and v, rep(u)^-1 rep(v) lies in a factor exactly
+    when the cosets u and v lie in one coset of A or of B, that is, when they
+    share a piece (`DualGraph.piece_of_vertex`); their levels may differ by
+    at most 1.  Edges are taken in `Ball.cayley_edge_arrays` order, and a
+    failure reports the first failing edge with `checked` counting the edges
+    up to it.
     """
-    if isinstance(ab.ctx, TableAmalgam):
-        return _assertion_2_1_columns(ab)
-    return _assertion_2_1_walk(ab)
-
-
-def _assertion_2_1_walk(ab: AmalgamBall) -> CheckVerdict:
-    """Assertion 2.1 by word arithmetic: in_factor(rep(u)^{-1} rep(v)) and the
-    level gap of every edge between distinct vertices u, v."""
-    ctx, dual, ball = ab.ctx, ab.dual, ab.ball
-    eng = ctx.engine
-    checked = 0
-    for u, v in ball.cayley_edges():
-        ku, kv = int(dual.vertex_of_element[u]), int(dual.vertex_of_element[v])
-        checked += 1
-        if ku == kv:
-            continue
-        h = eng.multiply(eng.inverse(dual.rep_element[ku]), dual.rep_element[kv])
-        off_factor = ctx.in_factor(h) is None
-        if off_factor or abs(int(dual.level[ku]) - int(dual.level[kv])) > 1:
-            return _assertion_2_1_failure(ab, u, v, checked, off_factor)
-    return CheckVerdict("assertion-2.1", True, checked)
-
-
-def _assertion_2_1_failure(ab, u, v, checked, off_factor):
-    if off_factor:
-        word = ab.ctx.engine.word_str
-        witness = (word(ab.ball.elements[u]), word(ab.ball.elements[v]))
-        return CheckVerdict("assertion-2.1", False, checked, witness=witness)
-    return CheckVerdict(
-        "assertion-2.1",
-        False,
-        checked,
-        witness=(u, v),
-        note="projection not 1-Lipschitz on this edge",
-    )
-
-
-def _assertion_2_1_columns(ab: AmalgamBall) -> CheckVerdict:
-    """Assertion 2.1 on a table amalgam, all edges at once.
-
-    Let P(v) be the product of the default sections of rep(v)'s letters, so
-    rep(v) = P(v) c_v.  Then rep(u)^{-1} rep(v) = c_u^{-1} P(u)^{-1} P(v) c_v,
-    and multiplying by C on either side keeps the number of letters, so
-    in_factor holds exactly when P(u)^{-1} P(v) has at most one letter.  When
-    the letters form K's parent tree (`_letters_form_the_tree`), distinct
-    vertices have distinct letters, and the letters that u and v share are
-    those of their lowest common ancestor a.  P(u)^{-1} P(v) then has one
-    letter per step from u down to a and from a up to v, except that the two
-    steps at a merge into one factor element (never in C, as they name
-    different cosets) when their letters lie on one side.  So for u != v,
-    in_factor holds exactly when u and v are parent and child, or siblings
-    whose last letters lie on one side.  Where the letters do not form the
-    tree, the walk decides.
-    """
-    dual, cols = ab.dual, ab.normal_form_columns()
-    if not _letters_form_the_tree(dual, cols):
-        return _assertion_2_1_walk(ab)
-    lo, hi = ab.ball.cayley_edge_arrays()
+    dual, ball = ab.dual, ab.ball
+    lo, hi = ball.cayley_edge_arrays()
     ku, kv = dual.vertex_of_element[lo], dual.vertex_of_element[hi]
-    pu, pv = dual.parent[ku], dual.parent[kv]
-    cross = ku != kv
-    off_factor = (
-        cross & (pv != ku) & (pu != kv) & ((pu != pv) | (cols.side[ku] != cols.side[kv]))
-    )
-    bad = off_factor | (cross & (np.abs(dual.level[ku] - dual.level[kv]) > 1))
+    off_factor = (ku != kv) & (dual.piece_of_vertex[ku] != dual.piece_of_vertex[kv]).all(axis=1)
+    bad = off_factor | (np.abs(dual.level[ku] - dual.level[kv]) > 1)
     if not bad.any():
         return CheckVerdict("assertion-2.1", True, len(lo))
     i = int(np.argmax(bad))
-    return _assertion_2_1_failure(ab, int(lo[i]), int(hi[i]), i + 1, bool(off_factor[i]))
-
-
-def _letters_form_the_tree(dual, cols):
-    """Every vertex's letters are its parent's plus one (none for a root),
-    sides alternate along the parent tree, and no two vertices share a
-    parent and a last letter."""
-    child = np.nonzero(dual.parent >= 0)[0]
-    keys = ((dual.parent + 1) * 3 + cols.side + 1) * (int(cols.coset.max()) + 1) + cols.coset
-    return bool(
-        cols.extends_parent.all()
-        and (cols.side[child] != cols.side[dual.parent[child]]).all()
-        and len(np.unique(keys)) == len(keys)
+    u, v = int(lo[i]), int(hi[i])
+    if off_factor[i]:
+        word = ab.ctx.engine.word_str
+        witness = (word(ball.elements[u]), word(ball.elements[v]))
+        return CheckVerdict("assertion-2.1", False, i + 1, witness=witness)
+    return CheckVerdict(
+        "assertion-2.1",
+        False,
+        i + 1,
+        witness=(u, v),
+        note="projection not 1-Lipschitz on this edge",
     )
 
 
 def check_assertion_2_2(ab: AmalgamBall, sections=None, max_norm=None) -> CheckVerdict:
     """||gamma|| >= d(z_k c, C) for the normal presentation, any sections.
 
-    The prefix z_1...z_j of a normal form depends only on the K-vertex, so
-    each vertex's letter is found once and each element only adds its tail
-    c.  The scan covers the in-scope elements (norm <= max_norm, the whole
-    enumerated ball by default) and the vertices their normal forms walk
-    through.  A failure reports the lowest failing ball index, with
-    `checked` counting the elements up to it: the verdict of a scan in ball
-    order.  Table amalgams read the normal-form columns
-    (`_assertion_2_2_columns`); RACG splittings, whose C has no table, walk
-    K by word arithmetic (`_assertion_2_2_walk`).  Everything is exact.
+    The scan covers the in-scope elements (norm <= max_norm, the whole
+    enumerated ball by default) outside the base fiber, and a failure
+    reports the lowest failing ball index, with `checked` counting the
+    elements up to it.  Under the default sections the prefix z_1...z_j of
+    an element of the fiber of v is rep(v), so z_k c = rep(u)^-1 x for u the
+    parent of pi(x), which `_normal_form_tails` reads as a ball id near the
+    identity, and d(z_k c, C) is the level-0 field there (`level_field`).
+
+    Other sections change nothing while each lies in its coset: then the
+    prefix over them is P'(v) = P(v) delta_v with delta_v in C, by induction
+    along K (the step P'(u)^-1 rep(v) = delta_u^-1 P(u)^-1 rep(v) names the
+    same coset side, and its section is P(u)^-1 rep(v) times an element of
+    C).  So z'_k c' = P'(u)^-1 x = delta_u^-1 z_k c, and d(delta^-1 y, C) =
+    d(y, C) for delta in C: the count and the witness are those of the
+    default sections.  Sections therefore enter only through
+    `ctx.sections_lie_in_cosets`, and one outside its coset raises
+    AssertionError.
     """
-    if isinstance(ab.ctx, TableAmalgam):
-        return _assertion_2_2_columns(ab, sections, max_norm)
-    return _assertion_2_2_walk(ab, sections, max_norm)
-
-
-def _padded(rows):
-    """Rows of unequal length as one int64 array, padded with -1."""
-    out = np.full((len(rows), max(map(len, rows))), -1, dtype=np.int64)
-    for i, row in enumerate(rows):
-        out[i, : len(row)] = row
-    return out
+    if sections is not None and not ab.ctx.sections_lie_in_cosets(sections):
+        raise AssertionError("a section lies outside its coset")
+    ball = ab.ball
+    in_scope = ball.norms <= (ball.radius if max_norm is None else max_norm)
+    ids, tail = _normal_form_tails(ab, in_scope)
+    fail = ball.norms[ids] < ab.level_field(0)[0][tail]
+    if fail.any():
+        j = int(np.argmax(fail))
+        witness = ab.ctx.engine.word_str(ball.elements[ids[j]])
+        return CheckVerdict("assertion-2.2", False, j + 1, witness=witness)
+    return CheckVerdict("assertion-2.2", True, len(ids))
 
 
 def _live_vertices(dual, in_scope):
@@ -1107,167 +1038,66 @@ def _live_vertices(dual, in_scope):
     return live
 
 
-def _assertion_2_2_walk(ab: AmalgamBall, sections, max_norm) -> CheckVerdict:
-    """Assertion 2.2 by one depth-first walk of K's parent tree.
+def _normal_form_tails(ab: AmalgamBall, in_scope):
+    """(ids, tail): the in-scope elements outside the base fiber, ascending,
+    and the ball id of each one's z_k c = rep(u)^-1 x under the default
+    sections, u the parent of v = pi(x): the `coset_part` of x in the piece
+    that v shares with u.  That piece's gate is u, because a vertex other
+    than the base is a non-gate member of one piece only, the one it was
+    entered through, and the walk's checks below hold along the way.
 
-    Per vertex u, h = prefix(parent)^{-1} . rep(u) gives the letter z_u =
-    section(h), and prefix(u)^{-1} = z_u^{-1} . prefix(parent)^{-1}; per
-    element x of the fiber of u, c = prefix(u)^{-1} . x is the tail.  These
-    are the letters and tails of `amalgam_normal_form`, and only the live
-    root-to-vertex path of prefixes is held.  The walk visits elements out
-    of ball order, so the lowest failing index is kept.  Invariant failures
-    raise as soon as the walk meets them.
+    The walk's checks come first, in its order: a depth-first walk of the
+    live parent tree from the base, children ascending, which at each
+    vertex v requires that v shares a piece with its parent (the step lies
+    in a factor), that the piece's side differs from the parent's step (the
+    letters alternate), and that every in-scope element of v's fiber has its
+    C-part reached inside the fiber (the tail lies in C).  The first failure
+    raises AssertionError with the walk's message.
     """
-    ctx, ball, dual = ab.ctx, ab.ball, ab.dual
-    eng = ctx.engine
-    in_scope = ball.norms <= (ball.radius if max_norm is None else max_norm)
-    live = _live_vertices(dual, in_scope)
-    children = [[] for _ in range(dual.n_vertices)]
-    for v in np.nonzero(live & (dual.level > 0))[0].tolist():
-        children[int(dual.parent[v])].append(v)
-
-    counted = np.zeros(len(ball), dtype=bool)
-    first_fail = len(ball)
-
-    def scan_fiber(u, inv_prefix, z):
-        nonlocal first_fail
-        for i in dual.fiber(u).tolist():
-            if not in_scope[i]:
-                continue
-            x = ball.elements[i]
-            c = eng.multiply(inv_prefix, x)
-            if not ctx.is_in_c(c):
-                raise AssertionError("normal-form tail not in C")
-            if z is None:
-                continue
-            counted[i] = True
-            if i < first_fail and eng.norm(x) < ctx.dist_to_c(eng.multiply(z, c)):
-                first_fail = i
-
+    dual = ab.dual
     base = dual.base()
-    scan_fiber(base, eng.identity, None)
-    stack = [(eng.identity, SIDE_BASE, iter(children[base]))]
-    while stack:
-        inv_prefix, side, kids = stack[-1]
-        v = next(kids, None)
-        if v is None:
-            stack.pop()
-            continue
-        h = eng.multiply(inv_prefix, dual.rep_element[v])
-        v_side = ctx.in_factor(h)
-        if v_side is None:
-            raise AssertionError("dual-graph step does not lie in a factor")
-        if v_side == side:
-            raise AssertionError("normal form letters fail to alternate")
-        z = ctx.section(v_side, h, sections=sections)
-        inv_v = eng.multiply(eng.inverse(z), inv_prefix)
-        scan_fiber(v, inv_v, z)
-        stack.append((inv_v, v_side, iter(children[v])))
-
-    if first_fail < len(ball):
-        return CheckVerdict(
-            "assertion-2.2",
-            False,
-            int(counted[: first_fail + 1].sum()),
-            witness=eng.word_str(ball.elements[first_fail]),
-        )
-    return CheckVerdict("assertion-2.2", True, int(counted.sum()))
-
-
-def _assertion_2_2_columns(ab: AmalgamBall, sections, max_norm) -> CheckVerdict:
-    """Assertion 2.2 on a table amalgam from the normal-form columns.
-
-    Let P(v) be the prefix of v's normal forms over the default sections and
-    P'(v) the prefix over the given ones; P'(v) = P'(u) z'_v for v's parent
-    u, so delta(v) = P(v)^{-1} P'(v) lies in C.  With r_v the default section
-    of v's last letter, P(v) = P(u) r_v and the walk's step is h = P'(u)^{-1}
-    rep(v) = delta(u)^{-1} r_v c_v.  Hence, in the factor of v's last
-    letter: z'_v is the section of the coset of w = delta(u)^{-1} r_v, and
-    delta(v) = r_v^{-1} delta(u) z'_v.  An element x = P(v) c_x of the fiber
-    of v has the tail P'(v)^{-1} x = delta(v)^{-1} c_x, which is one C-table
-    lookup, and d(z'_v c, C) is asked once per distinct (z'_v, c).
-
-    The walk's checks hold here when the base's representative has no
-    letters, every other live vertex has positive level, a live parent, its
-    parent's letters plus one, and the other side, and every in-scope
-    element has its representative's letters: then the parent tree on the
-    live vertices is the one the walk visits, each step lies in a factor,
-    and each tail lies in C.  w's coset is then non-trivial and delta(v)
-    lies in C whenever every section lies in its coset.  Where any of this
-    fails, the walk decides, and raises its own message.
-    """
-    ctx, ball, dual = ab.ctx, ab.ball, ab.dual
-    eng = ctx.engine
-    cols = ab.normal_form_columns()
-    in_scope = ball.norms <= (ball.radius if max_norm is None else max_norm)
     live = _live_vertices(dual, in_scope)
-    base = dual.base()
-    vs = np.nonzero(live)[0]
-    vs = vs[vs != base]
+    vs = np.nonzero(live & (dual.level > 0))[0]
     us = dual.parent[vs]
-    if not (
-        cols.length[base] == 0
-        and (dual.level[vs] > 0).all()
-        and (us >= 0).all()
-        and live[us].all()
-        and cols.extends_parent[vs].all()
-        and (cols.side[vs] != cols.side[us]).all()
-        and cols.in_rep_coset[in_scope].all()
-    ):
-        return _assertion_2_2_walk(ab, sections, max_norm)
-
+    shared = dual.piece_of_vertex[vs] == dual.piece_of_vertex[us]
+    step = np.full(dual.n_vertices, SIDE_BASE, dtype=np.int64)
+    step[vs] = np.where(shared[:, SIDE_A], SIDE_A, SIDE_B)
+    outside_c = np.zeros(dual.n_vertices, dtype=bool)
+    outside_c[dual.vertex_of_element[in_scope & (ab.coset_part(SIDE_BASE) < 0)]] = True
+    if outside_c[base]:
+        raise AssertionError("normal-form tail not in C")
+    checks = (
+        (~shared.any(axis=1), "dual-graph step does not lie in a factor"),
+        (step[vs] == step[us], "normal form letters fail to alternate"),
+        (outside_c[vs], "normal-form tail not in C"),
+    )
+    bad = np.column_stack([fails for fails, _ in checks])
+    at = _first_in_walk_order(dual, live, vs, bad.any(axis=1))
+    if at is not None:
+        raise AssertionError(checks[int(np.argmax(bad[at]))][1])
     ids = np.nonzero(in_scope & (dual.vertex_of_element != base))[0]
-    found = _section_tails(ab, sections, vs, ids)
-    if found is None:
-        return _assertion_2_2_walk(ab, sections, max_norm)
-    letter, tail = found
-    side = cols.side[dual.vertex_of_element[ids]]
-    g, nc = max(eng.a.size, eng.b.size), eng.c_size
-    keys, which = np.unique((side * g + letter) * nc + tail, return_inverse=True)
-    dist = np.zeros(len(keys), dtype=np.int64)
-    for j, key in enumerate(keys.tolist()):
-        side, z, c = key // (g * nc), key // nc % g, key % nc
-        zc = eng.mul_elem(eng.mul_elem(eng.identity, side, z), side, eng.embed[side][c])
-        dist[j] = ctx.dist_to_c(zc)
-    fail = ball.norms[ids] < dist[which]
-    if fail.any():
-        j = int(np.argmax(fail))
-        return CheckVerdict(
-            "assertion-2.2", False, j + 1, witness=eng.word_str(ball.elements[ids[j]])
-        )
-    return CheckVerdict("assertion-2.2", True, len(ids))
+    on_a = step[dual.vertex_of_element[ids]] == SIDE_A
+    tail = np.where(on_a, ab.coset_part(SIDE_A)[ids], ab.coset_part(SIDE_B)[ids])
+    if (tail < 0).any():
+        raise AssertionError("normal-form tail not reached inside the ball")
+    return ids, tail
 
 
-def _section_tails(ab: AmalgamBall, sections, vs, ids):
-    """(z'_v, tail) of every element in `ids` as factor-element and C-index
-    arrays, for the given sections: the last letter and the C-part of its
-    normal form.  `vs` must hold the vertices of `ids` and every non-base
-    vertex on their way to the base, with parents in K.  None when a step
-    meets the trivial coset or delta(v) leaves C (a section outside its
-    coset)."""
-    eng, dual, cols = ab.ctx.engine, ab.dual, ab.normal_form_columns()
-    table, inv, embed, c_index, coset_of = eng.factor_arrays()
-    default, chosen = (_padded(reps) for reps in (eng.sections, sections or eng.sections))
-    delta = np.full(dual.n_vertices, eng.c_identity, dtype=np.int64)
-    letter = np.zeros(dual.n_vertices, dtype=np.int64)  # z'_v
-    for k in range(1, int(cols.length[vs].max(initial=0)) + 1):
-        v = vs[cols.length[vs] == k]
-        side = cols.side[v]
-        r = default[side, cols.coset[v]]
-        du = embed[side, delta[dual.parent[v]]]
-        cw = coset_of[side, table[side, inv[side, du], r]]
-        z = chosen[side, cw]
-        dv = c_index[side, table[side, table[side, inv[side, r], du], z]]
-        if (cw == 0).any() or (dv < 0).any():
-            return None
-        delta[v], letter[v] = dv, z
-    v = dual.vertex_of_element[ids]
-    c_table = np.array(eng.c_group.table, dtype=np.int64)
-    c_inv = np.array(eng.c_group.inv, dtype=np.int64)
-    base = dual.fiber(dual.base())
-    c_of = np.zeros(ab.n, dtype=np.int64)  # the C index of each base-fiber id
-    c_of[base] = [ab.ctx.to_c(ab.ball.elements[i]) for i in base.tolist()]
-    return letter[v], c_table[c_inv[delta[v]], c_of[ab.c_part()[ids]]]
+def _first_in_walk_order(dual, live, vs, flagged):
+    """The index into `vs` of the first flagged vertex a depth-first walk of
+    the live parent tree from the base reaches, children ascending; None
+    when the walk reaches none.  Only flagged vertices are traced, each by
+    its path from the base, and preorder is the lexicographic order of those
+    paths."""
+    base, where = dual.base(), {}
+    for i in np.flatnonzero(flagged).tolist():
+        path, v = [], int(vs[i])
+        while v != base and v >= 0 and live[v] and dual.level[v] > 0 and len(path) < len(vs):
+            path.append(v)
+            v = int(dual.parent[v])
+        if v == base:
+            where[tuple(reversed(path))] = i
+    return where[min(where)] if where else None
 
 
 def compute_D_R(ab: AmalgamBall, u, R, side=None):

@@ -197,9 +197,10 @@ def cmd_check(args):
         raise InputError(
             f"--R {big_r} is above r/4 = {args.r / 4:g}: translate disjointness needs R <= r/4"
         )
-    # by default the least radius from 8 whose core, radius - 3R, holds a
+    # by default 2r, which holds level-r translates for Prop 2.2 and the
+    # partition, and at least 4R + 1, whose core, radius - 3R, holds a
     # level-(R + 1) fiber for the separation check (pi is 1-Lipschitz)
-    radius = max(8, 4 * big_r + 1) if args.ball is None else args.ball
+    radius = max(2 * args.r, 4 * big_r + 1) if args.ball is None else args.ball
     if radius < 3 * big_r:
         raise InputError(
             f"--ball {radius} is below 3R = {3 * big_r}: the checkers' core radius would be negative"
@@ -233,6 +234,8 @@ def cmd_check(args):
     for v in verdicts:
         print(v.line())
         failed = failed or not v.passed
+    if args.r <= 4 * big_r:
+        print(f"partition: skipped, r = 4R = {args.r} leaves no room between slabs (needs r > 4R)")
     return EXIT_VERIFY if failed else EXIT_OK
 
 

@@ -27,8 +27,6 @@ from asdimlab.amalgam import (
     prepare,
     verify_partition,
     TableAmalgam,
-    _assertion_2_1_walk,
-    _assertion_2_2_walk,
 )
 from asdimlab.errors import InputError, OutOfBallError, PreconditionError
 from asdimlab.groups import Ball, RacgEngine, build_ball
@@ -72,6 +70,103 @@ def reference_assertion_2_2(ab, sections=None, max_norm=None):
         if eng.norm(x) < ctx.dist_to_c(tail):
             return CheckVerdict("assertion-2.2", False, checked, witness=eng.word_str(x))
     return CheckVerdict("assertion-2.2", True, checked)
+
+
+def assertion_2_1_walk(ab):
+    """Assertion 2.1 by word arithmetic: in_factor(rep(u)^{-1} rep(v)) and the
+    level gap of every edge between distinct vertices u, v, in
+    `Ball.cayley_edges` order."""
+    ctx, dual, ball = ab.ctx, ab.dual, ab.ball
+    eng = ctx.engine
+    checked = 0
+    for u, v in ball.cayley_edges():
+        ku, kv = int(dual.vertex_of_element[u]), int(dual.vertex_of_element[v])
+        checked += 1
+        if ku == kv:
+            continue
+        h = eng.multiply(eng.inverse(dual.rep_element[ku]), dual.rep_element[kv])
+        if ctx.in_factor(h) is None:
+            witness = (eng.word_str(ball.elements[u]), eng.word_str(ball.elements[v]))
+            return CheckVerdict("assertion-2.1", False, checked, witness=witness)
+        if abs(int(dual.level[ku]) - int(dual.level[kv])) > 1:
+            return CheckVerdict(
+                "assertion-2.1",
+                False,
+                checked,
+                witness=(u, v),
+                note="projection not 1-Lipschitz on this edge",
+            )
+    return CheckVerdict("assertion-2.1", True, checked)
+
+
+def assertion_2_2_walk(ab, sections=None, max_norm=None):
+    """Assertion 2.2 by one depth-first walk of K's parent tree.
+
+    Per vertex u, h = prefix(parent)^{-1} . rep(u) gives the letter z_u =
+    section(h), and prefix(u)^{-1} = z_u^{-1} . prefix(parent)^{-1}; per
+    element x of the fiber of u, c = prefix(u)^{-1} . x is the tail.  These
+    are the letters and tails of `amalgam_normal_form`, and only the live
+    root-to-vertex path of prefixes is held.  The walk visits elements out
+    of ball order, so the lowest failing index is kept.  Invariant failures
+    raise as soon as the walk meets them.
+    """
+    ctx, ball, dual = ab.ctx, ab.ball, ab.dual
+    eng = ctx.engine
+    in_scope = ball.norms <= (ball.radius if max_norm is None else max_norm)
+    live = np.zeros(dual.n_vertices, dtype=bool)
+    live[dual.vertex_of_element[in_scope]] = True
+    for lvl in range(int(dual.level.max()), 0, -1):
+        live[dual.parent[live & (dual.level == lvl)]] = True
+    children = [[] for _ in range(dual.n_vertices)]
+    for v in np.nonzero(live & (dual.level > 0))[0].tolist():
+        children[int(dual.parent[v])].append(v)
+
+    counted = np.zeros(len(ball), dtype=bool)
+    first_fail = len(ball)
+
+    def scan_fiber(u, inv_prefix, z):
+        nonlocal first_fail
+        for i in dual.fiber(u).tolist():
+            if not in_scope[i]:
+                continue
+            x = ball.elements[i]
+            c = eng.multiply(inv_prefix, x)
+            if not ctx.is_in_c(c):
+                raise AssertionError("normal-form tail not in C")
+            if z is None:
+                continue
+            counted[i] = True
+            if i < first_fail and eng.norm(x) < ctx.dist_to_c(eng.multiply(z, c)):
+                first_fail = i
+
+    base = dual.base()
+    scan_fiber(base, eng.identity, None)
+    stack = [(eng.identity, SIDE_BASE, iter(children[base]))]
+    while stack:
+        inv_prefix, side, kids = stack[-1]
+        v = next(kids, None)
+        if v is None:
+            stack.pop()
+            continue
+        h = eng.multiply(inv_prefix, dual.rep_element[v])
+        v_side = ctx.in_factor(h)
+        if v_side is None:
+            raise AssertionError("dual-graph step does not lie in a factor")
+        if v_side == side:
+            raise AssertionError("normal form letters fail to alternate")
+        z = ctx.section(v_side, h, sections=sections)
+        inv_v = eng.multiply(eng.inverse(z), inv_prefix)
+        scan_fiber(v, inv_v, z)
+        stack.append((inv_v, v_side, iter(children[v])))
+
+    if first_fail < len(ball):
+        return CheckVerdict(
+            "assertion-2.2",
+            False,
+            int(counted[: first_fail + 1].sum()),
+            witness=eng.word_str(ball.elements[first_fail]),
+        )
+    return CheckVerdict("assertion-2.2", True, int(counted.sum()))
 
 
 def reference_D_R(ab, u, R, side=None):
@@ -443,98 +538,180 @@ def _tails(ab, sections):
     return out
 
 
-def forbid_walks(monkeypatch):
-    """Make the table-amalgam checkers fail instead of handing over to the walk."""
-
-    def walk(*args):
-        raise RuntimeError("the normal-form columns handed over to the walk")
-
-    monkeypatch.setattr(amalgam, "_assertion_2_1_walk", walk)
-    monkeypatch.setattr(amalgam, "_assertion_2_2_walk", walk)
+def right_coset_key(ctx, y):
+    """A key of the right coset C y, on which d(y, C) = d(C y, 1) depends."""
+    eng = ctx.engine
+    if isinstance(ctx, RacgAmalgam):
+        return eng.coset_minrep(eng.inverse(y), ctx.k)
+    return min(eng.multiply(ctx.from_c(c), y) for c in range(eng.c_size))
 
 
 @pytest.mark.parametrize("split", ["table", "racg", "table-walk", "a4z3z6", "a4z3z6-walk"])
 def test_assertion_2_2_walk_reports_lowest_failing_element(request, monkeypatch, split):
-    check = check_assertion_2_2
-    if split.endswith("-walk"):
-        check = _assertion_2_2_walk  # the walk kept for RACG splittings, on a table amalgam
     if split.startswith("table"):
         ctx = TableAmalgam(z_n_group(2, "a"), z_n_group(3, "b"), [0], [0])
         ab = prepare(ctx, 10)
     elif split.startswith("a4z3z6"):
-        # C has order 3, so delta(v) and delta(v)^{-1} differ under seeded sections
+        # C has order 3 and is not normal in A4, so seeded sections move the
+        # tails z_k c by delta in C on the left
         ctx = request.getfixturevalue("a4z3z6_amalgam")
         ab = prepare(ctx, 5)
     else:
         ctx = path4_split()
         ab = prepare(ctx, 7)
-    if split in ("table", "a4z3z6"):
-        forbid_walks(monkeypatch)
-    eng, elements = ctx.engine, ab.ball.elements
-    real = ctx.dist_to_c
-    for sections in (None, ctx.random_sections(7), ctx.random_sections(8)):
-        tails = _tails(ab, sections)
-        classes = {}
-        for i, t in tails.items():
-            classes.setdefault(t, []).append(i)
-        # d(z_k c, C) is faked only for the tails of two chosen elements, so
-        # exactly the elements sharing those tails fail; the walk meets them
-        # out of ball order and must still report the lowest one
-        firsts = sorted(ids[0] for ids in classes.values())
-        for chosen in zip(firsts, firsts[1:]):
-            bad = {tails[i] for i in chosen}
-            monkeypatch.setattr(
-                ctx, "dist_to_c", lambda x: ab.ball.radius + 1 if x in bad else real(x)
-            )
-            walk = check(ab, sections, None)
+    check = assertion_2_2_walk if split.endswith("-walk") else check_assertion_2_2
+    eng, elements, radius = ctx.engine, ab.ball.elements, ab.ball.radius
+    real, (field, anc) = ctx.dist_to_c, ab.level_field(0)
+    # d(z_k c, C) is faked on the right cosets C z_k c of two chosen
+    # elements' default tails, so exactly the elements whose tails lie in
+    # those cosets fail, under every choice of sections; the walk meets them
+    # out of ball order and must still report the lowest one.  The walk and
+    # the reference read the fault through `dist_to_c`, the integer path
+    # through the level-0 field at the tail's ball id.
+    tails = {i: right_coset_key(ctx, t) for i, t in _tails(ab, None).items()}
+    ball_keys = [right_coset_key(ctx, y) for y in elements]
+    classes = {}
+    for i, key in tails.items():
+        classes.setdefault(key, []).append(i)
+    firsts = sorted(ids[0] for ids in classes.values())
+    assert len(firsts) > 2
+    for chosen in zip(firsts, firsts[1:]):
+        bad = {tails[i] for i in chosen}
+        monkeypatch.setattr(
+            ctx, "dist_to_c", lambda x: radius + 1 if right_coset_key(ctx, x) in bad else real(x)
+        )
+        planted = np.where([key in bad for key in ball_keys], radius + 1, field)
+        monkeypatch.setitem(ab._levels, 0, (planted, anc))
+        checked = sum(1 for i in tails if i <= chosen[0])
+        expected = CheckVerdict(
+            "assertion-2.2", False, checked, witness=eng.word_str(elements[chosen[0]])
+        )
+        for sections in (None, ctx.random_sections(7), ctx.random_sections(8)):
             ref = reference_assertion_2_2(ab, sections=sections)
-            checked = sum(1 for i in tails if i <= chosen[0])
-            expected = CheckVerdict(
-                "assertion-2.2", False, checked, witness=eng.word_str(elements[chosen[0]])
-            )
-            assert walk.line() == ref.line() == expected.line()
+            assert check(ab, sections, None).line() == ref.line() == expected.line()
 
+
+def amalgam_named(request, name):
+    """A conftest amalgam fixture by name, or a RACG split of `RACG_SPLITS`."""
+    return RACG_SPLITS[name]() if name in RACG_SPLITS else request.getfixturevalue(name)
+
+
+RACG_SPLITS = {
+    "path4split": path4_split,
+    # the vertex-0 star/link splits; six's C is Z2*Z2*Z2 on the link {1, 3, 5}
+    "cycle4split": lambda: split_at(RACG_GRAPHS["cycle4"], 0),
+    "cycle5split": lambda: split_at(RACG_GRAPHS["cycle5"], 0),
+    "sixsplit": lambda: split_at(RACG_GRAPHS["six"], 0),
+}
 
 NF_COLUMN_CASES = (
     [("dinf_amalgam", r) for r in (0, 1, 2, 7, 22)]
     + [("z2z3_amalgam", r) for r in (1, 6, 13, 22)]
     + [("z4z2z4_amalgam", r) for r in (0, 1, 5, 22)]
     + [("a4z3z6_amalgam", r) for r in (1, 3, 6)]
+    + [("path4split", r) for r in (0, 1, 2, 5, 9, 12)]
+    + [("cycle4split", r) for r in (4, 12)]
+    + [("cycle5split", r) for r in (3, 7)]
+    + [("sixsplit", r) for r in (2, 6)]
 )
 
 
 @pytest.mark.parametrize("fixture, radius", NF_COLUMN_CASES)
-def test_normal_form_columns_match_the_walk(request, monkeypatch, fixture, radius):
-    ctx = request.getfixturevalue(fixture)
+def test_normal_form_columns_match_the_walk(request, fixture, radius):
+    # the integer checkers on both backends against the word-arithmetic
+    # walks, for default and seeded sections, with and without max_norm
+    ctx = amalgam_named(request, fixture)
     ab = prepare(ctx, radius)
     choices = [None] + [ctx.random_sections(seed) for seed in (1, 2, 3)]
     runs = [(sections, max_norm) for sections in choices for max_norm in (None, radius - 3)]
-    walk_2_1 = _assertion_2_1_walk(ab).line()
-    walks = [_assertion_2_2_walk(ab, *run).line() for run in runs]
-    forbid_walks(monkeypatch)
-    assert check_assertion_2_1(ab).line() == walk_2_1
-    assert [check_assertion_2_2(ab, *run).line() for run in runs] == walks
-    columns = ab.normal_form_columns()
-    assert ab.normal_form_columns() is columns
-    assert not any(column.flags.writeable for column in vars(columns).values())
+    assert check_assertion_2_1(ab).line() == assertion_2_1_walk(ab).line()
+    for run in runs:
+        assert check_assertion_2_2(ab, *run).line() == assertion_2_2_walk(ab, *run).line()
+    for side in (SIDE_BASE, SIDE_A, SIDE_B):
+        part = ab.coset_part(side)
+        assert ab.coset_part(side) is part and not part.flags.writeable
+        assert (part >= 0).all()
 
 
-@pytest.mark.parametrize("fixture, radius", [("z4z2z4_amalgam", 9), ("a4z3z6_amalgam", 5)])
-def test_section_tails_are_the_normal_form_tails(request, fixture, radius):
-    # every element's last letter and C-part, at every level, for default
-    # and seeded sections
-    ctx = request.getfixturevalue(fixture)
+TAIL_CASES = [
+    ("dinf_amalgam", 12),
+    ("z2z3_amalgam", 9),
+    ("z4z2z4_amalgam", 12),
+    ("a4z3z6_amalgam", 4),
+    ("path4split", 8),
+    ("cycle4split", 8),
+    ("cycle5split", 5),
+    ("sixsplit", 4),
+]
+
+
+@pytest.mark.parametrize("fixture, radius", TAIL_CASES)
+def test_tail_column_is_the_default_normal_form_tail(request, fixture, radius):
+    # z_k c of every element outside the base fiber, under the default
+    # sections, is the element the tail column names
+    ctx = amalgam_named(request, fixture)
     ab = prepare(ctx, radius)
-    eng, dual = ctx.engine, ab.dual
-    vs = np.nonzero(dual.level > 0)[0]
-    ids = np.nonzero(dual.level[dual.vertex_of_element] > 0)[0]
-    side = ab.normal_form_columns().side[dual.vertex_of_element[ids]]
-    for sections in (None, *(ctx.random_sections(seed) for seed in (1, 2, 3))):
-        letter, tail = amalgam._section_tails(ab, sections, vs, ids)
-        for i, s, z, c in zip(ids.tolist(), side.tolist(), letter.tolist(), tail.tolist()):
-            nf = amalgam_normal_form(ab, ab.ball.elements[i], sections=sections)
-            assert nf.letters[-1] == eng.mul_elem(eng.identity, s, z)
-            assert nf.c_part == ((), c)
+    eng, elements = ctx.engine, ab.ball.elements
+    ids, tail = amalgam._normal_form_tails(ab, np.ones(ab.n, dtype=bool))
+    assert np.array_equal(ids, np.nonzero(ab.element_level() > 0)[0])
+    for i, t in zip(ids.tolist(), tail.tolist()):
+        nf = amalgam_normal_form(ab, elements[i])
+        assert elements[t] == eng.multiply(nf.letters[-1], nf.c_part)
+
+
+@pytest.mark.parametrize("fixture, radius", TAIL_CASES)
+def test_seeded_tails_are_as_far_from_C_as_the_tail_column(request, fixture, radius):
+    # sections in their cosets move z_k c by an element of C on the left,
+    # which keeps d(z_k c, C): the level-0 field at the tail column's id
+    ctx = amalgam_named(request, fixture)
+    ab = prepare(ctx, radius)
+    eng, elements = ctx.engine, ab.ball.elements
+    ids, tail = amalgam._normal_form_tails(ab, np.ones(ab.n, dtype=bool))
+    dist = ab.level_field(0)[0][tail].tolist()
+    for seed in (1, 2, 3, 7):
+        sections = ctx.random_sections(seed)
+        for i, d in zip(ids.tolist(), dist):
+            nf = amalgam_normal_form(ab, elements[i], sections=sections)
+            assert ctx.dist_to_c(eng.multiply(nf.letters[-1], nf.c_part)) == d
+
+
+@pytest.mark.parametrize("fixture", ["dinf_amalgam", "z2z3_amalgam", "z4z2z4_amalgam", "a4z3z6_amalgam"])
+def test_table_random_sections_lie_in_their_cosets(request, fixture):
+    ctx = request.getfixturevalue(fixture)
+    eng = ctx.engine
+    for seed in (1, 2, 3, 7, 20240810):
+        sections = ctx.random_sections(seed)
+        for side in (0, 1):
+            for cid, rep in enumerate(sections[side]):
+                assert rep in eng.cosets[side][cid]
+        assert ctx.sections_lie_in_cosets(sections)
+
+
+@pytest.mark.parametrize("fixture", ["path4split", "cycle4split", "sixsplit"])
+def test_racg_random_sections_lie_in_their_cosets(request, fixture):
+    # a RACG section is keyed by the coset's minimal representative; the
+    # seeded one is that representative times an element of C
+    ctx = amalgam_named(request, fixture)
+    eng = ctx.engine
+    seeded = [ctx.random_sections(seed) for seed in (1, 2, 3, 7)]
+    moved = 0
+    for x in build_ball(eng, 5).elements:
+        minrep = eng.coset_minrep(x, ctx.k)
+        for side in (SIDE_A, SIDE_B):
+            for sections in seeded:
+                z = sections((side, minrep))
+                assert eng.coset_minrep(z, ctx.k) == minrep
+                moved += z != minrep
+    assert moved > 0
+
+
+def test_assertion_2_2_rejects_a_section_outside_its_coset(z4z2z4_amalgam):
+    ab = prepare(z4z2z4_amalgam, 4)
+    sections = [list(row) for row in z4z2z4_amalgam.engine.sections]
+    sections[0][1] = sections[0][0]  # the identity, in C, stands for the coset x C
+    assert not z4z2z4_amalgam.sections_lie_in_cosets(sections)
+    with pytest.raises(AssertionError, match="a section lies outside its coset"):
+        check_assertion_2_2(ab, sections=sections)
 
 
 def test_normal_form_letters_are_the_given_sections(z4z2z4_amalgam, a4z3z6_amalgam):
@@ -602,6 +779,16 @@ def sibling_sides(ab):
     return with_dual(ab, vertex_of_element=vertex_of)
 
 
+def parent_is_a_sibling(ab):
+    # a vertex hangs from a sibling in the piece both entered through, so
+    # its step repeats its parent's side
+    dual = ab.dual
+    _, u, v = next(m for m in map(dual.piece, range(len(dual.piece_side))) if len(m) > 2)[:3]
+    parent = dual.parent.copy()
+    parent[v] = u
+    return with_dual(ab, parent=parent)
+
+
 def outcome(check, *args):
     try:
         return check(*args).line()
@@ -610,21 +797,34 @@ def outcome(check, *args):
 
 
 @pytest.mark.parametrize("corrupt", [parent_moved, level_off_by_two, element_moved, sibling_sides])
-@pytest.mark.parametrize("fixture", ["dinf_amalgam", "z2z3_amalgam", "z4z2z4_amalgam", "a4z3z6_amalgam"])
+@pytest.mark.parametrize(
+    "fixture", ["dinf_amalgam", "z2z3_amalgam", "z4z2z4_amalgam", "a4z3z6_amalgam", "path4split"]
+)
 def test_normal_form_columns_match_the_walk_on_corrupted_dual_graphs(request, fixture, corrupt):
-    ctx = request.getfixturevalue(fixture)
+    ctx = amalgam_named(request, fixture)
     ab = corrupt(prepare(ctx, 5))
     got = [outcome(check_assertion_2_1, ab)]
-    expected = [outcome(_assertion_2_1_walk, ab)]
+    expected = [outcome(assertion_2_1_walk, ab)]
     for sections in (None, ctx.random_sections(1)):
         got.append(outcome(check_assertion_2_2, ab, sections))
-        expected.append(outcome(_assertion_2_2_walk, ab, sections, None))
+        expected.append(outcome(assertion_2_2_walk, ab, sections, None))
     assert got == expected
     assert any(": pass " not in line for line in got)
 
 
+@pytest.mark.parametrize("fixture", ["z2z3_amalgam", "a4z3z6_amalgam", "path4split"])
+def test_assertion_2_2_matches_the_walk_on_a_parent_of_the_same_side(request, fixture):
+    # dinf and z4z2z4 have no siblings: every piece has two members
+    ctx = amalgam_named(request, fixture)
+    ab = parent_is_a_sibling(prepare(ctx, 5))
+    for sections in (None, ctx.random_sections(1)):
+        got = outcome(check_assertion_2_2, ab, sections)
+        assert got == outcome(assertion_2_2_walk, ab, sections, None)
+        assert got == "AssertionError: normal form letters fail to alternate"
+
+
 @pytest.mark.parametrize("fixture", ["dinf_amalgam", "z2z3_amalgam", "z4z2z4_amalgam", "a4z3z6_amalgam"])
-def test_assertion_2_1_reports_the_first_failing_edge(request, monkeypatch, fixture):
+def test_assertion_2_1_reports_the_first_failing_edge(request, fixture):
     ctx = request.getfixturevalue(fixture)
     eng = ctx.engine
     # a vertex two levels too high: its first edge to its parent or a child
@@ -644,9 +844,8 @@ def test_assertion_2_1_reports_the_first_failing_edge(request, monkeypatch, fixt
     fresh = prepare(ctx, 5)
     i = int(fresh.dual.fiber(fresh.dual.vertices_at_level(1, side=SIDE_A)[0])[-1])
     moved = sibling_sides(fresh)
-    walk = _assertion_2_1_walk(moved).line()
-    assert _assertion_2_1_walk(ab).line() == expected
-    forbid_walks(monkeypatch)
+    walk = assertion_2_1_walk(moved).line()
+    assert assertion_2_1_walk(ab).line() == expected
     assert check_assertion_2_1(ab).line() == expected
     got = check_assertion_2_1(moved)
     assert got.line() == walk

@@ -1,4 +1,5 @@
 import dataclasses
+import importlib.util
 import json
 import os
 import subprocess
@@ -328,14 +329,38 @@ def test_check_dinf_all_pass(tmp_path, capsys):
     assert "partition: pass" in out
 
 
-@pytest.mark.parametrize("doc", [DINF_DOC, Z2Z3_DOC], ids=["dinf", "z2z3"])
-def test_check_default_ball_holds_the_separation_witness(tmp_path, capsys, doc):
-    # R = 2 by default; the default ball 4R + 1 = 9 leaves a core of radius
-    # 3, which holds the level-3 fiber the separation check starts from
+@pytest.mark.parametrize(
+    "doc, translates", [(DINF_DOC, "1 checks] (2"), (Z2Z3_DOC, "136 checks] (17")], ids=["dinf", "z2z3"]
+)
+def test_check_default_ball_holds_the_separation_witness(tmp_path, capsys, doc, translates):
+    # R = 2 by default; the default ball max(2r, 4R + 1) = 16 holds level-8
+    # translates for Prop 2.2, and its core of radius 10 the level-3 fiber
+    # the separation check starts from; r = 4R leaves the partition no room
     path = write(tmp_path, "doc.json", doc)
     assert main(["check", path, "--r", "8"]) == 0
-    out = capsys.readouterr().out
-    assert "prop-2.1-separation: pass" in out
+    lines = capsys.readouterr().out.splitlines()
+    assert "prop-2.1-separation: pass" in lines[-2]
+    assert lines[2].startswith(f"prop-2.2-disjointness: pass [{translates} translates)")
+    assert lines[-1].startswith("partition: skipped, r = 4R = 8")
+    assert not any("vacuous" in line for line in lines)
+
+
+def test_check_marks_vacuous_verdicts_apart_from_the_bench_regex(tmp_path, capsys):
+    # the core of ball 5 holds no level-4 translate, only the base's: there
+    # is no pair to compare
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_oracle", Path(__file__).resolve().parents[1] / "perfbench" / "oracle.py"
+    )
+    oracle = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(oracle)
+    path = write(tmp_path, "p4.json", PATH4_SPLIT_DOC)
+    assert main(["check", path, "--r", "4", "--R", "1", "--ball", "5"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[2] == (
+        "prop-2.2-disjointness: pass [0 checks] (1 translates; vacuous: nothing in the ball to check)"
+    )
+    assert oracle.VERDICT.match(lines[2]).groups() == ("prop-2.2-disjointness", "pass", "0")
+    assert lines[-1].startswith("partition: skipped") and not oracle.VERDICT.match(lines[-1])
 
 
 @pytest.mark.parametrize("ball", ["0", "1", "2"])
