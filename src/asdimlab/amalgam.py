@@ -19,8 +19,6 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass, field
-from functools import partial
-from itertools import chain
 
 import numpy as np
 
@@ -275,24 +273,30 @@ class TableAmalgamEngine:
         numbered by first sight over the sphere's (x, g) pairs in row-major
         order, which gives `bfs_ball`'s ids.  All elements of a vertex lie in
         one sphere, except the root's (the identity and C - {1} in sphere
-        1), and share the vertex's letter tuple, built once from its
-        parent's.  `words` builds each vertex's word from its parent's."""
+        1).  The ball's parent of z_1...z_k c is z_1...z_{k-1}, its letter
+        the generator rep(z_k) emb(c) of z_k's side, so `Ball.word` spells
+        `word_str`; an element c of C - {1} is the generator emb_A(c)."""
         mul, inv, emb, c_index, coset_of = self.factor_arrays()
         n_cosets = max(map(len, self.cosets))
         reps = np.zeros((2, n_cosets), dtype=np.int64)
         for side, row in enumerate(self.sections):
             reps[side, : len(row)] = row
         # letters: the non-trivial cosets, numbered side by side; index -1
-        # (the root's last letter) reads the padding entry
+        # (the root's last letter) reads the padding entry, the identity of
+        # side A, so that the root's elements are the generators emb_A(c)
         letters = [(side, cid) for side in (0, 1) for cid in range(1, len(self.cosets[side]))]
         letter_id = np.full((2, n_cosets), -1, dtype=np.int64)
         for i, (side, cid) in enumerate(letters):
             letter_id[side, cid] = i
         letter_side = np.array([side for side, _ in letters] + [SIDE_BASE], dtype=np.int64)
-        letter_rep = np.array([reps[side, cid] for side, cid in letters] + [0], dtype=np.int64)
+        letter_rep = np.array(
+            [reps[side, cid] for side, cid in letters] + [self.a.identity], dtype=np.int64
+        )
         k, n_c, n_l = self.gen_count, self.c_size, len(letters)
         gen_side = np.array([side for side, _ in self.gens], dtype=np.int64)
         gen_elem = np.array([s for _, s in self.gens], dtype=np.int64)
+        gen_of = np.full(mul.shape[:2], -1, dtype=np.int64)
+        gen_of[gen_side, gen_elem] = np.arange(k)
 
         spheres = SphereTable(k, cap)
         # vertex columns (vertex 0 is the root), grown geometrically
@@ -302,14 +306,9 @@ class TableAmalgamEngine:
         elem = np.full((1, n_c), -1, dtype=np.int64)
         elem[0, self.c_identity] = 0
         n_vertices = 1
-        vertex_letters = [()]
-        elements = [self.identity]
-        # the current sphere's vertices and C-parts; per sphere, those
-        # columns and the (parent, letter) of the vertices it opened
+        # the current sphere's vertices and C-parts
         sv = np.zeros(1, dtype=np.int64)
         sc = np.full(1, self.c_identity, dtype=np.int64)
-        sphere_columns = [(sv, sc)]
-        level_columns = []
         for j in range(radius + 1):
             v, c = np.repeat(sv, k), np.repeat(sc, k)
             t, h = np.tile(gen_side, len(sv)), np.tile(gen_elem, len(sv))
@@ -333,10 +332,6 @@ class TableAmalgamEngine:
                 parent[opened], last[opened], child[p, ls] = p, ls, opened
                 rv[fresh] = n_vertices + number
                 n_vertices += len(heads)
-                vertex_letters.extend(
-                    [vertex_letters[q] + (letters[i],) for q, i in zip(p.tolist(), ls.tolist())]
-                )
-                level_columns.append((p, ls))
             ids = np.full(len(rv), -1, dtype=np.int64)
             inside = rv >= 0
             ids[inside] = elem[rv[inside], rc[inside]]
@@ -349,46 +344,12 @@ class TableAmalgamEngine:
                 ids[new] = n + number
                 sv, sc = rv[new][heads], rc[new][heads]
                 elem[sv, sc] = np.arange(n, n + m)
-                elements.extend(zip(map(vertex_letters.__getitem__, sv.tolist()), sc.tolist()))
-                sphere_columns.append((sv, sc))
+                # parent z_1...z_{k-1} (its C-part 1), letter rep(z_k) emb(c)
+                side = np.maximum(letter_side[last[sv]], 0)
+                spheres.parent[n : n + m] = np.where(sv > 0, elem[parent[sv], self.c_identity], 0)
+                spheres.letter[n : n + m] = gen_of[side, mul[side, letter_rep[last[sv]], emb[side, sc]]]
             spheres.table[lo:n] = ids.reshape(n - lo, k)
-        return spheres.ball(
-            self, radius, elements, partial(self._sphere_words, sphere_columns, level_columns)
-        )
-
-    def _sphere_words(self, sphere_columns, level_columns):
-        """Every element's `word_str` in id order, from the columns of
-        `sphere_ball`: a vertex's word is its parent's plus one letter name,
-        an element's is its vertex's plus `.C.<name>` when c is not 1.  Only
-        the words of two consecutive spheres are held at once."""
-        names = [
-            ("A." if side == 0 else "B.") + (self.a, self.b)[side].names[self.sections[side][cid]]
-            for side in (0, 1)
-            for cid in range(1, len(self.cosets[side]))
-        ]
-        dotted = ["." + name for name in names]
-        c_names = self.c_group.names
-        root = ["C." + name for name in c_names]
-        root[self.c_identity] = "e"
-        suffix = [".C." + name for name in c_names]
-        suffix[self.c_identity] = ""
-
-        def spheres():
-            words, start = [""], 0  # the vertex words of one level, its first vertex id
-            for j, (sv, sc) in enumerate(sphere_columns):
-                if j:
-                    p, ls = level_columns[j - 1]
-                    if j == 1:
-                        level = [names[i] for i in ls.tolist()]
-                    else:
-                        level = [words[q - start] + dotted[i] for q, i in zip(p.tolist(), ls.tolist())]
-                    words, start = level, start + len(words)
-                yield [
-                    words[v - start] + suffix[c] if v else root[c]
-                    for v, c in zip(sv.tolist(), sc.tolist())
-                ]
-
-        return chain.from_iterable(spheres())
+        return spheres.ball(self, radius)
 
 
 # ---------------------------------------------------------------------------
@@ -405,25 +366,20 @@ class AmalgamContext:
     def is_in_c(self, x):
         raise NotImplementedError
 
-    def in_factor(self, x):
-        """SIDE_A / SIDE_B when x lies in that factor (C reports SIDE_A), else None."""
-        raise NotImplementedError
-
-    def vertex_key(self, x):
-        raise NotImplementedError
-
     def coset_letters(self):
         """Generator indices (of C, of the A side, of the B side) whose ball
         edges connect each coset xC, xA, xB inside the ball."""
+        raise NotImplementedError
+
+    def c_generators(self):
+        """Per generator of `engine`, the index of the same generator of
+        `c_engine`, or -1 for a generator outside C."""
         raise NotImplementedError
 
     def dist_to_c(self, x):
         raise NotImplementedError
 
     def to_c(self, x):
-        raise NotImplementedError
-
-    def section(self, side, x, sections=None):
         raise NotImplementedError
 
     def sections_lie_in_cosets(self, sections):
@@ -445,17 +401,6 @@ class TableAmalgam(AmalgamContext):
     def is_in_c(self, x):
         return not x[0]
 
-    def in_factor(self, x):
-        zs, _ = x
-        if not zs:
-            return SIDE_A
-        if len(zs) == 1:
-            return zs[0][0]
-        return None
-
-    def vertex_key(self, x):
-        return x[0]
-
     def coset_letters(self):
         # the A-generators that lie in C are every non-identity element of
         # C; B's generators omit those, so the B side adds them back
@@ -465,6 +410,11 @@ class TableAmalgam(AmalgamContext):
         a = [gi for gi, (side, _) in enumerate(gens) if side == 0]
         b = [gi for gi, (side, _) in enumerate(gens) if side == 1]
         return c, a, sorted(b + c)
+
+    def c_generators(self):
+        eng = self.engine
+        c_gen = {eng.embed[0][c]: i for i, c in enumerate(eng.c_group.generators)}
+        return [c_gen.get(x, -1) if side == 0 else -1 for side, x in eng.gens]
 
     def dist_to_c(self, x):
         return self.engine.level(x)
@@ -476,17 +426,6 @@ class TableAmalgam(AmalgamContext):
 
     def from_c(self, cx):
         return ((), cx)
-
-    def section(self, side, x, sections=None):
-        """The section representative of x's coset in the factor, as an engine
-        element (normal forms are always over the default sections)."""
-        zs, c = x
-        if not zs:
-            return self.engine.identity
-        if len(zs) != 1 or zs[0][0] != side:
-            raise InputError("element not in the requested factor")
-        reps = (sections or self.engine.sections)[side]
-        return self.engine.mul_elem(self.engine.identity, side, reps[zs[0][1]])
 
     def gate_tail(self, inv_gate_rep, x):
         zs, c = self.engine.multiply(inv_gate_rep, x)
@@ -531,21 +470,11 @@ class RacgAmalgam(AmalgamContext):
     def is_in_c(self, x):
         return frozenset(x) <= self.k
 
-    def in_factor(self, x):
-        sup = frozenset(x)
-        if sup <= self.k:
-            return SIDE_A
-        if sup <= self.n1:
-            return SIDE_A
-        if sup <= self.n2:
-            return SIDE_B
-        return None
-
-    def vertex_key(self, x):
-        return self.engine.coset_minrep(x, self.k)
-
     def coset_letters(self):
         return sorted(self.k), sorted(self.n1), sorted(self.n2)
+
+    def c_generators(self):
+        return [self._c_pos.get(g, -1) for g in range(self.engine.rank)]
 
     def dist_to_c(self, x):
         return len(self.engine.coset_minrep(self.engine.inverse(x), self.k))
@@ -558,12 +487,6 @@ class RacgAmalgam(AmalgamContext):
     def from_c(self, cx):
         return self.engine.normal_form(tuple(self._c_letters[g] for g in cx))
 
-    def section(self, side, x, sections=None):
-        if sections is not None:
-            key = (side, self.engine.coset_minrep(x, self.k))
-            return sections(key)
-        return self.engine.coset_minrep(x, self.k)
-
     def gate_tail(self, inv_gate_rep, x):
         y = self.engine.multiply(inv_gate_rep, x)
         m = self.engine.coset_minrep(y, self.k)
@@ -572,7 +495,7 @@ class RacgAmalgam(AmalgamContext):
 
     def random_sections(self, seed):
         """Section function keyed by coset minrep; identity coset stays identity."""
-        c_ball = sorted(build_ball(self.c_engine, 2).elements)
+        c_ball = build_ball(self.c_engine, 2)
 
         def sect(key):
             side, minrep = key
@@ -580,7 +503,7 @@ class RacgAmalgam(AmalgamContext):
                 return self.engine.identity
             token = f"{seed}:{side}:{self.engine.word_str(minrep)}"
             digest = int(hashlib.sha256(token.encode()).hexdigest(), 16)
-            cx = c_ball[digest % len(c_ball)]
+            cx = c_ball.letters(digest % len(c_ball))
             return self.engine.multiply(minrep, self.from_c(cx))
 
         return sect
@@ -612,7 +535,8 @@ class DualGraph:
     Pieces are the cliques spanned by the cosets sharing one Bass-Serre
     vertex; edges are implicit (all pairs within a piece).  Vertices are
     numbered in ball order at first sight, so vertex order is the order of
-    the representatives' ball ids.  Pieces are stored as fibers are.  A
+    their representatives' ball ids (`rep_ids`, each coset's least id).
+    Pieces are stored as fibers are.  A
     piece's first member is its gate, whose coset holds the piece's shortest
     elements; every other member sits one level above it, with the gate as
     parent.  Every array is read-only."""
@@ -621,7 +545,7 @@ class DualGraph:
     level: np.ndarray
     parent: np.ndarray
     side: np.ndarray
-    rep_element: list
+    rep_ids: np.ndarray
     piece_of_vertex: np.ndarray  # (vertex, SIDE_A / SIDE_B) -> piece id
     piece_side: np.ndarray
     piece_order: np.ndarray  # vertex ids grouped by piece, ascending within a piece
@@ -636,7 +560,7 @@ class DualGraph:
 
     @property
     def n_vertices(self):
-        return len(self.rep_element)
+        return len(self.rep_ids)
 
     def fiber(self, u):
         """Element ids of the coset u, ascending (a read-only view)."""
@@ -691,7 +615,6 @@ def build_dual_graph(ctx: AmalgamContext, ball: Ball) -> DualGraph:
     """
     c_letters, a_letters, b_letters = ctx.coset_letters()
     rep_ids, vertex_of = np.unique(ball.coset_labels(c_letters), return_inverse=True)
-    rep_element = [ball.elements[i] for i in rep_ids.tolist()]
     n = len(rep_ids)
 
     labels = [ball.coset_labels(letters)[rep_ids] for letters in (a_letters, b_letters)]
@@ -699,10 +622,12 @@ def build_dual_graph(ctx: AmalgamContext, ball: Ball) -> DualGraph:
     piece_of_vertex = flat_piece.reshape(n, 2)
     piece_order, piece_start = _grouped(flat_piece, len(heads))
     piece_order //= 2
+    piece_side = heads % 2
 
     base = int(vertex_of[0])
     level = np.full(n, -1, dtype=np.int64)
     parent = np.full(n, -1, dtype=np.int64)
+    side = np.full(n, SIDE_BASE, dtype=np.int64)
     level[base] = 0
     piece_done = np.zeros(len(heads), dtype=bool)
     frontiers = [np.array([base], dtype=np.int64)]
@@ -716,9 +641,9 @@ def build_dual_graph(ctx: AmalgamContext, ball: Ball) -> DualGraph:
         counts = piece_start[pids + 1] - piece_start[pids]
         offsets = np.repeat(piece_start[pids] - np.cumsum(counts) + counts, counts)
         members = piece_order[offsets + np.arange(len(offsets))]
-        gates = np.repeat(gates, counts)
+        gates, pids = np.repeat(gates, counts), np.repeat(pids, counts)
         up = members != gates
-        members, gates = members[up], gates[up]
+        members, gates, pids = members[up], gates[up], pids[up]
         # a piece has a second gate when a member already has a level (this
         # includes a piece met from two frontier vertices) or when a vertex
         # lies in two pieces opened at this step
@@ -726,19 +651,13 @@ def build_dual_graph(ctx: AmalgamContext, ball: Ball) -> DualGraph:
             raise AssertionError("tree-graded structure violated: piece with two gates")
         level[members] = len(frontiers)
         parent[members] = gates
+        # a level-1 coset lies on the side of the piece it shares with the
+        # base, and every other coset on its parent's side
+        side[members] = piece_side[pids] if len(frontiers) == 1 else side[gates]
         frontiers.append(np.sort(members))
 
     if (level < 0).any():
         raise OutOfBallError("dual graph disconnected inside the ball")
-
-    side = np.full(n, SIDE_BASE, dtype=np.int64)
-    for u in frontiers[1].tolist():
-        f = ctx.in_factor(rep_element[u])
-        if f is None:
-            raise AssertionError("level-1 coset not inside a factor")
-        side[u] = f
-    for frontier in frontiers[2:]:
-        side[frontier] = side[parent[frontier]]
 
     fiber_order, fiber_start = _grouped(vertex_of, n)
     return DualGraph(
@@ -746,9 +665,9 @@ def build_dual_graph(ctx: AmalgamContext, ball: Ball) -> DualGraph:
         level=level,
         parent=parent,
         side=side,
-        rep_element=rep_element,
+        rep_ids=rep_ids,
         piece_of_vertex=piece_of_vertex,
-        piece_side=heads % 2,
+        piece_side=piece_side,
         piece_order=piece_order,
         piece_start=piece_start,
         fiber_order=fiber_order,
@@ -774,7 +693,6 @@ class AmalgamBall:
     metric: GraphMetric
     core_radius: int
     _levels: dict = field(default_factory=dict, init=False, repr=False)
-    _vertex_by_key: dict = field(default=None, init=False, repr=False)
     _parts: dict = field(default_factory=dict, init=False, repr=False)
     _core: np.ndarray = field(default=None, init=False, repr=False)
     _sides: np.ndarray = field(default=None, init=False, repr=False)
@@ -868,15 +786,6 @@ class AmalgamBall:
             raise AssertionError("C-part not reached, or outside the ball")
         return c
 
-    def _vertex_of(self, x):
-        """pi(x) as a vertex id, None when its coset is not in the ball.  The
-        map from `ctx.vertex_key` of each representative is built on first
-        use; only `amalgam_normal_form` below needs it."""
-        if self._vertex_by_key is None:
-            key = self.ctx.vertex_key
-            self._vertex_by_key = {key(rep): u for u, rep in enumerate(self.dual.rep_element)}
-        return self._vertex_by_key.get(self.ctx.vertex_key(x))
-
 
 def prepare(ctx: AmalgamContext, ball_radius, core_radius=None, cap=None) -> AmalgamBall:
     kwargs = {} if cap is None else {"cap": cap}
@@ -887,57 +796,6 @@ def prepare(ctx: AmalgamContext, ball_radius, core_radius=None, cap=None) -> Ama
     return AmalgamBall(
         ctx=ctx, ball=ball, dual=dual, metric=ball.graph_metric(), core_radius=core_radius
     )
-
-
-# ---------------------------------------------------------------------------
-# normal forms
-
-
-@dataclass
-class NormalFormAm:
-    letters: list
-    sides: list
-    c_part: object
-    length: int
-
-    def __iter__(self):
-        return iter(self.letters)
-
-
-def amalgam_normal_form(ab: AmalgamBall, x, sections=None) -> NormalFormAm:
-    """The unique z_1...z_k c presentation, for the fixed (or given) sections.
-
-    Walks the K-geodesic from the base coset to pi(x), reading one section
-    representative per step; the tail c is the remaining C-element.
-    """
-    ctx, dual = ab.ctx, ab.dual
-    vid = ab._vertex_of(x)
-    if vid is None:
-        raise OutOfBallError("element's coset not present in the enumerated ball")
-    path = [vid]
-    while dual.level[path[-1]] > 0:
-        path.append(int(dual.parent[path[-1]]))
-    path.reverse()
-
-    eng = ctx.engine
-    prefix = eng.identity
-    letters, sides = [], []
-    for u in path[1:]:
-        h = eng.multiply(eng.inverse(prefix), dual.rep_element[u])
-        side = ctx.in_factor(h)
-        if side is None:
-            raise AssertionError("dual-graph step does not lie in a factor")
-        z = ctx.section(side, h, sections=sections)
-        letters.append(z)
-        sides.append(side)
-        prefix = eng.multiply(prefix, z)
-    c = eng.multiply(eng.inverse(prefix), x)
-    if not ctx.is_in_c(c):
-        raise AssertionError("normal-form tail not in C")
-    for s1, s2 in zip(sides, sides[1:]):
-        if s1 == s2:
-            raise AssertionError("normal form letters fail to alternate")
-    return NormalFormAm(letters=letters, sides=sides, c_part=c, length=len(letters))
 
 
 # ---------------------------------------------------------------------------
@@ -983,9 +841,7 @@ def check_assertion_2_1(ab: AmalgamBall) -> CheckVerdict:
     i = int(np.argmax(bad))
     u, v = int(lo[i]), int(hi[i])
     if off_factor[i]:
-        word = ab.ctx.engine.word_str
-        witness = (word(ball.elements[u]), word(ball.elements[v]))
-        return CheckVerdict("assertion-2.1", False, i + 1, witness=witness)
+        return CheckVerdict("assertion-2.1", False, i + 1, witness=(ball.word(u), ball.word(v)))
     return CheckVerdict(
         "assertion-2.1",
         False,
@@ -1024,8 +880,7 @@ def check_assertion_2_2(ab: AmalgamBall, sections=None, max_norm=None) -> CheckV
     fail = ball.norms[ids] < ab.level_field(0)[0][tail]
     if fail.any():
         j = int(np.argmax(fail))
-        witness = ab.ctx.engine.word_str(ball.elements[ids[j]])
-        return CheckVerdict("assertion-2.2", False, j + 1, witness=witness)
+        return CheckVerdict("assertion-2.2", False, j + 1, witness=ball.word(int(ids[j])))
     return CheckVerdict("assertion-2.2", True, len(ids))
 
 
@@ -1399,10 +1254,9 @@ def verify_partition(ab: AmalgamBall, part: Partition) -> CheckVerdict:
 def dual_graph_dot(ab: AmalgamBall) -> str:
     """DOT rendering of K with levels and piece types Delta(A)/Delta(B)."""
     dual = ab.dual
-    eng = ab.ctx.engine
     lines = ["graph dual_graph {", "  node [shape=circle];"]
-    for u in range(dual.n_vertices):
-        label = eng.word_str(dual.rep_element[u])
+    for u, rep in enumerate(dual.rep_ids.tolist()):
+        label = ab.ball.word(rep)
         shade = {SIDE_A: "lightblue", SIDE_B: "lightpink", SIDE_BASE: "gray"}[
             int(dual.side[u])
         ]

@@ -517,16 +517,47 @@ def _grow_ball(cert: CoverCertificate, cap):
 
 def _check_prefix(ball: Ball, grown: Ball):
     """The sets of `ball` carry over to `grown` only if its first len(ball)
-    ids are the same elements with the same in-ball edges."""
+    ids are the same elements with the same in-ball edges: the same parent
+    and letter columns, which spell each element, and the same table."""
     n = len(ball)
     inner = grown.table[:n]
-    if grown.elements[:n] != ball.elements or not np.array_equal(
-        np.where(inner < n, inner, -1), ball.table
-    ):
+    spelled = all(
+        np.array_equal(getattr(grown, column)[:n], getattr(ball, column))
+        for column in ("parent", "letter")
+    )
+    if not spelled or not np.array_equal(np.where(inner < n, inner, -1), ball.table):
         raise AssertionError(
             f"the radius-{grown.radius} ball does not extend the "
             f"radius-{ball.radius} ball id for id"
         )
+
+
+def c_ball_ids(ctx: AmalgamContext, ball: Ball, c_ball: Ball, ids):
+    """The `c_ball` id of each element of C among the ball's `ids`, -1
+    outside `c_ball`: C's edge table walked along the element's word, read
+    up the parent column.  That word is geodesic, so each of its letters is
+    a generator of C (`ctx.c_generators`): in a table amalgam an element of
+    C - {1} is one letter, and in a RACG all reduced words of an element use
+    the same letters, since commutations link them (Tits), so those of an
+    element of a parabolic subgroup are its letters."""
+    c_gen = ctx.c_generators()
+    found = {0: 0}
+
+    def walk(i):
+        path = []
+        while i not in found:
+            path.append(i)
+            i = int(ball.parent[i])
+        x = found[i]
+        for j in reversed(path):
+            g = c_gen[ball.letter[j]]
+            if g < 0:
+                raise AssertionError("a C-part's word leaves C")
+            x = int(c_ball.table[x, g]) if x >= 0 else -1
+            found[j] = x
+        return x
+
+    return np.array([walk(i) for i in ids.tolist()], dtype=np.int64)
 
 
 def _certificate_with_floor(make_cert, min_scale):
@@ -747,11 +778,11 @@ def cover_amalgam(
 
     # each C-part's first C-certificate set, in certificate order
     c_sets, c_colors = c_cert.cover.sets, c_cert.cover.colors
-    first_set = {}
+    first_set = np.full(len(c_cert.ball) + 1, -1, dtype=np.int64)  # [-1] is read for -1
     for j in reversed(range(len(c_sets))):
-        first_set.update((c_cert.ball.elements[i], j) for i in c_sets[j])
+        first_set[sorted(c_sets[j])] = j
     set_of = np.full(ab.n, -1, dtype=np.int64)  # by C-part id, then by point
-    set_of[tails] = [first_set.get(ctx.to_c(ab.ball.elements[i]), -1) for i in tails.tolist()]
+    set_of[tails] = first_set[c_ball_ids(ctx, ab.ball, c_cert.ball, tails)]
     if (set_of[tails] < 0).any():
         raise OutOfBallError("C-certificate misses a tail element")
     set_of = set_of[c_part]

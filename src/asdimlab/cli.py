@@ -279,11 +279,11 @@ def cmd_dualgraph(args):
             "vertices": [
                 {
                     "id": u,
-                    "rep": ctx.engine.word_str(dual.rep_element[u]),
+                    "rep": ab.ball.word(rep),
                     "level": int(dual.level[u]),
                     "side": int(dual.side[u]),
                 }
-                for u in range(dual.n_vertices)
+                for u, rep in enumerate(dual.rep_ids.tolist())
             ],
             "pieces": [
                 {"side": side, "members": dual.piece(p).tolist()}

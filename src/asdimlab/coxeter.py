@@ -366,7 +366,7 @@ def build_davis_ball(cox: CoxeterSystem, radius, cap=200_000) -> DavisBall:
     labels = []
     for cid, cv in zip(*np.divmod(heads, width)):
         face_name = "cone" if cv == apex else ",".join(str(v) for v in faces[cv])
-        labels.append(f"{engine.word_str(ball.elements[cid])}|{face_name}")
+        labels.append(f"{ball.word(int(cid))}|{face_name}")
 
     simplices = set()
     for mf in chamber.maximal_faces:

@@ -14,7 +14,8 @@ from __future__ import annotations
 import numbers
 from array import array
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import islice
 from json.encoder import encode_basestring_ascii
 
@@ -348,25 +349,73 @@ class RacgEngine(CoxeterMatrix):
 
 @dataclass
 class Ball:
-    """Closed Cayley ball around the identity with BFS ids and its edge table,
-    the ball's only element index: `table[x, g]` is the id of x * generator
-    g, or -1 outside the ball (read-only).  Row-major order over (element, generator) is the edge
-    order of `to_json` and `iter_json`.  `words`, when given, is a
-    zero-argument callable iterating every element's `engine.word_str` in
-    id order, which `iter_json` streams instead of calling `word_str`."""
+    """Closed Cayley ball around the identity, held as integer columns only.
+
+    Ids are BFS order, sphere by sphere.  `table[x, g]` is the id of x *
+    generator g, or -1 outside the ball; it is the ball's only element index,
+    and row-major order over (element, generator) is the edge order of
+    `to_json` and `iter_json`.  `parent` and `letter` spell every element:
+    x = parent[x] * generator letter[x] with |parent[x]| = |x| - 1 (both -1
+    at the identity), so a word of x is its parent's followed by one letter.
+    The sphere enumerators of `build_ball` lay the engine's normal forms out
+    this way, as ShortLex normal forms are prefix-closed, and `word` and
+    `iter_words` spell `engine.word_str` from the columns: an element's word
+    is its letter's word, after its parent's and a '.' unless the parent is
+    the identity.  An enumerated element costs one table row, one norm and
+    two ints.  Every array is read-only."""
 
     engine: object
     radius: int
-    elements: list
     norms: np.ndarray
     table: np.ndarray
-    words: object = field(default=None, repr=False)
+    parent: np.ndarray
+    letter: np.ndarray
 
     def __post_init__(self):
-        self.table.flags.writeable = False
+        for column in (self.norms, self.table, self.parent, self.letter):
+            column.flags.writeable = False
 
     def __len__(self):
-        return len(self.elements)
+        return len(self.norms)
+
+    def letters(self, i):
+        """The generator indices of the word of element i, read up the parent
+        column."""
+        out = []
+        while i > 0:
+            out.append(int(self.letter[i]))
+            i = int(self.parent[i])
+        return out[::-1]
+
+    @cached_property
+    def _spelling(self):
+        """(the identity's word, each generator's word)."""
+        eng, one = self.engine, self.engine.identity
+        return eng.word_str(one), [eng.word_str(eng.mul_gen(one, g)) for g in range(eng.gen_count)]
+
+    def word(self, i):
+        """`engine.word_str` of element i."""
+        root, names = self._spelling
+        return ".".join([names[g] for g in self.letters(i)]) if i else root
+
+    def iter_words(self):
+        """`engine.word_str` of every element in id order, spelled down the
+        parent column one sphere at a time: only the words of two consecutive
+        spheres are held at once."""
+        root, names = self._spelling
+        dotted = ["." + name for name in names]
+        starts = np.searchsorted(self.norms, np.arange(int(self.norms[-1]) + 2)).tolist()
+        words, start = [root], 0  # the words of one sphere, its first id
+        yield root
+        for a, b in zip(starts[1:], starts[2:]):
+            letter = self.letter[a:b].tolist()
+            if a == 1:
+                words = [names[g] for g in letter]
+            else:
+                parent = self.parent[a:b].tolist()
+                words = [words[p - start] + dotted[g] for p, g in zip(parent, letter)]
+            start = a
+            yield from words
 
     def _edges(self):
         """(src, gen, dst) of the in-ball table entries in row-major order."""
@@ -375,7 +424,7 @@ class Ball:
 
     def graph_metric(self) -> GraphMetric:
         src, _, dst = self._edges()
-        return GraphMetric(len(self.elements), np.column_stack([src, dst]))
+        return GraphMetric(len(self), np.column_stack([src, dst]))
 
     def coset_labels(self, letters):
         """Each element's least ball id over the elements it reaches along the
@@ -409,12 +458,8 @@ class Ball:
         return {
             "radius": int(self.radius),
             "elements": [
-                {
-                    "id": i,
-                    "word": self.engine.word_str(x),
-                    "norm": int(self.norms[i]),
-                }
-                for i, x in enumerate(self.elements)
+                {"id": i, "word": word, "norm": norm}
+                for i, (word, norm) in enumerate(zip(self.iter_words(), self.norms.tolist()))
             ],
             "edges": [
                 [int(u), int(v), self.engine.gen_names[g]]
@@ -434,7 +479,7 @@ class Ball:
         names = np.array(
             [encode_basestring_ascii(n) for n in self.engine.gen_names], dtype=object
         )
-        words = map(self.engine.word_str, self.elements) if self.words is None else self.words()
+        words = self.iter_words()
 
         def edges(a, b):
             return zip(src[a:b].tolist(), dst[a:b].tolist(), names[gen[a:b]].tolist())
@@ -477,8 +522,11 @@ def build_ball(engine, radius, cap=DEFAULT_BALL_CAP) -> Ball:
     down-edges of y follow from y s = (p s) t for s in D(y), which commute
     with t and lie in D(p).  This is the length-additive factorisation of
     Coxeter groups (Bjorner-Brenti, Combinatorics of Coxeter Groups, 2.4)
-    and the descent-set automaton of Brink-Howlett (1993).  One `append`
-    per element builds its normal form from its parent's.
+    and the descent-set automaton of Brink-Howlett (1993).  The ShortLex
+    normal form of y is that of its lowest-ranked y s, s in D(y), followed
+    by s, so the parent column is read from the ranks of the previous sphere,
+    and a sphere's ranks sort its (parent rank, letter) pairs (Epstein et
+    al., Word Processing in Groups, 1992: ShortLex is prefix-closed).
 
     An engine with a `sphere_ball(radius, cap)` method enumerates its own
     balls one sphere per step on a `SphereTable`
@@ -495,7 +543,23 @@ def build_ball(engine, radius, cap=DEFAULT_BALL_CAP) -> Ball:
     return bfs_ball(engine, radius, cap)
 
 
-def bfs_ball(engine, radius, cap=DEFAULT_BALL_CAP) -> Ball:
+@dataclass
+class ElementBall(Ball):
+    """A `Ball` that also keeps every element as an engine value, in id order:
+    `bfs_ball`'s.  Its parent column is the BFS discovery pair, a geodesic
+    word that need not be the normal form, so its words are
+    `engine.word_str` of the elements."""
+
+    elements: list
+
+    def word(self, i):
+        return self.engine.word_str(self.elements[i])
+
+    def iter_words(self):
+        return map(self.engine.word_str, self.elements)
+
+
+def bfs_ball(engine, radius, cap=DEFAULT_BALL_CAP) -> ElementBall:
     """Generic BFS for any engine: one `mul_gen` per (element, generator) in
     id order, each appending the product's id, or -1 on the boundary sphere
     when the product is new."""
@@ -505,6 +569,7 @@ def bfs_ball(engine, radius, cap=DEFAULT_BALL_CAP) -> Ball:
     elements = [engine.identity]
     index = {engine.identity: 0}
     norms = [0]
+    parent, letter = [-1], [-1]
     table = array("q")
     xid = 0
     while xid < len(elements):
@@ -521,37 +586,45 @@ def bfs_ball(engine, radius, cap=DEFAULT_BALL_CAP) -> Ball:
                 index[y] = yid
                 elements.append(y)
                 norms.append(norms[xid] + 1)
+                parent.append(xid)
+                letter.append(gi)
             table.append(yid)
         xid += 1
     table = np.frombuffer(table, dtype=np.int64).reshape(len(elements), k)
-    return Ball(engine, radius, elements, np.asarray(norms, dtype=np.int32), table)
+    norms, parent, letter = (np.array(c, dtype=np.int32) for c in (norms, parent, letter))
+    return ElementBall(engine, radius, norms, table, parent, letter, elements)
 
 
 class SphereTable:
-    """The edge table of a ball enumerated one sphere per step: sphere j
-    holds ids starts[j]:starts[j + 1], and the table grows geometrically as
-    spheres are claimed."""
+    """The edge table and the parent and letter columns of a ball enumerated
+    one sphere per step: sphere j holds ids starts[j]:starts[j + 1], and the
+    arrays grow geometrically as spheres are claimed."""
 
     def __init__(self, k, cap):
         self.table = np.full((1, k), -1, dtype=np.int64)
+        self.parent = np.full(1, -1, dtype=np.int32)
+        self.letter = np.full(1, -1, dtype=np.int32)
         self.starts = [0, 1]
         self.cap = cap
 
     def claim(self, m):
-        """Open the next sphere with m new ids and table rows of -1.
+        """Open the next sphere with m new ids and rows of -1.
         Raises ResourceCapError when the ball would exceed the cap."""
         n = self.starts[-1]
         if n + m > self.cap:
             raise ResourceCapError(f"ball would exceed the element cap {self.cap}", cap=self.cap)
-        reserve_rows(self.table, n + m)
+        for column in (self.table, self.parent, self.letter):
+            reserve_rows(column, n + m)
         self.starts.append(n + m)
 
-    def ball(self, engine, radius, elements, words=None) -> Ball:
+    def ball(self, engine, radius) -> Ball:
         """The finished Ball, its norms read from the sphere starts."""
         starts = self.starts
-        self.table.resize((starts[-1], self.table.shape[1]), refcheck=False)
+        n = starts[-1]
+        for column in (self.table, self.parent, self.letter):
+            column.resize((n,) + column.shape[1:], refcheck=False)
         norms = np.repeat(np.arange(len(starts) - 1, dtype=np.int32), np.diff(starts))
-        return Ball(engine, radius, elements, norms, self.table, words)
+        return Ball(engine, radius, norms, self.table, self.parent, self.letter)
 
 
 def reserve_rows(array, n):
@@ -570,9 +643,9 @@ def _racg_ball(engine, radius, cap):
     bits = np.left_shift(1, np.arange(k, dtype=np.int64))
     comm = np.array([sum(1 << j for j in c) for c in engine.comm], dtype=np.int64)
     spheres = SphereTable(k, cap)
-    elements = [engine.identity]
     table = spheres.table  # grows in place
     descents = np.zeros(1, dtype=np.int64)  # of the current sphere
+    rank = np.zeros(1, dtype=np.int64)  # ShortLex ranks within the current sphere
     for _ in range(radius):
         lo, n = spheres.starts[-2], spheres.starts[-1]
         # every (x, g) with g not in D(x), in row-major order, and D(xg)
@@ -598,9 +671,18 @@ def _racg_ball(engine, radius, cap):
         for g in range(k):
             down = ((descents >> g) & 1 == 1) & (t != g)
             table[ids[down], g] = table[table[p[down], g], t[down]]
-        append = engine.append
-        elements.extend([append(elements[q], s) for q, s in zip(p.tolist(), t.tolist())])
-    return spheres.ball(engine, radius, elements)
+        # the ShortLex last letter: the s in D(y) whose y s ranks lowest
+        best = np.full(m, len(rank), dtype=np.int64)
+        letter = spheres.letter[n : n + m]
+        for g in range(k):
+            down = np.flatnonzero((descents >> g) & 1)
+            below = rank[table[ids[down], g] - lo]
+            lower = below < best[down]
+            best[down[lower]], letter[down[lower]] = below[lower], g
+        spheres.parent[n : n + m] = table[ids, letter]
+        rank = np.empty(m, dtype=np.int64)
+        rank[np.lexsort((letter, best))] = np.arange(m)
+    return spheres.ball(engine, radius)
 
 
 def first_sight(keys):

@@ -40,6 +40,7 @@ from asdimlab.coxeter import (
 from asdimlab.metric import DenseMetric, line_metric
 
 from conftest import CYCLE5, PATH3, PATH4, z_n_group
+from word_oracles import ball_elements
 import networkx as nx
 
 
@@ -53,7 +54,8 @@ def word_metric_dense(cert):
     """Exact word metric on the carrier, for literal check_rd_cover runs."""
     engine = cert.ball.engine
     ids = list(cert.carrier)
-    elems = [cert.ball.elements[i] for i in ids]
+    elements = ball_elements(cert.ball)
+    elems = [elements[i] for i in ids]
     pos = {i: k for k, i in enumerate(ids)}
     n = len(ids)
     mat = np.zeros((n, n))

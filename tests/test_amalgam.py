@@ -13,7 +13,6 @@ from asdimlab.amalgam import (
     CheckVerdict,
     DualGraph,
     RacgAmalgam,
-    amalgam_normal_form,
     build_dual_graph,
     check_assertion_2_1,
     check_assertion_2_2,
@@ -33,11 +32,19 @@ from asdimlab.groups import Ball, RacgEngine, build_ball
 from asdimlab.metric import GraphMetric
 
 from conftest import CYCLE5, PATH4, RACG_GRAPHS, z_n_group
+from word_oracles import (
+    amalgam_normal_form,
+    amalgam_words,
+    ball_elements,
+    in_factor,
+    section,
+    vertex_key,
+)
 
 
 def project_pi(ab, x):
     """pi(x) = xC as a dual-graph vertex id, by word arithmetic."""
-    vid = ab._vertex_of(x)
+    vid = amalgam_words(ab).vertex_of(ab.ctx, x)
     assert vid is not None, "coset outside enumerated ball"
     return vid
 
@@ -59,7 +66,7 @@ def reference_assertion_2_2(ab, sections=None, max_norm=None):
     eng = ctx.engine
     checked = 0
     limit = ball.radius if max_norm is None else max_norm
-    for i, x in enumerate(ball.elements):
+    for i, x in enumerate(amalgam_words(ab).elements):
         if ball.norms[i] > limit:
             continue
         nf = amalgam_normal_form(ab, x, sections=sections)
@@ -77,16 +84,16 @@ def assertion_2_1_walk(ab):
     level gap of every edge between distinct vertices u, v, in
     `Ball.cayley_edges` order."""
     ctx, dual, ball = ab.ctx, ab.dual, ab.ball
-    eng = ctx.engine
+    eng, words = ctx.engine, amalgam_words(ab)
     checked = 0
     for u, v in ball.cayley_edges():
         ku, kv = int(dual.vertex_of_element[u]), int(dual.vertex_of_element[v])
         checked += 1
         if ku == kv:
             continue
-        h = eng.multiply(eng.inverse(dual.rep_element[ku]), dual.rep_element[kv])
-        if ctx.in_factor(h) is None:
-            witness = (eng.word_str(ball.elements[u]), eng.word_str(ball.elements[v]))
+        h = eng.multiply(eng.inverse(words.reps[ku]), words.reps[kv])
+        if in_factor(ctx, h) is None:
+            witness = (eng.word_str(words.elements[u]), eng.word_str(words.elements[v]))
             return CheckVerdict("assertion-2.1", False, checked, witness=witness)
         if abs(int(dual.level[ku]) - int(dual.level[kv])) > 1:
             return CheckVerdict(
@@ -111,7 +118,7 @@ def assertion_2_2_walk(ab, sections=None, max_norm=None):
     raise as soon as the walk meets them.
     """
     ctx, ball, dual = ab.ctx, ab.ball, ab.dual
-    eng = ctx.engine
+    eng, words = ctx.engine, amalgam_words(ab)
     in_scope = ball.norms <= (ball.radius if max_norm is None else max_norm)
     live = np.zeros(dual.n_vertices, dtype=bool)
     live[dual.vertex_of_element[in_scope]] = True
@@ -129,7 +136,7 @@ def assertion_2_2_walk(ab, sections=None, max_norm=None):
         for i in dual.fiber(u).tolist():
             if not in_scope[i]:
                 continue
-            x = ball.elements[i]
+            x = words.elements[i]
             c = eng.multiply(inv_prefix, x)
             if not ctx.is_in_c(c):
                 raise AssertionError("normal-form tail not in C")
@@ -148,13 +155,13 @@ def assertion_2_2_walk(ab, sections=None, max_norm=None):
         if v is None:
             stack.pop()
             continue
-        h = eng.multiply(inv_prefix, dual.rep_element[v])
-        v_side = ctx.in_factor(h)
+        h = eng.multiply(inv_prefix, words.reps[v])
+        v_side = in_factor(ctx, h)
         if v_side is None:
             raise AssertionError("dual-graph step does not lie in a factor")
         if v_side == side:
             raise AssertionError("normal form letters fail to alternate")
-        z = ctx.section(v_side, h, sections=sections)
+        z = section(ctx, v_side, h, sections=sections)
         inv_v = eng.multiply(eng.inverse(z), inv_prefix)
         scan_fiber(v, inv_v, z)
         stack.append((inv_v, v_side, iter(children[v])))
@@ -164,7 +171,7 @@ def assertion_2_2_walk(ab, sections=None, max_norm=None):
             "assertion-2.2",
             False,
             int(counted[: first_fail + 1].sum()),
-            witness=eng.word_str(ball.elements[first_fail]),
+            witness=eng.word_str(words.elements[first_fail]),
         )
     return CheckVerdict("assertion-2.2", True, int(counted.sum()))
 
@@ -248,11 +255,12 @@ def reference_dual_graph(ctx, ball):
     piece key per vertex and side, with the level BFS one vertex at a time."""
     key_index = {}
     vertex_of = np.empty(len(ball), dtype=np.int64)
-    rep_element = []
-    for i, x in enumerate(ball.elements):
-        vid = key_index.setdefault(ctx.vertex_key(x), len(rep_element))
+    rep_element, rep_ids = [], []
+    for i, x in enumerate(ball_elements(ball)):
+        vid = key_index.setdefault(vertex_key(ctx, x), len(rep_element))
         if vid == len(rep_element):
             rep_element.append(x)
+            rep_ids.append(i)
         vertex_of[i] = vid
     n = len(rep_element)
 
@@ -300,7 +308,7 @@ def reference_dual_graph(ctx, ball):
     side = np.full(n, SIDE_BASE, dtype=np.int64)
     for u in np.argsort(level, kind="stable").tolist():
         if level[u] == 1:
-            f = ctx.in_factor(rep_element[u])
+            f = in_factor(ctx, rep_element[u])
             if f is None:
                 raise AssertionError("level-1 coset not inside a factor")
             side[u] = f
@@ -318,7 +326,7 @@ def reference_dual_graph(ctx, ball):
         level=level,
         parent=parent,
         side=side,
-        rep_element=rep_element,
+        rep_ids=np.array(rep_ids, dtype=np.int64),
         piece_of_vertex=piece_of_vertex,
         piece_side=piece_side,
         piece_order=np.array([u for m in piece_members for u in sorted(m)], dtype=np.int64),
@@ -408,20 +416,18 @@ def test_dual_graph_equals_reference_on_every_letter_split(graph, kinds):
 
 
 class _TwoLetterContext(AmalgamContext):
-    """Trivial C, A-letters 0 and 1, B-letter 2, every coset in factor A."""
+    """Trivial C, A-letters 0 and 1, B-letter 2."""
 
     def coset_letters(self):
         return [], [0, 1], [2]
-
-    def in_factor(self, x):
-        return SIDE_A
 
 
 def test_dual_graph_rejects_a_piece_met_from_two_frontier_vertices():
     # e's A-piece is {e, u, v}, so u and v are both at level 1; their common
     # B-piece {u, v} then has two gates, though no vertex is met twice
     table = np.array([[1, 2, -1], [0, 2, 2], [1, 0, 1]])
-    ball = Ball(None, 1, ["e", "u", "v"], np.array([0, 1, 1], dtype=np.int32), table)
+    parent, letter = np.array([-1, 0, 0]), np.array([-1, 0, 1])
+    ball = Ball(None, 1, np.array([0, 1, 1], dtype=np.int32), table, parent, letter)
     with pytest.raises(AssertionError, match="piece with two gates"):
         build_dual_graph(_TwoLetterContext(), ball)
 
@@ -475,7 +481,7 @@ def test_normal_form_identity_and_ab(dinf_ball, dinf_amalgam):
 def test_presentation_length_equals_dual_graph_level(z4z2z4_amalgam):
     ab = prepare(z4z2z4_amalgam, 6)
     eng = z4z2z4_amalgam.engine
-    for i, x in enumerate(ab.ball.elements):
+    for i, x in enumerate(ball_elements(ab.ball)):
         vid = project_pi(ab, x)
         assert eng.level(x) == int(ab.dual.level[vid])
         nf = amalgam_normal_form(ab, x)
@@ -531,7 +537,7 @@ def test_assertion_2_2_walk_matches_per_element_scan(request, fixture, radius):
 def _tails(ab, sections):
     eng = ab.ctx.engine
     out = {}
-    for i, x in enumerate(ab.ball.elements):
+    for i, x in enumerate(amalgam_words(ab).elements):
         nf = amalgam_normal_form(ab, x, sections=sections)
         if nf.length:
             out[i] = eng.multiply(nf.letters[-1], nf.c_part)
@@ -560,7 +566,7 @@ def test_assertion_2_2_walk_reports_lowest_failing_element(request, monkeypatch,
         ctx = path4_split()
         ab = prepare(ctx, 7)
     check = assertion_2_2_walk if split.endswith("-walk") else check_assertion_2_2
-    eng, elements, radius = ctx.engine, ab.ball.elements, ab.ball.radius
+    eng, elements, radius = ctx.engine, amalgam_words(ab).elements, ab.ball.radius
     real, (field, anc) = ctx.dist_to_c, ab.level_field(0)
     # d(z_k c, C) is faked on the right cosets C z_k c of two chosen
     # elements' default tails, so exactly the elements whose tails lie in
@@ -651,7 +657,7 @@ def test_tail_column_is_the_default_normal_form_tail(request, fixture, radius):
     # sections, is the element the tail column names
     ctx = amalgam_named(request, fixture)
     ab = prepare(ctx, radius)
-    eng, elements = ctx.engine, ab.ball.elements
+    eng, elements = ctx.engine, amalgam_words(ab).elements
     ids, tail = amalgam._normal_form_tails(ab, np.ones(ab.n, dtype=bool))
     assert np.array_equal(ids, np.nonzero(ab.element_level() > 0)[0])
     for i, t in zip(ids.tolist(), tail.tolist()):
@@ -665,7 +671,7 @@ def test_seeded_tails_are_as_far_from_C_as_the_tail_column(request, fixture, rad
     # which keeps d(z_k c, C): the level-0 field at the tail column's id
     ctx = amalgam_named(request, fixture)
     ab = prepare(ctx, radius)
-    eng, elements = ctx.engine, ab.ball.elements
+    eng, elements = ctx.engine, amalgam_words(ab).elements
     ids, tail = amalgam._normal_form_tails(ab, np.ones(ab.n, dtype=bool))
     dist = ab.level_field(0)[0][tail].tolist()
     for seed in (1, 2, 3, 7):
@@ -695,7 +701,7 @@ def test_racg_random_sections_lie_in_their_cosets(request, fixture):
     eng = ctx.engine
     seeded = [ctx.random_sections(seed) for seed in (1, 2, 3, 7)]
     moved = 0
-    for x in build_ball(eng, 5).elements:
+    for x in ball_elements(build_ball(eng, 5)):
         minrep = eng.coset_minrep(x, ctx.k)
         for side in (SIDE_A, SIDE_B):
             for sections in seeded:
@@ -721,7 +727,7 @@ def test_normal_form_letters_are_the_given_sections(z4z2z4_amalgam, a4z3z6_amalg
         for seed in (1, 2, 5):
             sections = ctx.random_sections(seed)
             assert sections != eng.sections
-            for x in ab.ball.elements:
+            for x in amalgam_words(ab).elements:
                 nf = amalgam_normal_form(ab, x, sections=sections)
                 prod = eng.identity
                 for z, side in zip(nf.letters, nf.sides):
@@ -849,13 +855,12 @@ def test_assertion_2_1_reports_the_first_failing_edge(request, fixture):
     assert check_assertion_2_1(ab).line() == expected
     got = check_assertion_2_1(moved)
     assert got.line() == walk
-    assert not got.passed and eng.word_str(moved.ball.elements[i]) in got.witness
+    assert not got.passed and eng.word_str(ball_elements(moved.ball)[i]) in got.witness
 
 
 def test_dual_graph_arrays_are_read_only(z2z3_amalgam):
     dual = prepare(z2z3_amalgam, 6).dual
-    names = [f.name for f in dataclasses.fields(DualGraph) if f.name != "rep_element"]
-    for name in names:
+    for name in [f.name for f in dataclasses.fields(DualGraph)]:
         array = getattr(dual, name)
         assert isinstance(array, np.ndarray), name
         with pytest.raises(ValueError, match="read-only"):
@@ -902,11 +907,12 @@ def test_c_part_is_the_gate_tail_of_every_ancestor(request, make_ctx, radius):
     reps = dual.fiber_order[dual.fiber_start[:-1]]
     assert (c_part[reps] == 0).all()
     rep_norm = ball.norms[reps].tolist()
-    inv_rep = [eng.inverse(rep) for rep in dual.rep_element]
+    elements = ball_elements(ball)
+    inv_rep = [eng.inverse(elements[rep]) for rep in dual.rep_ids.tolist()]
     parent = dual.parent.tolist()
     pairs = 0
-    for x, v, c in zip(ball.elements, dual.vertex_of_element.tolist(), c_part.tolist()):
-        tail = ctx.to_c(ball.elements[c])
+    for x, v, c in zip(elements, dual.vertex_of_element.tolist(), c_part.tolist()):
+        tail = ctx.to_c(elements[c])
         u = v
         while u >= 0:
             assert ctx.gate_tail(inv_rep[u], x) == (rep_norm[v] - rep_norm[u], tail)
@@ -1003,7 +1009,8 @@ def test_compute_D_R_dinf_example(dinf_amalgam):
     ab = prepare(dinf_amalgam, 8, core_radius=5)
     eng = dinf_amalgam.engine
     ids = compute_D_R(ab, ab.dual.base(), 2, side=SIDE_A)
-    assert [eng.word_str(ab.ball.elements[i]) for i in ids] == ["A.a.B.b"]
+    elements = ball_elements(ab.ball)
+    assert [eng.word_str(elements[i]) for i in ids] == ["A.a.B.b"]
 
 
 def test_compute_D_R_projects_into_B_R(z2z3_amalgam):
@@ -1277,17 +1284,18 @@ def test_translation_equivariance_on_samples(dinf_amalgam):
     eng = dinf_amalgam.engine
     dual = ab.dual
     u = dual.vertices_at_level(2, side=SIDE_A)[0]
-    g_u = dual.rep_element[u]
+    elements = ball_elements(ab.ball)
+    g_u = elements[dual.rep_ids[u]]
     r = 2
     levels = ab.element_level()
     anc = dual.ancestor_at_level(dual.vertex_of_element, 2)
     lhs = {
-        ab.ball.elements[i]
+        elements[i]
         for i in range(ab.n)
         if anc[i] == u and levels[i] <= 2 + r and ab.ball.norms[i] <= 6
     }
     base_region = [
-        ab.ball.elements[i]
+        elements[i]
         for i in range(ab.n)
         if levels[i] <= r
         and ab.side_of_elements()[i] in (SIDE_A, SIDE_BASE)

@@ -9,6 +9,7 @@ from asdimlab import builder
 from asdimlab.amalgam import SIDE_A, SIDE_B, RacgAmalgam, TableAmalgam, prepare
 from asdimlab.builder import (
     algebraic_diameter,
+    c_ball_ids,
     certificate_json_str,
     color_gap,
     cover_amalgam,
@@ -24,6 +25,8 @@ from asdimlab.errors import InputError, PreconditionError, SchedulingError
 from asdimlab.groups import FiniteTableGroup, RacgEngine, build_ball
 
 from conftest import CYCLE5, PATH3, PATH4, RACG_GRAPHS, commutation_matrix, cyclic_table, z_n_group
+from test_amalgam import amalgam_named
+from word_oracles import ball_elements, in_factor
 
 
 def test_cover_finite_group_trivial_and_z2():
@@ -123,7 +126,9 @@ def test_cover_finite_group_equals_radius_probing(monkeypatch, z4z2z4_amalgam):
         cert = cover_finite_group(eng, 6)
         reference = probing_finite_ball(eng)
         assert cert.ball.radius == reference.radius
-        assert cert.ball.elements == reference.elements
+        for column in ("parent", "letter"):
+            assert np.array_equal(getattr(cert.ball, column), getattr(reference, column))
+        assert ball_elements(cert.ball) == ball_elements(reference)
         assert cert.ball.norms.dtype == reference.norms.dtype
         assert np.array_equal(cert.ball.norms, reference.norms)
         assert np.array_equal(cert.ball.table, reference.table)
@@ -132,19 +137,47 @@ def test_cover_finite_group_equals_radius_probing(monkeypatch, z4z2z4_amalgam):
             assert cover_finite_group(eng, 6).to_json() == cert.to_json()
 
 
+@pytest.mark.parametrize(
+    "fixture, radius, c_radius",
+    [
+        ("z4z2z4_amalgam", 8, None),
+        ("a4z3z6_amalgam", 4, None),
+        ("path4split", 8, None),
+        ("cycle4split", 10, 3),
+        ("cycle5split", 6, 2),
+        ("sixsplit", 5, 2),
+    ],
+)
+def test_c_ball_ids_are_the_word_lookup(request, fixture, radius, c_radius):
+    # walking C's table along a C-part's parent column finds the C-ball id
+    # of its element of C by word arithmetic, -1 past a small C-ball
+    ctx = amalgam_named(request, fixture)
+    ab = prepare(ctx, radius)
+    c_ball = build_ball(ctx.c_engine, builder.DEFAULT_BALL_CAP if c_radius is None else c_radius)
+    tails = np.unique(ab.c_part())
+    elements = ball_elements(ab.ball)
+    index = {x: i for i, x in enumerate(ball_elements(c_ball))}
+    expected = [index.get(ctx.to_c(elements[i]), -1) for i in tails.tolist()]
+    got = c_ball_ids(ctx, ab.ball, c_ball, tails)
+    assert got.tolist() == expected
+    assert max(expected) > 0 and (min(expected) < 0) == (c_radius is not None)
+
+
 def test_pieces_are_gated_by_their_first_member(dinf_amalgam, z2z3_amalgam, z4z2z4_amalgam):
     path4_split = RacgAmalgam(RacgEngine(PATH4), n1=[0, 1], knk=[1], n2=[1, 2, 3])
     cases = [(dinf_amalgam, 10), (z2z3_amalgam, 10), (z4z2z4_amalgam, 8), (path4_split, 8)]
     for ctx, radius in cases:
-        dual, eng = prepare(ctx, radius).dual, ctx.engine
+        ab = prepare(ctx, radius)
+        dual, eng = ab.dual, ctx.engine
+        rep = [ball_elements(ab.ball)[i] for i in dual.rep_ids.tolist()]
         sides = set()
         for p in range(len(dual.piece_side)):
             gate, *rest = dual.piece(p).tolist()
             assert dual.level[gate] == dual.level[dual.piece(p)].min()
             for u in rest:
                 assert dual.level[u] == dual.level[gate] + 1 and dual.parent[u] == gate
-                step = eng.multiply(eng.inverse(dual.rep_element[gate]), dual.rep_element[u])
-                assert ctx.in_factor(step) == dual.piece_side[p], (ctx.name, p, u)
+                step = eng.multiply(eng.inverse(rep[gate]), rep[u])
+                assert in_factor(ctx, step) == dual.piece_side[p], (ctx.name, p, u)
                 sides.add(int(dual.piece_side[p]))
         assert sides == {SIDE_A, SIDE_B}
 
@@ -263,7 +296,8 @@ def test_algebraic_diameter_exact_and_bounded(monkeypatch):
     sets = [frozenset(range(len(ball)))]
     sets += [frozenset(rng.choice(len(ball), size=k, replace=False).tolist()) for k in (1, 2, 7, 40, 90)]
     sets += [frozenset(np.nonzero(ball.norms == j)[0].tolist()) for j in range(6)]
-    expected = [algebraic_diameter([ball.elements[i] for i in s], engine) for s in sets]
+    elements = ball_elements(ball)
+    expected = [algebraic_diameter([elements[i] for i in s], engine) for s in sets]
     assert set_diameters(ball, sets) == expected
     assert max(expected) == 10.0  # two points of norm 5 through the identity
     monkeypatch.setattr(builder, "DIAMETER_BLOCK_BYTES", 1)
@@ -283,7 +317,8 @@ def test_packed_block_gives_each_set_its_own_diameter(monkeypatch):
     sets += [frozenset([0]), frozenset(), frozenset([int(shells[1][0]), int(shells[1][1])])]
     sets += [frozenset(rng.choice(len(ball), size=k, replace=False).tolist()) for k in (3, 9, 60)]
     assert sum(len(s) for s in sets) <= builder.PACKED_BLOCK_SOURCES
-    expected = [algebraic_diameter([ball.elements[i] for i in s], engine) for s in sets]
+    elements = ball_elements(ball)
+    expected = [algebraic_diameter([elements[i] for i in s], engine) for s in sets]
     assert len(set(expected)) >= 4
     assert set_diameters(ball, sets) == expected
     # with 64-source blocks the same sets spread over several shared blocks
@@ -321,8 +356,9 @@ def test_bench_cover_diameters_are_exact(request, name, r, ball_radius, d):
     diameters = set_diameters(cert.ball, cert.cover.sets)
     assert max(diameters) == d
     rng = np.random.default_rng(r)
+    elements = ball_elements(cert.ball)
     for s, got in zip(cert.cover.sets, diameters):
-        pts = [cert.ball.elements[i] for i in sorted(s)]
+        pts = [elements[i] for i in sorted(s)]
         if len(pts) <= 60:
             assert got == algebraic_diameter(pts, engine)
             continue
@@ -363,8 +399,9 @@ def bench_cover(request, name, r, ball_radius=None):
 
 def sets_by_word(cert):
     ball = cert.ball
+    elements = ball_elements(ball)
     return sorted(
-        (color, sorted(ball.engine.word_str(ball.elements[i]) for i in s))
+        (color, sorted(ball.engine.word_str(elements[i]) for i in s))
         for s, color in zip(cert.cover.sets, cert.cover.colors)
     )
 

@@ -293,7 +293,7 @@ def test_internal_invariant_failure_exits_4(tmp_path, capsys, monkeypatch):
         ball = real(engine, radius, *args, **kwargs)
         if radius <= 23:
             return ball
-        return dataclasses.replace(ball, elements=ball.elements[::-1])
+        return dataclasses.replace(ball, letter=ball.letter[::-1])
 
     monkeypatch.setattr(builder, "build_ball", shuffled)
     path = write(tmp_path, "dinf.json", DINF_DOC)
@@ -301,6 +301,38 @@ def test_internal_invariant_failure_exits_4(tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("internal error: the radius-25 ball does not extend")
+    assert captured.err.count("\n") == 1
+
+
+def test_grown_ball_with_one_letter_changed_exits_4(tmp_path, capsys, monkeypatch):
+    # the same table but one letter changed inside B(23): the grown ball
+    # spells another element there, so the sets cannot carry over
+    real = build_ball
+
+    def misspelled(engine, radius, *args, **kwargs):
+        ball = real(engine, radius, *args, **kwargs)
+        if radius != 25:  # the prepared B(23) and the trivial C's ball
+            return ball
+        letter = ball.letter.copy()
+        letter[7] = 1 - letter[7]
+        return dataclasses.replace(ball, letter=letter)
+
+    monkeypatch.setattr(builder, "build_ball", misspelled)
+    path = write(tmp_path, "dinf.json", DINF_DOC)
+    assert main(["cover", path, "--r", "16"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: the radius-25 ball does not extend")
+    assert captured.err.count("\n") == 1
+
+
+def test_cover_past_the_element_cap_exits_3(tmp_path, capsys):
+    # B(3000) of D-infinity has 6,001 elements
+    path = write(tmp_path, "dinf.json", DINF_DOC)
+    assert main(["cover", path, "--r", "4", "--ball", "3000", "--cap-elements", "5000"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("resource cap exceeded: ")
     assert captured.err.count("\n") == 1
 
 

@@ -25,6 +25,7 @@ from asdimlab.groups import RacgEngine, build_ball
 from asdimlab.simplicial import SimplicialComplex, barycentric_subdivision, cone
 
 from conftest import CYCLE5, PATH3, PATH4, commutation_matrix
+from word_oracles import ball_elements
 
 
 def test_nerve_isolated_vertices_when_nothing_commutes():
@@ -180,7 +181,8 @@ def reference_davis_ball(cox, radius, cap=200_000):
     apex = len(faces)
     chamber = cone(barycentric_subdivision(nerve), apex)
     ball = build_ball(engine, radius, cap=cap)
-    index = {x: i for i, x in enumerate(ball.elements)}
+    elements = ball_elements(ball)
+    index = {x: i for i, x in enumerate(elements)}
     letter_of = {name: i for i, name in enumerate(engine.names)}
     width = len(faces) + 1
     if len(ball) * width > cap * 4:
@@ -194,14 +196,14 @@ def reference_davis_ball(cox, radius, cap=200_000):
         return x
 
     for fi, f in enumerate(faces):
-        for cid, gamma in enumerate(ball.elements):
+        for cid, gamma in enumerate(elements):
             for g in (letter_of[str(v)] for v in f):
                 oid = index.get(engine.append(gamma, g))
                 if oid is not None:
                     a, b = sorted((find(cid * width + fi), find(oid * width + fi)))
                     parent[b] = a
     roots, labels = {}, []
-    for cid, gamma in enumerate(ball.elements):
+    for cid, gamma in enumerate(elements):
         for cv in range(width):
             root = find(cid * width + cv)
             if root not in roots:

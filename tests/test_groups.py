@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from asdimlab.amalgam import TableAmalgam
 from asdimlab.errors import InputError, ResourceCapError, UnsupportedBackendError
 from asdimlab.groups import (
     BALL_JSON_CHUNK,
+    ElementBall,
     FiniteTableGroup,
     RacgEngine,
     bfs_ball,
@@ -28,6 +30,7 @@ from conftest import (
     z34_loop,
     z_n_group,
 )
+from word_oracles import ball_elements
 
 
 def parse_word(engine, text):
@@ -118,13 +121,13 @@ def test_racg_multiplication_consistent_with_concatenation(w1, w2):
 def test_ball_radius_zero():
     eng = RacgEngine(PATH3)
     ball = build_ball(eng, 0)
-    assert len(ball) == 1 and ball.elements[0] == ()
+    assert len(ball) == 1 and ball_elements(ball)[0] == ()
 
 
 def test_dinf_ball_radius_three():
     eng = RacgEngine([[1, 0], [0, 1]], names=["a", "b"])
     ball = build_ball(eng, 3)
-    words = sorted(eng.word_str(x) for x in ball.elements)
+    words = sorted(eng.word_str(x) for x in ball_elements(ball))
     assert words == ["", "a", "a.b", "a.b.a", "b", "b.a", "b.a.b"]
 
 
@@ -135,9 +138,10 @@ def test_racg_identity_is_the_empty_word():
     assert parse_word(eng, "") == ()
     assert parse_word(eng, "e") == (4,)
     ball = build_ball(eng, 3)
-    words = [eng.word_str(x) for x in ball.elements]
+    elements = ball_elements(ball)
+    words = [eng.word_str(x) for x in elements]
     assert len(set(words)) == len(ball)
-    assert [eng.normal_form(parse_word(eng, w)) for w in words] == ball.elements
+    assert [eng.normal_form(parse_word(eng, w)) for w in words] == elements
 
 
 def test_cycle5_ball_count_matches_brute_enumeration():
@@ -151,7 +155,7 @@ def test_cycle5_ball_count_matches_brute_enumeration():
 def test_bfs_layers_equal_norms():
     eng = RacgEngine(CYCLE5)
     ball = build_ball(eng, 5)
-    for i, x in enumerate(ball.elements):
+    for i, x in enumerate(ball_elements(ball)):
         assert ball.norms[i] == eng.norm(x)
 
 
@@ -166,11 +170,12 @@ def test_distance_normal_form_vs_bfs_cross_oracle():
     eng = RacgEngine(CYCLE5)
     ball = build_ball(eng, 8)
     metric = ball.graph_metric()
+    elements = ball_elements(ball)
     rng = np.random.default_rng(5)
     core = [i for i in range(len(ball)) if ball.norms[i] <= 4]
     for _ in range(120):
         i, j = rng.choice(core, size=2)
-        alg = eng.distance(ball.elements[i], ball.elements[j])
+        alg = eng.distance(elements[i], elements[j])
         assert metric.dist(int(i), int(j)) == alg
 
 
@@ -183,14 +188,27 @@ def test_parabolic_balls_embed_isometrically():
         sub_ball = build_ball(sub, 6)
         # the parabolic ball, re-encoded into ambient letters
         images = {
-            tuple(mapping[g] for g in x): sub.norm(x) for x in sub_ball.elements
+            tuple(mapping[g] for g in x): sub.norm(x) for x in ball_elements(sub_ball)
         }
         ambient = {
             x: int(big.norms[i])
-            for i, x in enumerate(big.elements)
+            for i, x in enumerate(ball_elements(big))
             if set(x) <= set(letters)
         }
         assert images == ambient
+
+
+def assert_spells(ball, reference):
+    """The parent and letter columns of `ball` spell the elements of the
+    generic BFS `reference`: each parent is one shorter, each column-spelled
+    word re-normalises to the element, and the streamed and single words are
+    its `word_str`."""
+    eng = ball.engine
+    assert np.array_equal(ball.norms[ball.parent[1:]], ball.norms[1:] - 1)
+    assert [eng.normal_form(ball.letters(i)) for i in range(len(ball))] == reference.elements
+    words = [eng.word_str(x) for x in reference.elements]
+    assert list(ball.iter_words()) == words
+    assert [ball.word(i) for i in range(len(ball))] == words
 
 
 @pytest.mark.parametrize("graph", sorted(RACG_GRAPHS))
@@ -198,7 +216,7 @@ def test_racg_ball_equals_generic_bfs(graph):
     eng = RacgEngine(RACG_GRAPHS[graph])
     for radius in range(9):
         ball, reference = build_ball(eng, radius), bfs_ball(eng, radius)
-        assert ball.elements == reference.elements
+        assert_spells(ball, reference)
         assert ball.norms.dtype == reference.norms.dtype
         assert np.array_equal(ball.norms, reference.norms)
         assert ball.table.shape == reference.table.shape == (len(ball), eng.rank)
@@ -211,7 +229,7 @@ def test_racg_ball_at_the_descent_bit_limit(rank):
     # 63 generators fill the int64 descent masks; 64 fall back to the BFS
     eng = RacgEngine(commutation_matrix(rank, [(0, rank - 1), (rank - 2, rank - 1)]))
     ball, reference = build_ball(eng, 2), bfs_ball(eng, 2)
-    assert ball.elements == reference.elements
+    assert_spells(ball, reference)
     assert np.array_equal(ball.table, reference.table)
 
 
@@ -230,7 +248,7 @@ def test_table_amalgam_ball_equals_generic_bfs(request, amalgam):
     eng = request.getfixturevalue(amalgam).engine
     for radius in range(TABLE_AMALGAM_RADII[amalgam] + 1):
         ball, reference = build_ball(eng, radius), bfs_ball(eng, radius)
-        assert ball.elements == reference.elements, radius
+        assert_spells(ball, reference)
         assert ball.norms.dtype == reference.norms.dtype
         assert np.array_equal(ball.norms, reference.norms)
         assert ball.table.shape == reference.table.shape == (len(ball), eng.gen_count)
@@ -263,8 +281,9 @@ def test_ball_table_is_the_product_table(dinf_amalgam, z4z2z4_amalgam):
     ]
     for eng in engines:
         ball = build_ball(eng, 4)
-        index = {x: i for i, x in enumerate(ball.elements)}
-        for i, x in enumerate(ball.elements):
+        elements = ball_elements(ball)
+        index = {x: i for i, x in enumerate(elements)}
+        for i, x in enumerate(elements):
             for g in range(eng.gen_count):
                 y = index.get(eng.mul_gen(x, g), -1)
                 assert ball.table[i, g] == y
@@ -322,16 +341,100 @@ def test_table_amalgam_ball_words_are_word_str(request, monkeypatch, amalgam, ra
     monkeypatch.setattr(groups, "BALL_JSON_CHUNK", chunk)
     eng = request.getfixturevalue(amalgam).engine
     ball = build_ball(eng, radius)
-    assert ball.words is not None
-    expected = [eng.word_str(x) for x in ball.elements]
+    assert not isinstance(ball, ElementBall)
+    expected = [eng.word_str(x) for x in ball_elements(ball)]
     assert expected[0] == "e" and any(".C." in w for w in expected)
     chunks = list(ball.iter_json())
     assert "".join(chunks) == reference_ball_json(ball)
     streamed = [record["word"] for record in json.loads("".join(chunks))["elements"]]
-    assert streamed == list(ball.words()) == expected
+    assert streamed == list(ball.iter_words()) == expected
     if chunk < len(ball):
         # chunks end inside spheres
         assert np.bincount(ball.norms)[1:].min() > chunk
+
+
+def bfs_json_text(engine, radius):
+    """ball.json built from the generic BFS alone: its tuples' `word_str`,
+    its norms and its table's in-ball edges u <= v in row-major order."""
+    ref = bfs_ball(engine, radius)
+    document = {
+        "radius": radius,
+        "elements": [
+            {"id": i, "word": engine.word_str(x), "norm": int(ref.norms[i])}
+            for i, x in enumerate(ref.elements)
+        ],
+        "edges": [
+            [u, v, engine.gen_names[g]]
+            for u, row in enumerate(ref.table.tolist())
+            for g, v in enumerate(row)
+            if u <= v
+        ],
+    }
+    return json.dumps(document, indent=2, sort_keys=True) + "\n"
+
+
+# every RACG graph of conftest, the 63-letter descent-bit limit, and the
+# three table amalgams of the benchmark, with the radius each is streamed at
+STREAM_ORACLE_CASES = {
+    **{graph: (lambda graph=graph: RacgEngine(RACG_GRAPHS[graph]), radius)
+       for graph, radius in [("free", 7), ("z2-cubed", 4), ("cycle4", 8), ("path4", 8),
+                             ("cycle5", 6), ("star", 6), ("six", 5)]},
+    "descent-limit-63": (lambda: RacgEngine(commutation_matrix(63, [(0, 62), (61, 62)])), 2),
+    "dinf": (lambda: _table_amalgam_engine((2, 2), "a", "b", [0]), 40),
+    "z2z3": (lambda: _table_amalgam_engine((2, 3), "a", "b", [0]), 14),
+    "z4z2z4": (lambda: _table_amalgam_engine((4, 4), "x", "y", [0, 2]), 12),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STREAM_ORACLE_CASES))
+def test_streamed_ball_json_equals_the_bfs_reference(name):
+    make, radius = STREAM_ORACLE_CASES[name]
+    engine = make()
+    ball = build_ball(engine, radius)
+    assert not isinstance(ball, ElementBall)
+    assert "".join(ball.iter_json()) == bfs_json_text(engine, radius)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda k: st.tuples(
+            st.just(k), st.sets(st.tuples(st.integers(0, k - 1), st.integers(0, k - 1)))
+        )
+    ),
+    st.integers(0, 5),
+)
+def test_racg_parent_columns_spell_the_normal_forms(graph, radius):
+    k, pairs = graph
+    engine = RacgEngine(commutation_matrix(k, [(i, j) for i, j in pairs if i != j]))
+    ball = build_ball(engine, radius)
+    assert ball.parent[0] == ball.letter[0] == -1
+    assert_spells(ball, bfs_ball(engine, radius))
+
+
+def test_sphere_balls_hold_integer_columns_only(z4z2z4_amalgam):
+    for engine in (RacgEngine(CYCLE5), z4z2z4_amalgam.engine):
+        ball = build_ball(engine, 6)
+        assert not hasattr(ball, "elements")
+        for name, value in vars(ball).items():
+            if name == "engine":
+                continue
+            assert isinstance(value, int) or value.dtype.kind == "i", name
+            assert isinstance(value, int) or not value.flags.writeable, name
+
+
+def test_dinf_ball_memory_is_linear_in_the_radius(dinf_amalgam):
+    # no per-vertex word tuple: doubling the radius doubles the elements
+    # and at most the traced peak, not four times
+    def peak(radius):
+        tracemalloc.start()
+        try:
+            build_ball(dinf_amalgam.engine, radius)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(2000) < 2.5 * peak(1000)
 
 
 def test_ball_json_stream_radius_zero_has_empty_edge_list():
@@ -382,9 +485,8 @@ def test_cayley_balls_are_convex(name):
     make, radius = CONVEX_BALLS[name]
     engine = make()
     ball = build_ball(engine, radius)
-    words = np.array(
-        [[engine.distance(x, y) for y in ball.elements] for x in ball.elements]
-    )
+    elements = ball_elements(ball)
+    words = np.array([[engine.distance(x, y) for y in elements] for x in elements])
     for rho in range(1, radius + 1):
         n = int(np.searchsorted(ball.norms, rho, side="right"))
         src, gen = np.nonzero((ball.table[:n] >= 0) & (ball.table[:n] < n))
@@ -425,7 +527,9 @@ def test_ball_is_the_id_prefix_of_the_next_ball(name):
     for n in range(top + 1):
         small, big = big, build_ball(engine, n + 1)
         m = len(small)
-        assert big.elements[:m] == small.elements, n
+        for column in ("parent", "letter"):
+            assert np.array_equal(getattr(big, column)[:m], getattr(small, column)), n
+        assert ball_elements(big)[:m] == ball_elements(small), n
         assert np.array_equal(big.norms[:m], small.norms), n
         inner = big.table[:m]
         assert np.array_equal(np.where(inner < m, inner, -1), small.table), n
