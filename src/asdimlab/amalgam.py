@@ -22,14 +22,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError, OutOfBallError, PreconditionError
+from .errors import InputError, OutOfBallError, PreconditionError, ResourceCapError
 from .groups import (
+    DEFAULT_BALL_CAP,
     Ball,
     FiniteTableGroup,
     RacgEngine,
     SphereTable,
     build_ball,
     first_sight,
+    projected_ball_size,
     reserve_rows,
 )
 from .metric import UNREACHED, GraphMetric
@@ -465,7 +467,6 @@ class RacgAmalgam(AmalgamContext):
         self.name = name
         self.c_engine, self._c_letters = engine.sub_engine(sorted(self.k))
         self._c_pos = {letter: i for i, letter in enumerate(self._c_letters)}
-        self._section_cache = {}
 
     def is_in_c(self, x):
         return frozenset(x) <= self.k
@@ -787,12 +788,22 @@ class AmalgamBall:
         return c
 
 
-def prepare(ctx: AmalgamContext, ball_radius, core_radius=None, cap=None) -> AmalgamBall:
-    kwargs = {} if cap is None else {"cap": cap}
-    ball = build_ball(ctx.engine, ball_radius, **kwargs)
-    dual = build_dual_graph(ctx, ball)
+def prepare(
+    ctx: AmalgamContext, ball_radius, core_radius=None, cap=DEFAULT_BALL_CAP
+) -> AmalgamBall:
+    """The ball of `ball_radius` with its dual graph and metric.  Its size is
+    projected from a radius-6 probe ball first (`projected_ball_size`), and a
+    projection past `cap` raises `ResourceCapError` before it is enumerated."""
     if core_radius is None:
         core_radius = ball_radius
+    if projected_ball_size(ctx.engine, ball_radius) > cap:
+        raise ResourceCapError(
+            f"ball of radius {ball_radius} for core {core_radius} is "
+            f"projected past the cap {cap}",
+            cap=cap,
+        )
+    ball = build_ball(ctx.engine, ball_radius, cap)
+    dual = build_dual_graph(ctx, ball)
     return AmalgamBall(
         ctx=ctx, ball=ball, dual=dual, metric=ball.graph_metric(), core_radius=core_radius
     )
@@ -1037,8 +1048,7 @@ def check_separation(ab: AmalgamBall, u, u_prime, R, boundary_override=None) -> 
     # classification of D_R is exact; shell points with uncertain membership
     # must neither block nor carry paths
     core = ab.core_mask()
-    outside_core = np.nonzero(~core)[0].tolist()
-    masked = ab.metric.masked(d_set.tolist() + outside_core)
+    masked = ab.metric.masked(np.concatenate([d_set, np.nonzero(~core)[0]]))
     labels = masked.components()
 
     interior = core & (ab.ball.norms <= ab.ball.radius - 1)

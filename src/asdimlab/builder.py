@@ -50,7 +50,7 @@ from .errors import (
     ResourceCapError,
     SchedulingError,
 )
-from .groups import DEFAULT_BALL_CAP, Ball, bfs_ball, build_ball
+from .groups import DEFAULT_BALL_CAP, Ball, build_ball, projected_ball_size
 from .metric import GraphMetric
 
 # bytes of one `set_diameters` block: its reach bitsets and two temporaries
@@ -474,26 +474,6 @@ def make_schedule(r, min_core=0, R_override=None):
     return Schedule(r=r, R=R, E=E, L=L, core=core, margin=margin)
 
 
-def projected_ball_size(engine, radius, probe_radius=6, ball=None):
-    """Conservative growth-based estimate of |ball(radius)|: the spheres of
-    `ball`, or of a fresh probe ball of radius `probe_radius`, extrapolated
-    at the ratio of their last two sizes.  The probe is enumerated by the
-    generic BFS, which beats the numpy sphere steps on balls this small."""
-    probe = ball if ball is not None else bfs_ball(engine, min(radius, probe_radius))
-    sizes = np.bincount(probe.norms, minlength=probe.radius + 1).astype(float)
-    if radius <= probe.radius:
-        return float(len(probe))
-    last = sizes[probe.radius]
-    prev = sizes[probe.radius - 1] if probe.radius >= 1 else 1.0
-    rate = max(1.0, last / max(prev, 1.0))
-    total = float(len(probe))
-    step = last
-    for _ in range(radius - probe.radius):
-        step *= rate
-        total += step
-    return total
-
-
 def _grow_ball(cert: CoverCertificate, cap):
     """Move `cert` from the ball its sets were built on to the least ball
     whose margin holds its claimed_r, or to the largest smaller one the cap
@@ -668,12 +648,6 @@ def cover_amalgam(
     if grow:
         # the collars read web points up to norm core + E (`set_diameters`)
         ball_radius = schedule.core + max(2, E)
-        if projected_ball_size(ctx.engine, ball_radius) > cap:
-            raise ResourceCapError(
-                f"ball of radius {ball_radius} for core {schedule.core} is "
-                f"projected past the cap {cap}",
-                cap=cap,
-            )
     elif ball_radius < schedule.core + 2:
         raise InputError(
             f"ball radius {ball_radius} below schedule core {schedule.core} + 2"

@@ -1,9 +1,10 @@
 """Finite metric spaces backing all cover computations.
 
 Two concrete backings: an explicit distance matrix (small abstract instances,
-random test fixtures) and the path metric of a sparse graph (Cayley balls).
-Distances are exact within the carrier; graph metrics additionally provide
-fast multi-source distance fields via scipy BFS.
+random test fixtures) and the path metric of a graph given by its edge table,
+one row of neighbour ids per point (Cayley balls).  Distances are exact
+within the carrier; graph metrics additionally provide fast multi-source
+distance fields via scipy BFS.
 """
 
 from __future__ import annotations
@@ -121,32 +122,32 @@ class DenseMetric(FiniteMetric):
 class GraphMetric(FiniteMetric):
     """Shortest-path metric of an undirected unit-weight graph.
 
-    `edges` is an (m, 2) array-like or an iterable of (u, v) pairs; the
-    metric is the BFS distance in the graph on n points.  Used for Cayley
-    balls, where the graph distance agrees with the word metric for all
-    pairs whose true distance keeps a geodesic inside the enumerated ball.
+    `table` is an (n, k) array of neighbour ids, padded with -1, that lists
+    every edge from both of its ends; the metric is the BFS distance in that
+    graph on n points.  A Cayley ball's edge table is one, as its generators
+    are closed under inverses, and there the graph distance agrees with the
+    word metric for all pairs whose true distance keeps a geodesic inside
+    the enumerated ball.
     """
 
-    def __init__(self, n, edges):
-        self.n = n
-        if not hasattr(edges, "__len__"):  # a generator of pairs
-            edges = list(edges)
-        edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-        if len(edges) and (edges.min() < 0 or edges.max() >= n):
-            raise InputError("edge endpoint outside point range")
-        row = np.concatenate([edges[:, 0], edges[:, 1]])
-        col = np.concatenate([edges[:, 1], edges[:, 0]])
-        data = np.ones(len(row), dtype=np.int8)
-        self.graph = csr_matrix((data, (row, col)), shape=(n, n))
+    def __init__(self, table):
+        self.table = table = np.asarray(table)
+        self.n = n = len(table)
+        edge = table >= 0
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(edge.sum(axis=1), out=indptr[1:])
+        indices = table[edge]
+        data = np.ones(len(indices), dtype=np.int8)
+        self.graph = csr_matrix((data, indices, indptr), shape=(n, n))
         self._field_cache: dict[tuple[int, ...], np.ndarray] = {}
 
     def masked(self, removed) -> "GraphMetric":
-        """Graph metric with a point set removed (used for separation checks)."""
-        gone = np.zeros(self.n, dtype=bool)
-        gone[np.asarray(list(removed), dtype=np.int64)] = True
-        coo = self.graph.tocoo()
-        keep = (coo.row < coo.col) & ~gone[coo.row] & ~gone[coo.col]
-        return GraphMetric(self.n, np.column_stack([coo.row[keep], coo.col[keep]]))
+        """Graph metric with a point set removed (used for separation checks):
+        every table entry into or out of a removed point becomes -1."""
+        gone = np.zeros(self.n + 1, dtype=bool)  # gone[-1] is read for -1
+        gone[np.asarray(removed, dtype=np.int64)] = True
+        table = np.where(gone[self.table] | gone[: self.n, None], -1, self.table)
+        return GraphMetric(table)
 
     def components(self) -> np.ndarray:
         _, labels = connected_components(self.graph, directed=False)
@@ -210,8 +211,8 @@ class GraphMetric(FiniteMetric):
         reached = src >= 0
         node_label = np.full(self.n, -1, dtype=np.int64)
         node_label[reached] = labels[src[reached]]
-        coo = self.graph.tocoo()
-        u, v = coo.row, coo.col
+        u, gen = np.nonzero(self.table >= 0)
+        v = self.table[u, gen]
         lu, lv = node_label[u], node_label[v]
         cross = (lu >= 0) & (lv >= 0) & (lu != lv)
         return lu[cross], lv[cross], fld[u[cross]] + fld[v[cross]] + 1

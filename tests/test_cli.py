@@ -265,21 +265,42 @@ def test_cover_cap_at_core_plus_2_verifies(tmp_path, capsys):
     assert all(": pass" in line for line in out[1:])
 
 
+def record_ball_radii(monkeypatch):
+    """The radius of every ball enumerated from now on, probes included."""
+    radii, real = [], groups.bfs_ball
+
+    def recording(engine, radius, *args, **kwargs):
+        radii.append(radius)
+        return real(engine, radius, *args, **kwargs)
+
+    for module, name in ((builder, "build_ball"), (groups, "bfs_ball"), (amalgam, "build_ball")):
+        monkeypatch.setattr(module, name, recording)
+    return radii
+
+
 def test_cover_cap_below_core_plus_2_exits_3_before_enumerating(tmp_path, capsys, monkeypatch):
     # the first ball's size is projected from a radius-6 probe ball, so a
     # cap too small for B(core + 2) exits 3 with the probe the only ball
     # enumerated
-    radii = []
-
-    def recording(engine, radius, *args, **kwargs):
-        radii.append(radius)
-        return groups.bfs_ball(engine, radius, *args, **kwargs)
-
-    for module, name in ((builder, "build_ball"), (builder, "bfs_ball"), (amalgam, "build_ball")):
-        monkeypatch.setattr(module, name, recording)
+    radii = record_ball_radii(monkeypatch)
     path = write(tmp_path, "dinf.json", DINF_DOC)
     assert main(["cover", path, "--r", "16", "--cap-elements", "46"]) == 3
     assert capsys.readouterr().err.startswith("resource cap exceeded: ")
+    assert radii == [6]
+
+
+@pytest.mark.parametrize(
+    "args", [["cover", "--r", "4"], ["check", "--r", "8", "--R", "1"]], ids=["cover", "check"]
+)
+def test_an_explicit_ball_past_the_cap_exits_3_before_enumerating(tmp_path, capsys, monkeypatch, args):
+    # B(1000000) of D-infinity has 2,000,001 elements: an explicit --ball is
+    # projected from the radius-6 probe too, and nothing larger is built
+    radii = record_ball_radii(monkeypatch)
+    path = write(tmp_path, "dinf.json", DINF_DOC)
+    assert main([args[0], path, *args[1:], "--ball", "1000000"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("resource cap exceeded: ball of radius 1000000 for core ")
     assert radii == [6]
 
 

@@ -63,6 +63,13 @@ def test_table_group_rejects_non_symmetric_generators():
         FiniteTableGroup(table, names=names, generators=[1])
 
 
+def test_table_group_rejects_a_symmetric_set_that_does_not_generate():
+    # Klein four-group: {1} is its own inverse set and spans {0, 1} only
+    table = [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]]
+    with pytest.raises(InputError, match="^given set does not generate the group$"):
+        FiniteTableGroup(table, generators=[1])
+
+
 def test_table_group_rejects_non_group_table():
     with pytest.raises(InputError):
         FiniteTableGroup([[0, 1], [0, 1]])

@@ -1,14 +1,39 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
 
 from asdimlab.builder import color_gap
 from asdimlab.errors import InputError
-from asdimlab.groups import build_ball
+from asdimlab.groups import RacgEngine, build_ball
 from asdimlab.metric import DenseMetric, GraphMetric, UNREACHED, line_metric
+
+from conftest import CYCLE5
+
+
+def edge_table(n, pairs):
+    """The edge table of the graph on n points with edges `pairs`: row u
+    lists u's neighbours, each edge from both ends (a loop once), padded
+    with -1."""
+    rows = [[] for _ in range(n)]
+    for u, v in pairs:
+        rows[u].append(v)
+        if u != v:
+            rows[v].append(u)
+    table = np.full((n, max(map(len, rows), default=0)), -1, dtype=np.int64)
+    for u, row in enumerate(rows):
+        table[u, : len(row)] = row
+    return table
+
+
+def pattern(graph):
+    """The (row, col) pairs a sparse graph stores."""
+    coo = graph.tocoo()
+    return set(zip(coo.row.tolist(), coo.col.tolist()))
 
 
 def set_dist(m, a, b):
@@ -36,42 +61,50 @@ def test_dense_metric_fields_and_diam():
 
 
 def test_graph_metric_path():
-    g = GraphMetric(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+    g = GraphMetric(edge_table(5, [(0, 1), (1, 2), (2, 3), (3, 4)]))
     assert g.dist(0, 4) == 4
     fld, src = g.dist_field([0, 4], with_sources=True)
     assert list(fld) == [0, 1, 2, 1, 0]
     assert src[1] == 0 and src[3] == 4
 
 
-def test_graph_metric_takes_arrays_lists_and_generators():
-    pairs = [(0, 1), (1, 2), (2, 3), (3, 4), (1, 3)]
-    graphs = [
-        GraphMetric(5, np.array(pairs)).graph,
-        GraphMetric(5, pairs).graph,
-        GraphMetric(5, (p for p in pairs)).graph,
-    ]
-    for graph in graphs[1:]:
-        assert (graph != graphs[0]).nnz == 0
-    assert GraphMetric(3, np.empty((0, 2), dtype=np.int64)).graph.nnz == 0
-
-
 def test_ball_graph_metric_is_the_in_ball_edge_graph(z2z3_amalgam):
     ball = build_ball(z2z3_amalgam.engine, 8)
-    pairs = [
-        (u, int(v)) for u, row in enumerate(ball.table) for v in row if v >= 0
-    ]
-    assert (ball.graph_metric().graph != GraphMetric(len(ball), pairs).graph).nnz == 0
+    src, gen = np.nonzero(ball.table >= 0)
+    reference = csr_matrix((np.ones(len(src)), (src, ball.table[src, gen])), shape=(len(ball),) * 2)
+    assert pattern(ball.graph_metric().graph) == pattern(reference)
+
+
+def test_ball_graph_metric_stores_each_table_entry_once(z2z3_amalgam):
+    for ball in (build_ball(z2z3_amalgam.engine, 8), build_ball(RacgEngine(CYCLE5), 5)):
+        graph = ball.graph_metric().graph
+        assert graph.nnz == (ball.table >= 0).sum()
+        assert (graph.data == 1).all()
+
+
+def test_ball_graph_metric_peak_memory_is_near_the_table():
+    # the CSR is read off the table: at most 2x its bytes at the peak, where
+    # a doubled, re-symmetrised edge list took 7x
+    ball = build_ball(RacgEngine(CYCLE5), 8)
+    assert len(ball) == 7981
+    tracemalloc.start()
+    try:
+        ball.graph_metric()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * ball.table.nbytes
 
 
 def test_graph_metric_disconnected_reports_unreached():
-    g = GraphMetric(4, [(0, 1)])
+    g = GraphMetric(edge_table(4, [(0, 1)]))
     fld = g.dist_field([0])
     assert fld[3] >= UNREACHED
     assert g.dist(0, 3) == float("inf")
 
 
 def test_graph_metric_masked_separation():
-    g = GraphMetric(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+    g = GraphMetric(edge_table(5, [(0, 1), (1, 2), (2, 3), (3, 4)]))
     masked = g.masked([2])
     labels = masked.components()
     assert labels[0] == labels[1]
@@ -81,27 +114,26 @@ def test_graph_metric_masked_separation():
 
 def test_graph_metric_masked_matches_edge_scan():
     rng = np.random.default_rng(5)
-    g = GraphMetric(80, rng.integers(0, 80, size=(200, 2)).tolist())
+    pairs = rng.integers(0, 80, size=(200, 2)).tolist()
+    assert any(u == v for u, v in pairs)  # the graph has loops
+    g = GraphMetric(edge_table(80, pairs))
     removed = list(range(0, 80, 7))
-    coo = g.graph.tocoo()
-    kept = [
-        (u, v)
-        for u, v in zip(coo.row, coo.col)
-        if u < v and u not in removed and v not in removed
-    ]
+    kept = GraphMetric(
+        edge_table(80, [(u, v) for u, v in pairs if u not in removed and v not in removed])
+    )
     masked = g.masked(removed)
-    assert (masked.graph != GraphMetric(80, kept).graph).nnz == 0
-    assert np.array_equal(masked.components(), GraphMetric(80, kept).components())
+    assert pattern(masked.graph) == pattern(kept.graph)
+    assert np.array_equal(masked.components(), kept.components())
 
 
 def test_unknown_point_rejected():
-    g = GraphMetric(3, [(0, 1)])
+    g = GraphMetric(edge_table(3, [(0, 1)]))
     with pytest.raises(InputError):
         g.dist(0, 7)
 
 
 def test_graph_metric_fields_are_read_only():
-    g = GraphMetric(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+    g = GraphMetric(edge_table(5, [(0, 1), (1, 2), (2, 3), (3, 4)]))
     for sources in ([0, 3], []):
         first = g.dist_field(sources)
         with pytest.raises(ValueError):
