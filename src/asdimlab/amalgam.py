@@ -16,8 +16,6 @@ Two backends:
 
 from __future__ import annotations
 
-import hashlib
-import random
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -134,20 +132,6 @@ class TableAmalgamEngine:
                 for members in self.cosets[side]
             ]
             reps[0] = grp.identity
-            out.append(reps)
-        return out
-
-    def random_sections(self, seed):
-        """Seeded alternative sections; the C-coset keeps the identity rep."""
-        out = []
-        for side in (0, 1):
-            reps = []
-            for cid, members in enumerate(self.cosets[side]):
-                if cid == 0:
-                    reps.append((self.a, self.b)[side].identity)
-                else:
-                    rng = random.Random(f"{seed}:{side}:{cid}")
-                    reps.append(rng.choice(sorted(members)))
             out.append(reps)
         return out
 
@@ -359,14 +343,15 @@ class TableAmalgamEngine:
 
 
 class AmalgamContext:
-    """Shared amalgam interface consumed by the dual graph and the builder."""
+    """What the dual graph, the builder and the checkers read of an amalgam:
+    its engines, the letters of each coset kind, C's generators and the
+    factors' asdim numbers.  Word arithmetic on normal forms is left to the
+    tests' oracles, apart from `gate_tail`, their traced reference for the
+    C-part column."""
 
     name: str
     engine: object
     c_engine: object
-
-    def is_in_c(self, x):
-        raise NotImplementedError
 
     def coset_letters(self):
         """Generator indices (of C, of the A side, of the B side) whose ball
@@ -376,17 +361,6 @@ class AmalgamContext:
     def c_generators(self):
         """Per generator of `engine`, the index of the same generator of
         `c_engine`, or -1 for a generator outside C."""
-        raise NotImplementedError
-
-    def dist_to_c(self, x):
-        raise NotImplementedError
-
-    def to_c(self, x):
-        raise NotImplementedError
-
-    def sections_lie_in_cosets(self, sections):
-        """True when every section of `sections` lies in the coset it stands
-        for, the premise under which `check_assertion_2_2` needs no sections."""
         raise NotImplementedError
 
     def factor_dims(self):
@@ -399,9 +373,6 @@ class TableAmalgam(AmalgamContext):
         self.engine = TableAmalgamEngine(a, b, embed_a, embed_b)
         self.c_engine = self.engine.c_group
         self.name = name
-
-    def is_in_c(self, x):
-        return not x[0]
 
     def coset_letters(self):
         # the A-generators that lie in C are every non-identity element of
@@ -418,17 +389,6 @@ class TableAmalgam(AmalgamContext):
         c_gen = {eng.embed[0][c]: i for i, c in enumerate(eng.c_group.generators)}
         return [c_gen.get(x, -1) if side == 0 else -1 for side, x in eng.gens]
 
-    def dist_to_c(self, x):
-        return self.engine.level(x)
-
-    def to_c(self, x):
-        if x[0]:
-            raise InputError("element not in C")
-        return x[1]
-
-    def from_c(self, cx):
-        return ((), cx)
-
     def gate_tail(self, inv_gate_rep, x):
         zs, c = self.engine.multiply(inv_gate_rep, x)
         return len(zs), c
@@ -436,21 +396,13 @@ class TableAmalgam(AmalgamContext):
     def factor_dims(self):
         return 0, 0, 0
 
-    def random_sections(self, seed):
-        return self.engine.random_sections(seed)
-
-    def sections_lie_in_cosets(self, sections):
-        coset_of = self.engine.coset_of
-        return all(
-            coset_of[side][rep] == cid for side in (0, 1) for cid, rep in enumerate(sections[side])
-        )
-
 
 class RacgAmalgam(AmalgamContext):
     """Splitting of a right-angled Coxeter group along parabolic subgroups.
 
     `n1`, `knk`, `n2` are letter-index subsets of the ambient engine with
-    n1 | n2 = all letters and n1 & n2 = knk.
+    n1 | n2 = all letters, n1 & n2 = knk, and no letter of n1 - knk
+    commuting with one of n2 - knk.
     """
 
     def __init__(self, engine: RacgEngine, n1, knk, n2, name="racg-amalgam"):
@@ -464,9 +416,18 @@ class RacgAmalgam(AmalgamContext):
             raise InputError("factor letter sets must intersect in K")
         if self.k == self.n1 or self.k == self.n2:
             raise InputError("degenerate amalgam: C equals a factor")
+        # the group is the amalgam exactly when it has no relation beyond
+        # those of the factors: no letter of N1 - K commutes with one of N2 - K
+        for s in sorted(self.n1 - self.k):
+            for t in sorted(self.n2 - self.k):
+                if t in engine.comm[s]:
+                    raise InputError(
+                        f"not a splitting: {engine.names[s]} in n1 - k commutes with "
+                        f"{engine.names[t]} in n2 - k"
+                    )
         self.name = name
-        self.c_engine, self._c_letters = engine.sub_engine(sorted(self.k))
-        self._c_pos = {letter: i for i, letter in enumerate(self._c_letters)}
+        self.c_engine, c_letters = engine.sub_engine(sorted(self.k))
+        self._c_pos = {letter: i for i, letter in enumerate(c_letters)}
 
     def is_in_c(self, x):
         return frozenset(x) <= self.k
@@ -477,43 +438,16 @@ class RacgAmalgam(AmalgamContext):
     def c_generators(self):
         return [self._c_pos.get(g, -1) for g in range(self.engine.rank)]
 
-    def dist_to_c(self, x):
-        return len(self.engine.coset_minrep(self.engine.inverse(x), self.k))
-
     def to_c(self, x):
         if not self.is_in_c(x):
             raise InputError("element not in C")
         return tuple(self._c_pos[g] for g in x)
-
-    def from_c(self, cx):
-        return self.engine.normal_form(tuple(self._c_letters[g] for g in cx))
 
     def gate_tail(self, inv_gate_rep, x):
         y = self.engine.multiply(inv_gate_rep, x)
         m = self.engine.coset_minrep(y, self.k)
         c = self.engine.multiply(self.engine.inverse(m), y)
         return len(m), self.to_c(c)
-
-    def random_sections(self, seed):
-        """Section function keyed by coset minrep; identity coset stays identity."""
-        c_ball = build_ball(self.c_engine, 2)
-
-        def sect(key):
-            side, minrep = key
-            if not minrep:
-                return self.engine.identity
-            token = f"{seed}:{side}:{self.engine.word_str(minrep)}"
-            digest = int(hashlib.sha256(token.encode()).hexdigest(), 16)
-            cx = c_ball.letters(digest % len(c_ball))
-            return self.engine.multiply(minrep, self.from_c(cx))
-
-        return sect
-
-    def sections_lie_in_cosets(self, sections):
-        """True: a section is a function of the coset's minimal
-        representative, and `random_sections` returns that representative
-        times an element of C."""
-        return True
 
     def factor_dims(self):
         from .coxeter import CoxeterSystem, asdim_recursive
@@ -862,32 +796,22 @@ def check_assertion_2_1(ab: AmalgamBall) -> CheckVerdict:
     )
 
 
-def check_assertion_2_2(ab: AmalgamBall, sections=None, max_norm=None) -> CheckVerdict:
+def check_assertion_2_2(ab: AmalgamBall) -> CheckVerdict:
     """||gamma|| >= d(z_k c, C) for the normal presentation, any sections.
 
-    The scan covers the in-scope elements (norm <= max_norm, the whole
-    enumerated ball by default) outside the base fiber, and a failure
-    reports the lowest failing ball index, with `checked` counting the
-    elements up to it.  Under the default sections the prefix z_1...z_j of
-    an element of the fiber of v is rep(v), so z_k c = rep(u)^-1 x for u the
-    parent of pi(x), which `_normal_form_tails` reads as a ball id near the
-    identity, and d(z_k c, C) is the level-0 field there (`level_field`).
+    The scan covers the ball's elements outside the base fiber, and a
+    failure reports the lowest failing ball index, with `checked` counting
+    the elements up to it.  Under the default sections the prefix z_1...z_j
+    of an element of the fiber of v is rep(v), so z_k c = rep(u)^-1 x for u
+    the parent of pi(x), which `_normal_form_tails` reads as a ball id near
+    the identity, and d(z_k c, C) is the level-0 field there (`level_field`).
 
-    Other sections change nothing while each lies in its coset: then the
-    prefix over them is P'(v) = P(v) delta_v with delta_v in C, by induction
-    along K (the step P'(u)^-1 rep(v) = delta_u^-1 P(u)^-1 rep(v) names the
-    same coset side, and its section is P(u)^-1 rep(v) times an element of
-    C).  So z'_k c' = P'(u)^-1 x = delta_u^-1 z_k c, and d(delta^-1 y, C) =
-    d(y, C) for delta in C: the count and the witness are those of the
-    default sections.  Sections therefore enter only through
-    `ctx.sections_lie_in_cosets`, and one outside its coset raises
-    AssertionError.
+    Sections in their cosets move each prefix by an element of C on the
+    right, so z_k c becomes delta^-1 z_k c with delta in C (Serre, Trees,
+    1.2), and d(delta^-1 y, C) = d(y, C): the verdict is that of any sections.
     """
-    if sections is not None and not ab.ctx.sections_lie_in_cosets(sections):
-        raise AssertionError("a section lies outside its coset")
     ball = ab.ball
-    in_scope = ball.norms <= (ball.radius if max_norm is None else max_norm)
-    ids, tail = _normal_form_tails(ab, in_scope)
+    ids, tail = _normal_form_tails(ab)
     fail = ball.norms[ids] < ab.level_field(0)[0][tail]
     if fail.any():
         j = int(np.argmax(fail))
@@ -895,17 +819,8 @@ def check_assertion_2_2(ab: AmalgamBall, sections=None, max_norm=None) -> CheckV
     return CheckVerdict("assertion-2.2", True, len(ids))
 
 
-def _live_vertices(dual, in_scope):
-    """The vertices a normal form of an in-scope element walks through."""
-    live = np.zeros(dual.n_vertices, dtype=bool)
-    live[dual.vertex_of_element[in_scope]] = True
-    for lvl in range(int(dual.level.max()), 0, -1):
-        live[dual.parent[live & (dual.level == lvl)]] = True
-    return live
-
-
-def _normal_form_tails(ab: AmalgamBall, in_scope):
-    """(ids, tail): the in-scope elements outside the base fiber, ascending,
+def _normal_form_tails(ab: AmalgamBall):
+    """(ids, tail): the elements outside the base fiber, ascending,
     and the ball id of each one's z_k c = rep(u)^-1 x under the default
     sections, u the parent of v = pi(x): the `coset_part` of x in the piece
     that v shares with u.  That piece's gate is u, because a vertex other
@@ -913,23 +828,22 @@ def _normal_form_tails(ab: AmalgamBall, in_scope):
     entered through, and the walk's checks below hold along the way.
 
     The walk's checks come first, in its order: a depth-first walk of the
-    live parent tree from the base, children ascending, which at each
-    vertex v requires that v shares a piece with its parent (the step lies
-    in a factor), that the piece's side differs from the parent's step (the
-    letters alternate), and that every in-scope element of v's fiber has its
-    C-part reached inside the fiber (the tail lies in C).  The first failure
-    raises AssertionError with the walk's message.
+    parent tree from the base, children ascending, which at each vertex v
+    requires that v shares a piece with its parent (the step lies in a
+    factor), that the piece's side differs from the parent's step (the
+    letters alternate), and that every element of v's fiber has its C-part
+    reached inside the fiber (the tail lies in C).  The first failure raises
+    AssertionError with the walk's message.
     """
     dual = ab.dual
     base = dual.base()
-    live = _live_vertices(dual, in_scope)
-    vs = np.nonzero(live & (dual.level > 0))[0]
+    vs = np.nonzero(dual.level > 0)[0]
     us = dual.parent[vs]
     shared = dual.piece_of_vertex[vs] == dual.piece_of_vertex[us]
     step = np.full(dual.n_vertices, SIDE_BASE, dtype=np.int64)
     step[vs] = np.where(shared[:, SIDE_A], SIDE_A, SIDE_B)
     outside_c = np.zeros(dual.n_vertices, dtype=bool)
-    outside_c[dual.vertex_of_element[in_scope & (ab.coset_part(SIDE_BASE) < 0)]] = True
+    outside_c[dual.vertex_of_element[ab.coset_part(SIDE_BASE) < 0]] = True
     if outside_c[base]:
         raise AssertionError("normal-form tail not in C")
     checks = (
@@ -938,10 +852,10 @@ def _normal_form_tails(ab: AmalgamBall, in_scope):
         (outside_c[vs], "normal-form tail not in C"),
     )
     bad = np.column_stack([fails for fails, _ in checks])
-    at = _first_in_walk_order(dual, live, vs, bad.any(axis=1))
+    at = _first_in_walk_order(dual, vs, bad.any(axis=1))
     if at is not None:
         raise AssertionError(checks[int(np.argmax(bad[at]))][1])
-    ids = np.nonzero(in_scope & (dual.vertex_of_element != base))[0]
+    ids = np.nonzero(dual.vertex_of_element != base)[0]
     on_a = step[dual.vertex_of_element[ids]] == SIDE_A
     tail = np.where(on_a, ab.coset_part(SIDE_A)[ids], ab.coset_part(SIDE_B)[ids])
     if (tail < 0).any():
@@ -949,16 +863,16 @@ def _normal_form_tails(ab: AmalgamBall, in_scope):
     return ids, tail
 
 
-def _first_in_walk_order(dual, live, vs, flagged):
+def _first_in_walk_order(dual, vs, flagged):
     """The index into `vs` of the first flagged vertex a depth-first walk of
-    the live parent tree from the base reaches, children ascending; None
+    the parent tree from the base reaches, children ascending; None
     when the walk reaches none.  Only flagged vertices are traced, each by
     its path from the base, and preorder is the lexicographic order of those
     paths."""
     base, where = dual.base(), {}
     for i in np.flatnonzero(flagged).tolist():
         path, v = [], int(vs[i])
-        while v != base and v >= 0 and live[v] and dual.level[v] > 0 and len(path) < len(vs):
+        while v != base and v >= 0 and dual.level[v] > 0 and len(path) < len(vs):
             path.append(v)
             v = int(dual.parent[v])
         if v == base:

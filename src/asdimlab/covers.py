@@ -1,5 +1,5 @@
-"""Covers of finite metric spaces: disjointness, order, Lebesgue number,
-diameter, neighborhood extension, nerve, canonical projection.
+"""Covers of finite metric spaces: order, Lebesgue number, diameter, the
+(r, d)-cover check and neighborhood extension.
 
 Conventions (fixed project-wide):
 
@@ -8,7 +8,7 @@ Conventions (fixed project-wide):
 * a family containing a set equal to the whole carrier has L = +inf,
   reported as the distinguished value UNBOUNDED;
 * the order of a cover is the point order: the maximal number of sets
-  through one point (equal to 1 + dim of the nerve, asserted in tests).
+  through one point (equal to 1 + dim of the nerve).
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import numpy as np
 
 from .errors import InputError, PreconditionError
 from .metric import UNREACHED, FiniteMetric
-from .simplicial import SimplicialComplex
 
 UNBOUNDED = math.inf
 
@@ -58,15 +57,6 @@ class Cover:
         for s in self.sets:
             out |= s
         return out
-
-
-def check_r_disjoint(sets, r, m: FiniteMetric):
-    """True iff every two distinct sets of the family are at distance >= r."""
-    sets = [frozenset(s) for s in sets]
-    for s in sets:
-        for x in s:
-            m.check_point(x)
-    return all(d >= r for _, _, d in m.pair_gaps(sets))
 
 
 def cover_order(cover: Cover, carrier):
@@ -216,65 +206,3 @@ def extend_cover(cover: Cover, r, ambient: FiniteMetric, carrier):
                 witness=nearest,
             )
     return out, new_carrier
-
-
-def nerve_of_cover(cover: Cover) -> SimplicialComplex:
-    """One vertex per set; a face for every subfamily with a common point."""
-    signatures = {}
-    for x in sorted(cover.union()):
-        sig = frozenset(i for i, s in enumerate(cover.sets) if x in s)
-        signatures[sig] = x
-    faces = list(signatures)
-    maximal = [f for f in faces if not any(f < g for g in faces)]
-    # isolated vertices (sets covering points privately) appear as singleton faces
-    return SimplicialComplex(
-        vertices=list(range(len(cover.sets))),
-        maximal_faces=sorted(tuple(sorted(f)) for f in maximal),
-    )
-
-
-def canonical_projection(x, cover: Cover, m: FiniteMetric, carrier):
-    """Barycentric coordinates p_U(x) = d(x, X\\U) / sum_V d(x, X\\V)."""
-    carrier = sorted(set(carrier))
-    carrier_set = set(carrier)
-    _require_covering(cover, carrier)
-    if x not in carrier_set:
-        raise InputError(f"point {x} outside carrier")
-    weights = []
-    for s in cover.sets:
-        complement = sorted(carrier_set - s)
-        if not complement:
-            weights.append(UNBOUNDED)
-            continue
-        field = m.dist_field(complement)
-        weights.append(float(field[x]))
-    if any(w is UNBOUNDED or math.isinf(w) for w in weights):
-        # a whole-carrier set absorbs all mass, split among such sets
-        full = [i for i, w in enumerate(weights) if math.isinf(w)]
-        vec = np.zeros(len(weights))
-        vec[full] = 1.0 / len(full)
-        return vec
-    total = sum(weights)
-    if total <= 0:
-        raise PreconditionError(
-            "all complement distances vanish (requires L > 0 on real metrics)",
-            witness=x,
-        )
-    return np.asarray(weights) / total
-
-
-def projection_lipschitz(cover: Cover, m: FiniteMetric, carrier, edges):
-    """Max l2 displacement of the canonical projection over the given edges.
-
-    The image carries the uniform-complex metric, i.e. the l2 metric on
-    barycentric coordinate vectors.
-    """
-    worst = 0.0
-    for u, v in edges:
-        pu = canonical_projection(u, cover, m, carrier)
-        pv = canonical_projection(v, cover, m, carrier)
-        step = m.dist(u, v)
-        if step <= 0:
-            continue
-        worst = max(worst, float(np.linalg.norm(pu - pv)) / step)
-    return worst

@@ -35,9 +35,13 @@ from conftest import CYCLE5, PATH4, RACG_GRAPHS, z_n_group
 from word_oracles import (
     amalgam_normal_form,
     amalgam_words,
+    assertion_2_2_walk,
     ball_elements,
+    dist_to_c,
+    from_c,
     in_factor,
-    section,
+    random_sections,
+    to_c,
     vertex_key,
 )
 
@@ -60,21 +64,19 @@ def dinf_ball(dinf_amalgam):
     return prepare(dinf_amalgam, 8)
 
 
-def reference_assertion_2_2(ab, sections=None, max_norm=None):
-    """Assertion 2.2 as a scan in ball order, one normal form per element."""
-    ctx, ball = ab.ctx, ab.ball
+def reference_assertion_2_2(ab, sections=None, dist=dist_to_c):
+    """Assertion 2.2 as a scan in ball order, one normal form per element,
+    with d(y, C) read as `dist(ctx, y)`."""
+    ctx = ab.ctx
     eng = ctx.engine
     checked = 0
-    limit = ball.radius if max_norm is None else max_norm
-    for i, x in enumerate(amalgam_words(ab).elements):
-        if ball.norms[i] > limit:
-            continue
+    for x in amalgam_words(ab).elements:
         nf = amalgam_normal_form(ab, x, sections=sections)
         if nf.length == 0:
             continue
         tail = eng.multiply(nf.letters[-1], nf.c_part)
         checked += 1
-        if eng.norm(x) < ctx.dist_to_c(tail):
+        if eng.norm(x) < dist(ctx, tail):
             return CheckVerdict("assertion-2.2", False, checked, witness=eng.word_str(x))
     return CheckVerdict("assertion-2.2", True, checked)
 
@@ -104,76 +106,6 @@ def assertion_2_1_walk(ab):
                 note="projection not 1-Lipschitz on this edge",
             )
     return CheckVerdict("assertion-2.1", True, checked)
-
-
-def assertion_2_2_walk(ab, sections=None, max_norm=None):
-    """Assertion 2.2 by one depth-first walk of K's parent tree.
-
-    Per vertex u, h = prefix(parent)^{-1} . rep(u) gives the letter z_u =
-    section(h), and prefix(u)^{-1} = z_u^{-1} . prefix(parent)^{-1}; per
-    element x of the fiber of u, c = prefix(u)^{-1} . x is the tail.  These
-    are the letters and tails of `amalgam_normal_form`, and only the live
-    root-to-vertex path of prefixes is held.  The walk visits elements out
-    of ball order, so the lowest failing index is kept.  Invariant failures
-    raise as soon as the walk meets them.
-    """
-    ctx, ball, dual = ab.ctx, ab.ball, ab.dual
-    eng, words = ctx.engine, amalgam_words(ab)
-    in_scope = ball.norms <= (ball.radius if max_norm is None else max_norm)
-    live = np.zeros(dual.n_vertices, dtype=bool)
-    live[dual.vertex_of_element[in_scope]] = True
-    for lvl in range(int(dual.level.max()), 0, -1):
-        live[dual.parent[live & (dual.level == lvl)]] = True
-    children = [[] for _ in range(dual.n_vertices)]
-    for v in np.nonzero(live & (dual.level > 0))[0].tolist():
-        children[int(dual.parent[v])].append(v)
-
-    counted = np.zeros(len(ball), dtype=bool)
-    first_fail = len(ball)
-
-    def scan_fiber(u, inv_prefix, z):
-        nonlocal first_fail
-        for i in dual.fiber(u).tolist():
-            if not in_scope[i]:
-                continue
-            x = words.elements[i]
-            c = eng.multiply(inv_prefix, x)
-            if not ctx.is_in_c(c):
-                raise AssertionError("normal-form tail not in C")
-            if z is None:
-                continue
-            counted[i] = True
-            if i < first_fail and eng.norm(x) < ctx.dist_to_c(eng.multiply(z, c)):
-                first_fail = i
-
-    base = dual.base()
-    scan_fiber(base, eng.identity, None)
-    stack = [(eng.identity, SIDE_BASE, iter(children[base]))]
-    while stack:
-        inv_prefix, side, kids = stack[-1]
-        v = next(kids, None)
-        if v is None:
-            stack.pop()
-            continue
-        h = eng.multiply(inv_prefix, words.reps[v])
-        v_side = in_factor(ctx, h)
-        if v_side is None:
-            raise AssertionError("dual-graph step does not lie in a factor")
-        if v_side == side:
-            raise AssertionError("normal form letters fail to alternate")
-        z = section(ctx, v_side, h, sections=sections)
-        inv_v = eng.multiply(eng.inverse(z), inv_prefix)
-        scan_fiber(v, inv_v, z)
-        stack.append((inv_v, v_side, iter(children[v])))
-
-    if first_fail < len(ball):
-        return CheckVerdict(
-            "assertion-2.2",
-            False,
-            int(counted[: first_fail + 1].sum()),
-            witness=eng.word_str(words.elements[first_fail]),
-        )
-    return CheckVerdict("assertion-2.2", True, int(counted.sum()))
 
 
 def reference_D_R(ab, u, R, side=None):
@@ -381,6 +313,14 @@ def test_dual_graph_equals_word_keyed_reference(request, make_ctx, radius):
     assert np.diff(dual.piece_start).max() > 1
 
 
+class LetterSplit(RacgAmalgam):
+    """A letter split (n1, k, n2) of a RACG that need not split the group:
+    what the dual-graph builds read of a `RacgAmalgam`, without its checks."""
+
+    def __init__(self, engine, n1, knk, n2):
+        self.engine, self.n1, self.k, self.n2 = engine, frozenset(n1), frozenset(knk), frozenset(n2)
+
+
 @pytest.mark.parametrize(
     "graph, kinds",
     [
@@ -393,19 +333,26 @@ def test_dual_graph_equals_word_keyed_reference(request, make_ctx, radius):
 )
 def test_dual_graph_equals_reference_on_every_letter_split(graph, kinds):
     # most letter splits are not splittings of the group, so K has cycles and
-    # both builds must raise the same error; the rest must agree field by field
+    # both builds must raise the same error; the rest must agree field by
+    # field.  `RacgAmalgam` rejects every split that raises.
     engine = RacgEngine(RACG_GRAPHS[graph])
     ball = build_ball(engine, 4)
     outcomes = set()
     for where in itertools.product((SIDE_A, SIDE_B, SIDE_BASE), repeat=engine.rank):
         n1, n2 = ([g for g, w in enumerate(where) if w in (s, SIDE_BASE)] for s in (0, 1))
+        knk = sorted(set(n1) & set(n2))
         try:
-            ctx = RacgAmalgam(engine, n1, sorted(set(n1) & set(n2)), n2)
-        except InputError:
-            continue
+            RacgAmalgam(engine, n1, knk, n2)
+            accepted = True
+        except InputError as exc:
+            if "not a splitting" not in str(exc):
+                continue
+            accepted = False
+        ctx = LetterSplit(engine, n1, knk, n2)
         try:
             expected = reference_dual_graph(ctx, ball)
         except AssertionError as exc:
+            assert not accepted
             with pytest.raises(AssertionError, match=str(exc)):
                 build_dual_graph(ctx, ball)
             outcomes.add("raises")
@@ -498,7 +445,7 @@ def test_pi_constant_on_cosets(z4z2z4_amalgam):
     ab = prepare(z4z2z4_amalgam, 6)
     eng = z4z2z4_amalgam.engine
     x = eng.mul_gen(eng.identity, 0)
-    c = z4z2z4_amalgam.from_c(1)  # the nontrivial C element
+    c = from_c(z4z2z4_amalgam, 1)  # the nontrivial C element
     assert project_pi(ab, x) == project_pi(ab, eng.multiply(x, c))
 
 
@@ -513,10 +460,12 @@ def test_assertion_2_1_all_fixtures(dinf_amalgam, z2z3_amalgam, z4z2z4_amalgam, 
 def test_assertion_2_2_default_and_random_sections(
     dinf_amalgam, z2z3_amalgam, z4z2z4_amalgam, path3_amalgam
 ):
+    # the ball's verdict is the walk's under seeded sections
     for ctx in (dinf_amalgam, z2z3_amalgam, z4z2z4_amalgam, path3_amalgam):
         ab = prepare(ctx, 8)
-        assert check_assertion_2_2(ab).passed
-        assert check_assertion_2_2(ab, sections=ctx.random_sections(20240810)).passed
+        verdict = check_assertion_2_2(ab)
+        assert verdict.passed
+        assert assertion_2_2_walk(ab, random_sections(ctx, 20240810)).line() == verdict.line()
 
 
 @pytest.mark.parametrize(
@@ -526,12 +475,10 @@ def test_assertion_2_2_default_and_random_sections(
 def test_assertion_2_2_walk_matches_per_element_scan(request, fixture, radius):
     ctx = request.getfixturevalue(fixture) if fixture else path4_split()
     ab = prepare(ctx, radius)
-    for sections in (None, ctx.random_sections(20240810)):
-        for max_norm in (None, radius - 3):
-            walk = check_assertion_2_2(ab, sections=sections, max_norm=max_norm)
-            ref = reference_assertion_2_2(ab, sections=sections, max_norm=max_norm)
-            assert walk.passed
-            assert walk.line() == ref.line()
+    walk = check_assertion_2_2(ab)
+    assert walk.passed
+    for sections in (None, random_sections(ctx, 20240810)):
+        assert walk.line() == reference_assertion_2_2(ab, sections).line()
 
 
 def _tails(ab, sections):
@@ -549,7 +496,7 @@ def right_coset_key(ctx, y):
     eng = ctx.engine
     if isinstance(ctx, RacgAmalgam):
         return eng.coset_minrep(eng.inverse(y), ctx.k)
-    return min(eng.multiply(ctx.from_c(c), y) for c in range(eng.c_size))
+    return min(eng.multiply(from_c(ctx, c), y) for c in range(eng.c_size))
 
 
 @pytest.mark.parametrize("split", ["table", "racg", "table-walk", "a4z3z6", "a4z3z6-walk"])
@@ -565,14 +512,14 @@ def test_assertion_2_2_walk_reports_lowest_failing_element(request, monkeypatch,
     else:
         ctx = path4_split()
         ab = prepare(ctx, 7)
-    check = assertion_2_2_walk if split.endswith("-walk") else check_assertion_2_2
+    walk = split.endswith("-walk")
     eng, elements, radius = ctx.engine, amalgam_words(ab).elements, ab.ball.radius
-    real, (field, anc) = ctx.dist_to_c, ab.level_field(0)
+    field, anc = ab.level_field(0)
     # d(z_k c, C) is faked on the right cosets C z_k c of two chosen
     # elements' default tails, so exactly the elements whose tails lie in
     # those cosets fail, under every choice of sections; the walk meets them
     # out of ball order and must still report the lowest one.  The walk and
-    # the reference read the fault through `dist_to_c`, the integer path
+    # the reference read the fault through their `dist`, the integer path
     # through the level-0 field at the tail's ball id.
     tails = {i: right_coset_key(ctx, t) for i, t in _tails(ab, None).items()}
     ball_keys = [right_coset_key(ctx, y) for y in elements]
@@ -583,18 +530,20 @@ def test_assertion_2_2_walk_reports_lowest_failing_element(request, monkeypatch,
     assert len(firsts) > 2
     for chosen in zip(firsts, firsts[1:]):
         bad = {tails[i] for i in chosen}
-        monkeypatch.setattr(
-            ctx, "dist_to_c", lambda x: radius + 1 if right_coset_key(ctx, x) in bad else real(x)
-        )
+
+        def dist(ctx, x):
+            return radius + 1 if right_coset_key(ctx, x) in bad else dist_to_c(ctx, x)
+
         planted = np.where([key in bad for key in ball_keys], radius + 1, field)
         monkeypatch.setitem(ab._levels, 0, (planted, anc))
         checked = sum(1 for i in tails if i <= chosen[0])
         expected = CheckVerdict(
             "assertion-2.2", False, checked, witness=eng.word_str(elements[chosen[0]])
         )
-        for sections in (None, ctx.random_sections(7), ctx.random_sections(8)):
-            ref = reference_assertion_2_2(ab, sections=sections)
-            assert check(ab, sections, None).line() == ref.line() == expected.line()
+        for sections in (None, random_sections(ctx, 7), random_sections(ctx, 8)):
+            ref = reference_assertion_2_2(ab, sections, dist)
+            got = assertion_2_2_walk(ab, sections, dist) if walk else check_assertion_2_2(ab)
+            assert got.line() == ref.line() == expected.line()
 
 
 def amalgam_named(request, name):
@@ -625,14 +574,13 @@ NF_COLUMN_CASES = (
 @pytest.mark.parametrize("fixture, radius", NF_COLUMN_CASES)
 def test_normal_form_columns_match_the_walk(request, fixture, radius):
     # the integer checkers on both backends against the word-arithmetic
-    # walks, for default and seeded sections, with and without max_norm
+    # walks, for default and seeded sections
     ctx = amalgam_named(request, fixture)
     ab = prepare(ctx, radius)
-    choices = [None] + [ctx.random_sections(seed) for seed in (1, 2, 3)]
-    runs = [(sections, max_norm) for sections in choices for max_norm in (None, radius - 3)]
     assert check_assertion_2_1(ab).line() == assertion_2_1_walk(ab).line()
-    for run in runs:
-        assert check_assertion_2_2(ab, *run).line() == assertion_2_2_walk(ab, *run).line()
+    line = check_assertion_2_2(ab).line()
+    for sections in [None] + [random_sections(ctx, seed) for seed in (1, 2, 3)]:
+        assert assertion_2_2_walk(ab, sections).line() == line
     for side in (SIDE_BASE, SIDE_A, SIDE_B):
         part = ab.coset_part(side)
         assert ab.coset_part(side) is part and not part.flags.writeable
@@ -658,7 +606,7 @@ def test_tail_column_is_the_default_normal_form_tail(request, fixture, radius):
     ctx = amalgam_named(request, fixture)
     ab = prepare(ctx, radius)
     eng, elements = ctx.engine, amalgam_words(ab).elements
-    ids, tail = amalgam._normal_form_tails(ab, np.ones(ab.n, dtype=bool))
+    ids, tail = amalgam._normal_form_tails(ab)
     assert np.array_equal(ids, np.nonzero(ab.element_level() > 0)[0])
     for i, t in zip(ids.tolist(), tail.tolist()):
         nf = amalgam_normal_form(ab, elements[i])
@@ -672,13 +620,13 @@ def test_seeded_tails_are_as_far_from_C_as_the_tail_column(request, fixture, rad
     ctx = amalgam_named(request, fixture)
     ab = prepare(ctx, radius)
     eng, elements = ctx.engine, amalgam_words(ab).elements
-    ids, tail = amalgam._normal_form_tails(ab, np.ones(ab.n, dtype=bool))
+    ids, tail = amalgam._normal_form_tails(ab)
     dist = ab.level_field(0)[0][tail].tolist()
     for seed in (1, 2, 3, 7):
-        sections = ctx.random_sections(seed)
+        sections = random_sections(ctx, seed)
         for i, d in zip(ids.tolist(), dist):
             nf = amalgam_normal_form(ab, elements[i], sections=sections)
-            assert ctx.dist_to_c(eng.multiply(nf.letters[-1], nf.c_part)) == d
+            assert dist_to_c(ctx, eng.multiply(nf.letters[-1], nf.c_part)) == d
 
 
 @pytest.mark.parametrize("fixture", ["dinf_amalgam", "z2z3_amalgam", "z4z2z4_amalgam", "a4z3z6_amalgam"])
@@ -686,11 +634,10 @@ def test_table_random_sections_lie_in_their_cosets(request, fixture):
     ctx = request.getfixturevalue(fixture)
     eng = ctx.engine
     for seed in (1, 2, 3, 7, 20240810):
-        sections = ctx.random_sections(seed)
+        sections = random_sections(ctx, seed)
         for side in (0, 1):
             for cid, rep in enumerate(sections[side]):
                 assert rep in eng.cosets[side][cid]
-        assert ctx.sections_lie_in_cosets(sections)
 
 
 @pytest.mark.parametrize("fixture", ["path4split", "cycle4split", "sixsplit"])
@@ -699,7 +646,7 @@ def test_racg_random_sections_lie_in_their_cosets(request, fixture):
     # seeded one is that representative times an element of C
     ctx = amalgam_named(request, fixture)
     eng = ctx.engine
-    seeded = [ctx.random_sections(seed) for seed in (1, 2, 3, 7)]
+    seeded = [random_sections(ctx, seed) for seed in (1, 2, 3, 7)]
     moved = 0
     for x in ball_elements(build_ball(eng, 5)):
         minrep = eng.coset_minrep(x, ctx.k)
@@ -711,21 +658,12 @@ def test_racg_random_sections_lie_in_their_cosets(request, fixture):
     assert moved > 0
 
 
-def test_assertion_2_2_rejects_a_section_outside_its_coset(z4z2z4_amalgam):
-    ab = prepare(z4z2z4_amalgam, 4)
-    sections = [list(row) for row in z4z2z4_amalgam.engine.sections]
-    sections[0][1] = sections[0][0]  # the identity, in C, stands for the coset x C
-    assert not z4z2z4_amalgam.sections_lie_in_cosets(sections)
-    with pytest.raises(AssertionError, match="a section lies outside its coset"):
-        check_assertion_2_2(ab, sections=sections)
-
-
 def test_normal_form_letters_are_the_given_sections(z4z2z4_amalgam, a4z3z6_amalgam):
     for ctx in (z4z2z4_amalgam, a4z3z6_amalgam):
         ab = prepare(ctx, 4)
         eng = ctx.engine
         for seed in (1, 2, 5):
-            sections = ctx.random_sections(seed)
+            sections = random_sections(ctx, seed)
             assert sections != eng.sections
             for x in amalgam_words(ab).elements:
                 nf = amalgam_normal_form(ab, x, sections=sections)
@@ -811,9 +749,9 @@ def test_normal_form_columns_match_the_walk_on_corrupted_dual_graphs(request, fi
     ab = corrupt(prepare(ctx, 5))
     got = [outcome(check_assertion_2_1, ab)]
     expected = [outcome(assertion_2_1_walk, ab)]
-    for sections in (None, ctx.random_sections(1)):
-        got.append(outcome(check_assertion_2_2, ab, sections))
-        expected.append(outcome(assertion_2_2_walk, ab, sections, None))
+    for sections in (None, random_sections(ctx, 1)):
+        got.append(outcome(check_assertion_2_2, ab))
+        expected.append(outcome(assertion_2_2_walk, ab, sections))
     assert got == expected
     assert any(": pass " not in line for line in got)
 
@@ -823,9 +761,9 @@ def test_assertion_2_2_matches_the_walk_on_a_parent_of_the_same_side(request, fi
     # dinf and z4z2z4 have no siblings: every piece has two members
     ctx = amalgam_named(request, fixture)
     ab = parent_is_a_sibling(prepare(ctx, 5))
-    for sections in (None, ctx.random_sections(1)):
-        got = outcome(check_assertion_2_2, ab, sections)
-        assert got == outcome(assertion_2_2_walk, ab, sections, None)
+    got = outcome(check_assertion_2_2, ab)
+    for sections in (None, random_sections(ctx, 1)):
+        assert got == outcome(assertion_2_2_walk, ab, sections)
         assert got == "AssertionError: normal form letters fail to alternate"
 
 
@@ -912,7 +850,7 @@ def test_c_part_is_the_gate_tail_of_every_ancestor(request, make_ctx, radius):
     parent = dual.parent.tolist()
     pairs = 0
     for x, v, c in zip(elements, dual.vertex_of_element.tolist(), c_part.tolist()):
-        tail = ctx.to_c(elements[c])
+        tail = to_c(ctx, elements[c])
         u = v
         while u >= 0:
             assert ctx.gate_tail(inv_rep[u], x) == (rep_norm[v] - rep_norm[u], tail)
@@ -996,7 +934,7 @@ def test_assertion_2_2_example_value(dinf_ball, dinf_amalgam):
     aba = eng.normal_form([0, 1, 0])
     nf = amalgam_normal_form(dinf_ball, aba)
     tail = eng.multiply(nf.letters[-1], nf.c_part)
-    assert dinf_amalgam.dist_to_c(tail) == 1
+    assert dist_to_c(dinf_amalgam, tail) == 1
     assert eng.norm(aba) == 3
 
 

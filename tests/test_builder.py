@@ -26,7 +26,7 @@ from asdimlab.groups import FiniteTableGroup, RacgEngine, build_ball
 
 from conftest import CYCLE5, PATH3, PATH4, RACG_GRAPHS, commutation_matrix, cyclic_table, z_n_group
 from test_amalgam import amalgam_named
-from word_oracles import ball_elements, in_factor
+from word_oracles import ball_elements, in_factor, to_c
 
 
 def test_cover_finite_group_trivial_and_z2():
@@ -157,7 +157,7 @@ def test_c_ball_ids_are_the_word_lookup(request, fixture, radius, c_radius):
     tails = np.unique(ab.c_part())
     elements = ball_elements(ab.ball)
     index = {x: i for i, x in enumerate(ball_elements(c_ball))}
-    expected = [index.get(ctx.to_c(elements[i]), -1) for i in tails.tolist()]
+    expected = [index.get(to_c(ctx, elements[i]), -1) for i in tails.tolist()]
     got = c_ball_ids(ctx, ab.ball, c_ball, tails)
     assert got.tolist() == expected
     assert max(expected) > 0 and (min(expected) < 0) == (c_radius is not None)

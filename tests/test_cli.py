@@ -169,6 +169,26 @@ def test_bad_racg_split_exits_2(tmp_path, capsys, split, message):
     assert message in capsys.readouterr().err
 
 
+CYCLE4_DOC = {
+    "type": "racg_amalgam",
+    "generators": ["a", "b", "c", "d"],
+    "matrix": [[1, 2, 0, 2], [2, 1, 2, 0], [0, 2, 1, 2], [2, 0, 2, 1]],
+}
+
+
+@pytest.mark.parametrize("command", ["check", "cover", "dualgraph"])
+def test_a_split_that_is_not_a_splitting_exits_2(tmp_path, capsys, command):
+    # the sets cover the letters and meet in k, but a commutes with d, so the
+    # 4-cycle group is not the amalgam over them; the star/link split is
+    doc = {**CYCLE4_DOC, "n1": ["a", "b"], "k": ["b"], "n2": ["b", "c", "d"]}
+    path = write(tmp_path, "c4.json", doc)
+    assert main([command, path]) == 2
+    assert capsys.readouterr().err == (
+        "input error: not a splitting: a in n1 - k commutes with d in n2 - k\n"
+    )
+    assert main([command, write(tmp_path, "c4star.json", CYCLE4_DOC)]) == 0
+
+
 Z4_DOC = {
     "elements": ["e", "x", "x2", "x3"],
     "table": [[(i + j) % 4 for j in range(4)] for i in range(4)],
@@ -369,6 +389,25 @@ def test_seed_is_a_check_option_only(tmp_path, command):
     with pytest.raises(SystemExit) as exc:
         main([command, path, "--seed", "1"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "doc, ball",
+    [(DINF_DOC, "16"), (Z2Z3_DOC, "12"), (PATH4_SPLIT_DOC, "9")],
+    ids=["dinf", "z2z3", "path4split"],
+)
+def test_check_seed_repeats_the_default_assertion_2_2_line(tmp_path, capsys, doc, ball):
+    # any sections give the default verdict, so every seed prints the
+    # unseeded output with its assertion-2.2 line doubled
+    path = write(tmp_path, "doc.json", doc)
+    args = ["check", path, "--r", "8", "--R", "1", "--ball", ball]
+    assert main(args) == 0
+    lines = capsys.readouterr().out.splitlines()
+    i = next(i for i, line in enumerate(lines) if line.startswith("assertion-2.2: "))
+    expected = lines[: i + 1] + lines[i:]
+    for seed in ("1", "7", "99"):
+        assert main(args + ["--seed", seed]) == 0
+        assert capsys.readouterr().out.splitlines() == expected
 
 
 def test_check_dinf_all_pass(tmp_path, capsys):

@@ -7,14 +7,11 @@ from hypothesis import strategies as st
 
 from asdimlab.covers import (
     Cover,
-    canonical_projection,
-    check_r_disjoint,
     check_rd_cover,
     cover_order,
     diameter_bound,
     extend_cover,
     lebesgue_number,
-    nerve_of_cover,
 )
 from asdimlab.errors import InputError, PreconditionError
 from asdimlab.metric import DenseMetric, line_metric
@@ -22,18 +19,6 @@ from asdimlab.metric import DenseMetric, line_metric
 
 def two_point_metric(d):
     return DenseMetric([[0, d], [d, 0]])
-
-
-def test_r_disjoint_at_exact_threshold():
-    m = two_point_metric(5)
-    assert check_r_disjoint([{0}, {1}], 5, m)
-    assert not check_r_disjoint([{0}, {1}], 6, m)
-
-
-def test_r_disjoint_rejects_unknown_points():
-    m = two_point_metric(5)
-    with pytest.raises(InputError):
-        check_r_disjoint([{0}, {7}], 2, m)
 
 
 def test_cover_order_examples():
@@ -171,93 +156,6 @@ def test_extend_cover_randomized_properties():
         if order_out > order_in or leb_out < r / 4 or d_out > d_in + r:
             failures += 1
     assert failures == 0
-
-
-def test_nerve_disjoint_sets_have_no_edges():
-    nerve = nerve_of_cover(Cover(sets=[{0}, {1}, {2}]))
-    assert nerve.dim == 0
-    assert len(nerve.maximal_faces) == 3
-
-
-def test_nerve_triple_intersection_example():
-    nerve = nerve_of_cover(Cover(sets=[{0, 1}, {1, 2}, {1, 3}]))
-    assert nerve.maximal_faces == [(0, 1, 2)]
-    assert nerve.dim == 2
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_nerve_dimension_matches_point_order(data):
-    n_points = data.draw(st.integers(3, 10))
-    n_sets = data.draw(st.integers(1, 6))
-    sets = []
-    for _ in range(n_sets):
-        s = data.draw(
-            st.sets(st.integers(0, n_points - 1), min_size=1, max_size=n_points)
-        )
-        sets.append(s)
-    carrier = sorted(set().union(*sets))
-    cover = Cover(sets=sets)
-    order, _ = cover_order(cover, carrier)
-    assert nerve_of_cover(cover).dim + 1 == order
-
-
-def test_canonical_projection_single_set():
-    m = line_metric(range(5))
-    vec = canonical_projection(2, Cover(sets=[set(range(5))]), m, range(5))
-    assert np.allclose(vec, [1.0])
-
-
-def test_canonical_projection_deep_point_is_indicator():
-    m = line_metric(range(11))
-    cover = Cover(sets=[set(range(0, 8)), set(range(7, 11))])
-    vec = canonical_projection(0, cover, m, range(11))
-    assert np.allclose(vec, [1.0, 0.0])
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.data())
-def test_canonical_projection_simplex_properties(data):
-    pts = data.draw(
-        st.lists(st.integers(0, 40), min_size=4, max_size=12, unique=True)
-    )
-    m = line_metric(sorted(pts))
-    k = len(pts)
-    sets = [set(range(0, k * 2 // 3 + 1)), set(range(k // 3, k))]
-    cover = Cover(sets=sets)
-    x = data.draw(st.integers(0, k - 1))
-    vec = canonical_projection(x, cover, m, range(k))
-    assert vec.min() >= 0
-    assert math.isclose(vec.sum(), 1.0)
-    for i, s in enumerate(sets):
-        if vec[i] > 0:
-            assert x in s
-
-
-def test_projection_lipschitz_decreases_with_lebesgue():
-    # covers of a D-infinity ball (a segment of the integer line) by longer
-    # and longer overlapping intervals: the canonical projection's measured
-    # Lipschitz constant over Cayley edges drops as L(U) grows
-    from asdimlab.covers import projection_lipschitz
-
-    n = 48
-    m = line_metric(range(n))
-    edges = [(i, i + 1) for i in range(n - 1)]
-    constants = []
-    for width, step in ((6, 3), (12, 6), (24, 12)):
-        sets = []
-        start = 0
-        while start < n:
-            sets.append(set(range(start, min(start + width, n))))
-            start += step
-        cover = Cover(sets=[s for s in sets if s])
-        leb, _ = lebesgue_number(cover, m, range(n))
-        constants.append((leb, projection_lipschitz(cover, m, range(n), edges)))
-    lebs = [l for l, _ in constants]
-    lips = [c for _, c in constants]
-    assert lebs == sorted(lebs)
-    assert lips == sorted(lips, reverse=True)
-    assert lips[-1] < lips[0]
 
 
 def enlarge_pointwise(cover, m, by):
