@@ -106,10 +106,14 @@ def set_diameters(ball: Ball, sets):
     sources has reached each of its points, which is the largest graph
     distance between two of its points.  Sets of at most
     PACKED_BLOCK_SOURCES points share blocks, each set bringing all of its
-    points as sources; a larger set gets blocks of its own, each holding a
-    slice of its points, and its value is the largest over its blocks.  The
-    BFS runs on the smallest ball B(rho) holding every set: ids are in BFS
-    order, so it is an id prefix, and table entries past it act as -1.
+    points as sources.  A larger set gets blocks of its own, one sphere of
+    its points at a time, highest norm first, each block holding a slice of
+    the sphere; its value is the largest over its blocks.  Before each
+    block it stops once that value is at least 2t, t the highest norm left:
+    two points of norm <= t are at most 2t apart through the identity, and
+    every pair with a processed endpoint is counted already (the pruning of
+    iFUB, Crescenzi et al., TCS 2013).  The BFS runs on the smallest ball
+    B(rho) holding every set (`Ball.inner_table`).
 
     Graph distance inside B(rho) equals word distance between points of
     B(rho) (Cayley balls are convex).  A path in the ball spells a word, so
@@ -154,9 +158,8 @@ def set_diameters(ball: Ball, sets):
     """
     sets = [np.fromiter(s, dtype=np.int64, count=len(s)) for s in sets]
     rho = max((int(ball.norms[s].max()) for s in sets if len(s)), default=0)
-    n = int(np.searchsorted(ball.norms, rho, side="right"))
-    rows = ball.table[:n]
-    nbr = np.ascontiguousarray(np.where((rows >= 0) & (rows < n), rows, n).T)
+    nbr = np.ascontiguousarray(ball.inner_table(rho).T)
+    n = nbr.shape[1]
     width = 64 * max(1, DIAMETER_BLOCK_BYTES // (3 * 8 * (n + 1)))
     packed = min(PACKED_BLOCK_SOURCES, width)
     out = [0.0] * len(sets)
@@ -171,8 +174,15 @@ def set_diameters(ball: Ball, sets):
         if len(s) <= 1:
             continue
         if len(s) > packed:
-            for a in range(0, len(s), width):
-                run([(i, s[a : a + width], s)])
+            # blocks within spheres, highest norm first; the first source of
+            # a block has the highest norm left
+            s = np.sort(s)
+            spheres = np.split(s, np.flatnonzero(np.diff(ball.norms[s])) + 1)[::-1]
+            blocks = (sph[a : a + width] for sph in spheres for a in range(0, len(sph), width))
+            for sources in blocks:
+                if out[i] >= 2 * int(ball.norms[sources[0]]):
+                    break
+                run([(i, sources, s)])
             continue
         if sum(len(src) for _, src, _ in block) + len(s) > packed:
             run(block)
@@ -187,9 +197,9 @@ def _block_eccentricities(nbr, groups, limit):
     """For each (sources, targets) group, the first step of one bit-parallel
     BFS from all groups' sources at which every source of the group has
     reached every target of the group.  `nbr[g]` is the neighbour column of
-    generator g; row n of the bitsets is the empty sentinel.  Any two
-    points of B(rho) meet through the identity within 2 rho steps, so
-    `limit` = 2 rho ends the loop."""
+    generator g, -1 outside the ball; -1 wraps to row n of the bitsets, the
+    empty sentinel.  Any two points of B(rho) meet through the identity
+    within 2 rho steps, so `limit` = 2 rho ends the loop."""
     k, n = nbr.shape
     ends = np.cumsum([len(src) for src, _ in groups])
     bits = np.arange(ends[-1])
@@ -219,11 +229,11 @@ def _block_eccentricities(nbr, groups, limit):
         open_groups &= ~done
         if not open_groups.any():
             return steps_of.tolist()
-        # every index is in range, and mode="clip" skips numpy's bounds check
-        np.take(reach, nbr[0], axis=0, out=row, mode="clip")
+        # mode="wrap" sends -1 to the sentinel row and skips the bounds check
+        np.take(reach, nbr[0], axis=0, out=row, mode="wrap")
         np.bitwise_or(reach[:n], row, out=grown[:n])
         for g in range(1, k):
-            np.take(reach, nbr[g], axis=0, out=row, mode="clip")
+            np.take(reach, nbr[g], axis=0, out=row, mode="wrap")
             grown[:n] |= row
         reach, grown = grown, reach
     raise AssertionError("a set is not connected inside its ball")
@@ -255,7 +265,6 @@ class CoverCertificate:
     cover: Cover
     carrier: list
     ball: Ball
-    metric: GraphMetric
     core_radius: int
     trace: dict
 
@@ -287,30 +296,41 @@ class CoverCertificate:
         }
 
 
+def carrier_metric(cert: CoverCertificate) -> GraphMetric:
+    """The graph metric of B(rho), the least ball holding the carrier and
+    every set, rho their largest norm.  Gaps and depths are distances
+    between points of B(rho), and B(rho) is convex (`set_diameters`), so
+    they are the word distances the whole ball would give."""
+    norms = cert.ball.norms
+    parts = [cert.carrier, *cert.cover.sets]
+    rho = max((int(norms[list(s)].max()) for s in parts if s), default=0)
+    return cert.ball.graph_metric(rho)
+
+
 def measure_certificate(cert: CoverCertificate, margin=None):
     """Fill claimed_r / claimed_d from the constructed sets.
 
     claimed_r = min(family gaps, depth floor - 1, margin), with the depth of
     each point capped at margin + 1; `margin` defaults to the ball's, its
     radius minus the core radius.  Gaps and depths are graph distances
-    between carrier points, which equal word distances in any ball holding
-    the carrier (Cayley balls are convex, `set_diameters`).  So claimed_r
-    measured with a margin M above the ball's gives, for every m <= M, the
-    claimed_r of the same sets on B(core + m): the smaller of it and m.
-    claimed_d does not depend on the ball either.
+    between carrier points, read on the carrier's ball (`carrier_metric`),
+    which equal word distances in any ball holding the carrier (Cayley
+    balls are convex, `set_diameters`).  So claimed_r measured with a
+    margin M above the ball's gives, for every m <= M, the claimed_r of the
+    same sets on B(core + m): the smaller of it and m.  claimed_d does not
+    depend on the ball either.
     """
-    carrier_mask = np.zeros(cert.metric.n, dtype=bool)
+    metric = carrier_metric(cert)
+    carrier_mask = np.zeros(metric.n, dtype=bool)
     carrier_mask[list(cert.carrier)] = True
     margin = float(cert.margin if margin is None else margin)
     gap_all = math.inf
     depth_all = math.inf
     for color in range(cert.cover.n_colors):
         fam = cert.cover.family(color)
-        gap = color_gap(fam, cert.metric)
+        gap = color_gap(fam, metric)
         gap_all = min(gap_all, gap)
-        depth_all = min(
-            depth_all, color_depth_floor(fam, cert.metric, carrier_mask, margin + 1, gap)
-        )
+        depth_all = min(depth_all, color_depth_floor(fam, metric, carrier_mask, margin + 1, gap))
     claimed = min(gap_all, depth_all - 1, margin)
     cert.claimed_r = max(0.0, claimed if not math.isinf(claimed) else margin)
     cert.claimed_d = max(set_diameters(cert.ball, cert.cover.sets), default=0.0)
@@ -352,14 +372,16 @@ def verify_certificate(cert: CoverCertificate) -> CertificateReport:
     """Re-check of the certificate claims by the builder's measurement code.
 
     Covering, color budget and order are exact; disjointness and depth are
-    re-measured by the BFS-field method (exact within the margin regime the
-    claims are confined to); diameters are re-measured exactly by
-    `set_diameters`, so 'b <= d' is checked against the word metric.
+    re-measured by the BFS-field method on the carrier's ball (exact within
+    the margin regime the claims are confined to); diameters are
+    re-measured exactly by `set_diameters`, so 'b <= d' is checked against
+    the word metric.
     """
     covered = cert.cover.union()
     missing = [x for x in cert.carrier if x not in covered]
 
-    carrier_mask = np.zeros(cert.metric.n, dtype=bool)
+    metric = carrier_metric(cert)
+    carrier_mask = np.zeros(metric.n, dtype=bool)
     carrier_mask[list(cert.carrier)] = True
     cap = cert.margin + 1
     disjoint = True
@@ -369,12 +391,10 @@ def verify_certificate(cert: CoverCertificate) -> CertificateReport:
         if fam and sum(len(s) for s in fam) != len(set().union(*fam)):
             disjoint = False  # overlapping same-color sets: distance 0
             continue
-        gap = color_gap(fam, cert.metric)
+        gap = color_gap(fam, metric)
         if gap < cert.claimed_r:
             disjoint = False
-        depth_all = min(
-            depth_all, color_depth_floor(fam, cert.metric, carrier_mask, cap, gap)
-        )
+        depth_all = min(depth_all, color_depth_floor(fam, metric, carrier_mask, cap, gap))
 
     order, order_w = cover_order(cert.cover, cert.carrier)
 
@@ -404,7 +424,6 @@ def cover_finite_group(engine, r, name=None) -> CoverCertificate:
     the group's diameter, as its radius."""
     ball = build_ball(engine, DEFAULT_BALL_CAP)
     ball.radius = int(ball.norms[-1])
-    metric = ball.graph_metric()
     carrier = list(range(len(ball)))
     cover = Cover(sets=[frozenset(carrier)], colors=[0])
     cert = CoverCertificate(
@@ -416,7 +435,6 @@ def cover_finite_group(engine, r, name=None) -> CoverCertificate:
         cover=cover,
         carrier=carrier,
         ball=ball,
-        metric=metric,
         core_radius=ball.radius,
         trace={"op": "cover_finite_group", "size": len(ball), "r": r},
     )
@@ -490,7 +508,7 @@ def _grow_ball(cert: CoverCertificate, cap):
         except ResourceCapError:
             continue
         _check_prefix(first, grown)
-        cert.ball, cert.metric = grown, grown.graph_metric()
+        cert.ball = grown
         break
     cert.claimed_r = min(cert.claimed_r, float(cert.margin))
 
@@ -500,12 +518,11 @@ def _check_prefix(ball: Ball, grown: Ball):
     ids are the same elements with the same in-ball edges: the same parent
     and letter columns, which spell each element, and the same table."""
     n = len(ball)
-    inner = grown.table[:n]
     spelled = all(
         np.array_equal(getattr(grown, column)[:n], getattr(ball, column))
         for column in ("parent", "letter")
     )
-    if not spelled or not np.array_equal(np.where(inner < n, inner, -1), ball.table):
+    if not spelled or not np.array_equal(grown.inner_table(ball.radius), ball.table):
         raise AssertionError(
             f"the radius-{grown.radius} ball does not extend the "
             f"radius-{ball.radius} ball id for id"
@@ -791,7 +808,6 @@ def cover_amalgam(
         cover=Cover(sets=sets, colors=colors),
         carrier=carrier,
         ball=ab.ball,
-        metric=metric,
         core_radius=schedule.core,
         trace={
             "op": "cover_amalgam",

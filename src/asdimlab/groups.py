@@ -410,8 +410,16 @@ class Ball:
         src, gen = np.nonzero(self.table >= 0)
         return src, gen, self.table[src, gen]
 
-    def graph_metric(self) -> GraphMetric:
-        return GraphMetric(self.table)
+    def inner_table(self, radius):
+        """The edge table of B(radius) inside this ball: ids are BFS order, so
+        B(radius) is an id prefix, and its entries past it become -1."""
+        n = int(np.searchsorted(self.norms, radius, side="right"))
+        rows = self.table[:n]
+        return np.where(rows < n, rows, -1)
+
+    def graph_metric(self, radius=None) -> GraphMetric:
+        """The graph metric of the whole ball, or of B(radius) inside it."""
+        return GraphMetric(self.table if radius is None else self.inner_table(radius))
 
     def coset_labels(self, letters):
         """Each element's least ball id over the elements it reaches along the

@@ -10,7 +10,9 @@ from asdimlab.amalgam import SIDE_A, SIDE_B, RacgAmalgam, TableAmalgam, prepare
 from asdimlab.builder import (
     algebraic_diameter,
     c_ball_ids,
+    carrier_metric,
     certificate_json_str,
+    color_depth_floor,
     color_gap,
     cover_amalgam,
     cover_finite_group,
@@ -63,10 +65,11 @@ def test_cover_amalgam_fixture_values(dinf_amalgam, z4z2z4_amalgam):
 def test_cover_amalgam_monotone_reuse(dinf_amalgam):
     # an r-certificate's families are r'-disjoint for every r' < claimed_r
     cert = cover_amalgam(dinf_amalgam, 8)
+    metric = carrier_metric(cert)
     for color in range(cert.n_colors):
         fam = cert.cover.family(color)
         if len(fam) > 1:
-            gap = color_gap(fam, cert.metric)
+            gap = color_gap(fam, metric)
             for smaller in range(1, int(cert.claimed_r) + 1):
                 assert gap >= smaller
 
@@ -326,6 +329,62 @@ def test_packed_block_gives_each_set_its_own_diameter(monkeypatch):
     assert set_diameters(ball, sets) == expected
 
 
+def recorded_sources(monkeypatch):
+    """Wrap `_block_eccentricities`; the list it returns gets the number of
+    sources of every block run."""
+    sources, real = [], builder._block_eccentricities
+
+    def recorded(nbr, groups, limit):
+        sources.append(sum(len(src) for src, _ in groups))
+        return real(nbr, groups, limit)
+
+    monkeypatch.setattr(builder, "_block_eccentricities", recorded)
+    return sources
+
+
+def test_a_large_set_goes_on_below_its_top_sphere(monkeypatch):
+    # on the 600-cycle the points of norm 1-150 and the antipode 300 of the
+    # identity: 300 is only 299 = 2 * 150 - 1 from the others, so the
+    # spheres go on below the top one, and 150 and -150, 300 apart, settle
+    # the rest at once
+    engine = FiniteTableGroup(*cyclic_table(600), generators=[1, 599])
+    ball = build_ball(engine, 300)
+    elements = ball_elements(ball)
+    chosen = {k % 600 for k in range(-150, 151) if k} | {300}
+    s = frozenset(i for i, x in enumerate(elements) if x in chosen)
+    assert len(s) == 301 > builder.PACKED_BLOCK_SOURCES
+    expected = [algebraic_diameter([elements[i] for i in s], engine)]
+    assert expected == [300.0]
+    sources = recorded_sources(monkeypatch)
+    assert set_diameters(ball, [s]) == expected
+    assert sources == [1, 2]  # the spheres of norm 300 and 150
+    monkeypatch.setattr(builder, "DIAMETER_BLOCK_BYTES", 1)
+    assert set_diameters(ball, [s]) == expected
+
+
+def test_the_path4_slab_reads_its_top_sphere_only(monkeypatch):
+    # path4 r 8's largest slab set has 2,896 points of norms 3-10, 1,440 of
+    # norm 10: those reach diameter 20 = 2 * 10, which no pair of the
+    # 1,456 points of norm <= 9 can exceed.  In 64-source blocks the first
+    # block already reaches 20, which no pair of the slab can exceed
+    cert = cover_racg(CoxeterSystem(PATH4), 8)
+    (slab,) = [s for s in cert.cover.sets if len(s) == 2896]
+    sources = recorded_sources(monkeypatch)
+    assert set_diameters(cert.ball, [slab]) == [20.0]
+    assert sources == [1440]
+    sources.clear()
+    monkeypatch.setattr(builder, "DIAMETER_BLOCK_BYTES", 1)
+    assert set_diameters(cert.ball, [slab]) == [20.0]
+    assert sources == [64]
+
+
+def bench_cover(request, name, r, ball_radius=None):
+    if name in ("cycle5", "path4"):
+        matrix = {"cycle5": CYCLE5, "path4": PATH4}[name]
+        return cover_racg(CoxeterSystem(matrix), r, ball_radius=ball_radius)
+    return cover_amalgam(request.getfixturevalue(f"{name}_amalgam"), r, ball_radius=ball_radius)
+
+
 # the twelve covers of the benchmark's cover workloads: (input, r, ball, d)
 BENCH_COVERS = [
     ("cycle5", 4, 11, 16.0),
@@ -347,10 +406,7 @@ BENCH_COVERS = [
     "name, r, ball_radius, d", BENCH_COVERS, ids=[f"{c[0]}-r{c[1]}" for c in BENCH_COVERS]
 )
 def test_bench_cover_diameters_are_exact(request, name, r, ball_radius, d):
-    if name in ("cycle5", "path4"):
-        cert = cover_racg(CoxeterSystem({"cycle5": CYCLE5, "path4": PATH4}[name]), r, ball_radius=ball_radius)
-    else:
-        cert = cover_amalgam(request.getfixturevalue(f"{name}_amalgam"), r)
+    cert = bench_cover(request, name, r, ball_radius=ball_radius)
     assert cert.claimed_d == d
     engine = cert.ball.engine
     diameters = set_diameters(cert.ball, cert.cover.sets)
@@ -364,6 +420,31 @@ def test_bench_cover_diameters_are_exact(request, name, r, ball_radius, d):
             continue
         pairs = rng.integers(len(pts), size=(200, 2))
         assert got >= max(engine.distance(pts[i], pts[j]) for i, j in pairs.tolist())
+
+
+@pytest.mark.parametrize(
+    "name, r, ball_radius, d", BENCH_COVERS, ids=[f"{c[0]}-r{c[1]}" for c in BENCH_COVERS]
+)
+def test_carrier_metric_gaps_and_depths_equal_the_whole_ball_ones(request, name, r, ball_radius, d):
+    # B(rho) is convex: each colour's gap and uncapped depth floor on the
+    # carrier's ball equal those on the whole ball's graph metric
+    cert = bench_cover(request, name, r, ball_radius=ball_radius)
+    fast, full = carrier_metric(cert), cert.ball.graph_metric()
+    assert fast.n < full.n
+    masks = []
+    for metric in (fast, full):
+        mask = np.zeros(metric.n, dtype=bool)
+        mask[cert.carrier] = True
+        masks.append(mask)
+    for color in range(cert.n_colors):
+        fam = cert.cover.family(color)
+        gaps = [color_gap(fam, metric) for metric in (fast, full)]
+        assert gaps[0] == gaps[1]
+        floors = [
+            color_depth_floor(fam, metric, mask, math.inf, gaps[0])
+            for metric, mask in zip((fast, full), masks)
+        ]
+        assert floors[0] == floors[1]
 
 
 def test_certificate_json_schema(dinf_amalgam):
@@ -389,12 +470,6 @@ DEFAULT_BALL_COVERS = [
     ("path4", 4, 10),
     ("path4", 8, 12),
 ]
-
-
-def bench_cover(request, name, r, ball_radius=None):
-    if name == "path4":
-        return cover_racg(CoxeterSystem(PATH4), r, ball_radius=ball_radius)
-    return cover_amalgam(request.getfixturevalue(f"{name}_amalgam"), r, ball_radius=ball_radius)
 
 
 def sets_by_word(cert):
