@@ -13,7 +13,9 @@ Commands:
 Exit codes: 0 success, 1 verification failure, 2 input error, 3 resource cap,
 4 internal invariant failure (an AssertionError: a grown ball that does not
 extend the ball the sets were built on, region assembly leaving a core point
-unassigned, a piece of K with two gates).
+unassigned, a piece of K with two gates), 141 (128 + SIGPIPE) when the
+reader of standard output closes it early, as `| head -1` does, with no
+traceback.
 All outputs are deterministic byte-for-byte for a fixed input.
 """
 
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -45,6 +48,7 @@ from .errors import AsdimlabError, InputError, OutOfBallError, ResourceCapError
 from .groups import DEFAULT_BALL_CAP, FiniteTableGroup
 
 EXIT_OK, EXIT_VERIFY, EXIT_INPUT, EXIT_CAP, EXIT_INTERNAL = 0, 1, 2, 3, 4
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, the shell's code for a closed pipe
 
 
 def load_input(path):
@@ -345,7 +349,14 @@ def main(argv=None):
     parser = make_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader is gone: send what is still buffered to devnull, so the
+        # interpreter's own flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

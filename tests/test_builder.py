@@ -18,6 +18,7 @@ from asdimlab.builder import (
     cover_finite_group,
     cover_racg,
     make_schedule,
+    max_set_diameter,
     set_diameters,
     verify_certificate,
 )
@@ -378,6 +379,56 @@ def test_the_path4_slab_reads_its_top_sphere_only(monkeypatch):
     assert sources == [64]
 
 
+def diameter_ball(request, name):
+    """A small ball of each backend whose pairwise word arithmetic is cheap."""
+    if name in ("path4", "cycle5"):
+        return build_ball(RacgEngine({"path4": PATH4, "cycle5": CYCLE5}[name]), 5)
+    return build_ball(request.getfixturevalue(f"{name}_amalgam").engine, 7)
+
+
+@pytest.mark.parametrize("name", ["path4", "cycle5", "z2z3", "z4z2z4"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_max_set_diameter_is_the_largest_exact_diameter(request, name, seed):
+    # random sets, an empty and a singleton set, and tight sets around a
+    # point of the outer sphere, whose norm bound 2 * radius is loose; the
+    # floor lies below, at and above the answer
+    ball = diameter_ball(request, name)
+    engine, elements = ball.engine, ball_elements(ball)
+    rng = np.random.default_rng(seed)
+    outer = np.nonzero(ball.norms == ball.radius)[0]
+    sets = [frozenset(), frozenset([int(rng.integers(len(ball)))])]
+    sets += [frozenset(rng.choice(len(ball), size=k, replace=False).tolist()) for k in (2, 9, 25)]
+    for x in rng.choice(outer, size=2, replace=False).tolist():
+        near = {x, *ball.table[x].tolist()} - {-1}
+        near = rng.choice(sorted(near), size=min(4, len(near)), replace=False)
+        sets.append(frozenset(near.tolist()))
+    for _ in range(4):
+        size = int(rng.integers(1, len(sets) + 1))
+        chosen = [sets[i] for i in sorted(rng.choice(len(sets), size=size, replace=False))]
+        exact = set_diameters(ball, chosen)
+        algebraic = [algebraic_diameter([elements[i] for i in s], engine) for s in chosen]
+        assert exact == algebraic
+        answer = max(exact)
+        floors = (0.0, max(0.0, answer - 1), answer, answer + 1, rng.integers(2 * ball.radius + 2))
+        for floor in map(float, floors):
+            assert max_set_diameter(ball, chosen, floor) == max([floor, *exact])
+    assert max_set_diameter(ball, []) == 0.0
+    assert max_set_diameter(ball, sets[:2], 3.0) == 3.0
+
+
+def test_the_norm_bound_and_seed_settle_the_path4_slabs(monkeypatch):
+    # path4 r 8: the seed, one source of the 2,896-point slab, reaches 20 =
+    # 2 * core, which bounds every set, so measuring runs one source and
+    # verifying at claimed_d 20 none
+    cert = cover_racg(CoxeterSystem(PATH4), 8)
+    sources = recorded_sources(monkeypatch)
+    assert max_set_diameter(cert.ball, cert.cover.sets) == 20.0
+    assert sources == [1]
+    sources.clear()
+    assert max_set_diameter(cert.ball, cert.cover.sets, floor=20.0) == 20.0
+    assert sources == []
+
+
 def bench_cover(request, name, r, ball_radius=None):
     if name in ("cycle5", "path4"):
         matrix = {"cycle5": CYCLE5, "path4": PATH4}[name]
@@ -420,6 +471,27 @@ def test_bench_cover_diameters_are_exact(request, name, r, ball_radius, d):
             continue
         pairs = rng.integers(len(pts), size=(200, 2))
         assert got >= max(engine.distance(pts[i], pts[j]) for i, j in pairs.tolist())
+
+
+@pytest.mark.parametrize(
+    "name, r, ball_radius, settled", [("cycle5", 4, 11, True), ("z2z3", 8, None, False)]
+)
+def test_a_claimed_d_one_too_low_fails_the_diameter_line(
+    monkeypatch, request, name, r, ball_radius, settled
+):
+    # on the 5-cycle the norm bound settles every set at the true claimed_d,
+    # so verification runs no BFS there; one below it, the sets that reach
+    # it must be measured, and one of them exceeds it
+    cert = bench_cover(request, name, r, ball_radius=ball_radius)
+    d = cert.claimed_d
+    sources = recorded_sources(monkeypatch)
+    assert verify_certificate(cert).passed
+    assert (sources == []) == settled
+    cert.claimed_d = d - 1
+    report = verify_certificate(cert)
+    assert not report.diameter_ok and not report.passed
+    cert.claimed_d = d + 1
+    assert verify_certificate(cert).passed
 
 
 @pytest.mark.parametrize(

@@ -40,6 +40,10 @@ Z2Z3_DOC = {
     "embed_B": [0],
 }
 Z2_DOC = {"generators": ["a"], "matrix": [[1]]}
+PATH4_DOC = {
+    "generators": ["a", "b", "c", "d"],
+    "matrix": [[1, 2, 0, 0], [2, 1, 2, 0], [0, 2, 1, 2], [0, 0, 2, 1]],
+}
 PATH4_SPLIT_DOC = {
     "type": "racg_amalgam",
     "generators": ["a", "b", "c", "d"],
@@ -85,6 +89,28 @@ def test_cover_verify_dinf(tmp_path, capsys):
     assert len(cert["colors"]) == 2
     ball = json.loads((tmp_path / "o" / "ball.json").read_text())
     assert ball["elements"][0]["word"] == "e"
+
+
+def test_a_reader_that_closes_the_pipe_gets_exit_141_and_no_traceback(tmp_path):
+    # as `cover --verify | head -1`: the reader takes the certificate line
+    # and closes the pipe while the artifacts are written and verification
+    # runs (about 60 ms for path-4 r 8); unbuffered, each verdict line is
+    # its own write, so the first one meets the closed pipe
+    path = write(tmp_path, "path4.json", PATH4_DOC)
+    env = dict(os.environ, PYTHONUNBUFFERED="1")
+    argv = ["cover", path, "--r", "8", "--verify", "--out", str(tmp_path / "o")]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "asdimlab.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == cli.EXIT_BROKEN_PIPE == 141
+    assert first.startswith(b"certificate: n=1 colors=2 ")
+    assert err == b""
 
 
 @pytest.mark.parametrize("doc, name", [(DINF_DOC, "dinf.json"), (PATH4_SPLIT_DOC, "p4.json")])
