@@ -4,7 +4,8 @@ Commands:
   bound      nerve dimension / asdim and chromatic bounds for a Coxeter input
   cover      build a CoverCertificate for a Coxeter or amalgam input; --out
              writes certificate.json and ball.json ({edges, elements,
-             radius}), the ball streamed in chunks (`Ball.iter_json`)
+             radius}), the ball streamed as byte blocks of bounded size
+             (`Ball.iter_json`)
   check      run the exhaustive amalgam checkers (assertions, separation,
              translate disjointness, partition)
   davis      glue a finite-radius Davis complex, emit DOT + JSON
@@ -129,15 +130,15 @@ def _table_group(data):
         raise InputError(f"finite-group input missing field {exc.args[0]!r}") from exc
 
 
-def _write(out_dir, name, text):
-    """Write one artifact from a string or from an iterable of string chunks,
-    chunk by chunk in order."""
+def _write(out_dir, name, content):
+    """Write one artifact from a string, encoded as UTF-8, or from an
+    iterable of byte blocks, block by block in order (`Ball.iter_json`)."""
     path = Path(out_dir) / name
     path.parent.mkdir(parents=True, exist_ok=True)
-    chunks = [text] if isinstance(text, str) else text
-    with open(path, "w", encoding="utf-8") as fh:
-        for chunk in chunks:
-            fh.write(chunk)
+    blocks = [content.encode("utf-8")] if isinstance(content, str) else content
+    with open(path, "wb") as fh:
+        for block in blocks:
+            fh.write(block)
     return path
 
 

@@ -28,13 +28,9 @@ DEFAULT_BALL_CAP = 2_000_000
 # RACG balls keep right descent sets as int64 bitmasks of generator indices
 _DESCENT_BITS = 63
 
-# records per chunk of `Ball.iter_json`; a record is a few dozen bytes
-# plus its word
-BALL_JSON_CHUNK = 1024
-# one edge [u, v, generator] and one element {id, norm, word}, laid out as
-# json.dumps(..., indent=2) lays out a record two levels deep
-_EDGE_JSON = "    [\n      %d,\n      %d,\n      %s\n    ]"
-_ELEMENT_JSON = '    {\n      "id": %d,\n      "norm": %d,\n      "word": %s\n    }'
+# bytes of the uint8 matrix one block of `Ball.iter_json` is rendered in;
+# a record is a few dozen bytes plus its word
+BALL_JSON_BYTES = 1 << 16
 
 
 class FiniteTableGroup:
@@ -386,16 +382,20 @@ class Ball:
         root, names = self._spelling
         return ".".join([names[g] for g in self.letters(i)]) if i else root
 
+    def _spheres(self):
+        """The id range (a, b) of each sphere, by norm."""
+        starts = np.searchsorted(self.norms, np.arange(int(self.norms[-1]) + 2)).tolist()
+        return list(zip(starts, starts[1:]))
+
     def iter_words(self):
         """`engine.word_str` of every element in id order, spelled down the
         parent column one sphere at a time: only the words of two consecutive
         spheres are held at once."""
         root, names = self._spelling
         dotted = ["." + name for name in names]
-        starts = np.searchsorted(self.norms, np.arange(int(self.norms[-1]) + 2)).tolist()
         words, start = [root], 0  # the words of one sphere, its first id
         yield root
-        for a, b in zip(starts[1:], starts[2:]):
+        for a, b in self._spheres()[1:]:
             letter = self.letter[a:b].tolist()
             if a == 1:
                 words = [names[g] for g in letter]
@@ -404,6 +404,25 @@ class Ball:
                 words = [words[p - start] + dotted[g] for p, g in zip(parent, letter)]
             start = a
             yield from words
+
+    def _word_rows(self):
+        """The words of `iter_words`, escaped as json.dumps escapes them and
+        without their quotes, as one NUL-padded uint8 matrix per sphere: a
+        row is its parent's row followed by the row of '.' and its letter's
+        word, so only two spheres of rows are held at once."""
+        root, names = self._spelling
+        names = [_escaped(name) for name in names]
+        first, dotted = _byte_rows(names), _byte_rows(["." + name for name in names])
+        rows, start = _byte_rows([_escaped(root)]), 0
+        yield rows
+        for a, b in self._spheres()[1:]:
+            letter = self.letter[a:b]
+            if a == 1:
+                rows = first[letter]
+            else:
+                rows = np.concatenate((rows[self.parent[a:b] - start], dotted[letter]), axis=1)
+            start = a
+            yield rows
 
     def _edges(self):
         """(src, gen, dst) of the in-ball table entries in row-major order."""
@@ -443,11 +462,6 @@ class Ball:
         keys = np.unique((lo * len(self) + hi)[lo != hi])
         return keys // len(self), keys % len(self)
 
-    def cayley_edges(self):
-        """`cayley_edge_arrays` as a list of int pairs."""
-        lo, hi = self.cayley_edge_arrays()
-        return list(zip(lo.tolist(), hi.tolist()))
-
     def to_json(self):
         src, gen, dst = self._edges()
         return {
@@ -465,42 +479,97 @@ class Ball:
 
     def iter_json(self):
         """The text of json.dumps(self.to_json(), indent=2, sort_keys=True)
-        plus a newline, as string chunks of at most BALL_JSON_CHUNK records,
-        so the whole document is never held in memory at once.  Strings are
-        escaped as json.dumps escapes them by default (ensure_ascii)."""
-        src, gen, dst = self._edges()
-        keep = src <= dst
-        src, gen, dst = src[keep], gen[keep], dst[keep]
-        names = np.array(
-            [encode_basestring_ascii(n) for n in self.engine.gen_names], dtype=object
-        )
-        words = self.iter_words()
+        plus a newline, as ASCII byte blocks, so the whole document is never
+        held in memory at once.  A block renders its records as the rows of
+        one uint8 matrix of at most BALL_JSON_BYTES bytes (`_render`), or of
+        one element or one table row's edges.  Ids and edge ends are rows of
+        one digit table.  Strings are escaped as json.dumps escapes them by
+        default (ensure_ascii)."""
+        ids = _digit_rows(len(self))
+        yield b'{\n  "edges": ['
+        empty = True
+        for block in self._edge_blocks(ids):
+            yield block[1:] if empty else block  # no comma before a first record
+            empty = False
+        yield b"]" if empty else b"\n  ]"
+        yield b',\n  "elements": ['
+        for i, block in enumerate(self._element_blocks(ids)):
+            yield block if i else block[1:]
+        yield b'\n  ],\n  "radius": %d\n}\n' % self.radius
 
-        def edges(a, b):
-            return zip(src[a:b].tolist(), dst[a:b].tolist(), names[gen[a:b]].tolist())
+    def _edge_blocks(self, ids):
+        """The records of the edges u <= v, in row-major order over the edge
+        table, scanned one block of its rows at a time."""
+        names = _byte_rows([encode_basestring_ascii(name) for name in self.engine.gen_names])
+        template = (b",\n    [\n      ", b",\n      ", b",\n      ", b"\n    ]")
+        n, k = self.table.shape
+        width = _width(template, ids, ids, names)
+        step = max(1, BALL_JSON_BYTES // (width * max(k, 1)))
+        for a in range(0, n, step):
+            rows = self.table[a : a + step]
+            src, gen = np.nonzero(rows >= np.arange(a, a + len(rows))[:, None])
+            if len(src):
+                yield _render(template, ids[src + a], ids[rows[src, gen]], names[gen])
 
-        def elements(a, b):
-            chunk = list(map(encode_basestring_ascii, islice(words, b - a)))
-            return zip(range(a, b), self.norms[a:b].tolist(), chunk)
+    def _element_blocks(self, ids):
+        """The element records in id order, a sphere's in blocks of its rows."""
+        template = (b',\n    {\n      "id": ', b',\n      "norm": ', b',\n      "word": "', b'"\n    }')
+        spheres = self._spheres()
+        norms = _digit_rows(len(spheres))
+        for (a, _), norm, words in zip(spheres, norms, self._word_rows()):
+            step = max(1, BALL_JSON_BYTES // _width(template, ids, norms, words))
+            for s in range(0, len(words), step):
+                block = words[s : s + step]
+                yield _render(template, ids[a + s : a + s + len(block)], norm, block)
 
-        yield "{\n"
-        yield from _json_array("edges", len(src), edges, _EDGE_JSON)
-        yield ",\n"
-        yield from _json_array("elements", len(self), elements, _ELEMENT_JSON)
-        yield ',\n  "radius": %d\n}\n' % self.radius
+
+def _escaped(text):
+    """`text` as json.dumps writes it between its quotes (ensure_ascii)."""
+    return encode_basestring_ascii(text)[1:-1]
 
 
-def _json_array(key, n, rows, template):
-    """Chunks of the member `"key": [...]` of a top-level indent-2 object:
-    `rows(a, b)` yields the template arguments of records a..b-1."""
-    if not n:
-        yield '  "%s": []' % key
-        return
-    head = '  "%s": [\n' % key
-    for a in range(0, n, BALL_JSON_CHUNK):
-        yield head + ",\n".join([template % row for row in rows(a, a + BALL_JSON_CHUNK)])
-        head = ",\n"
-    yield "\n  ]"
+def _byte_rows(texts):
+    """ASCII strings as the rows of a uint8 matrix, NUL-padded to the longest."""
+    width = max(map(len, texts), default=0) or 1
+    rows = np.array([t.encode("ascii") for t in texts], dtype=f"S{width}")
+    return rows.view(np.uint8).reshape(len(texts), width)
+
+
+def _digit_rows(n):
+    """The decimal digits of 0..n-1 as the rows of a uint8 matrix,
+    right-aligned and NUL-padded."""
+    x = np.arange(n)
+    width = len(str(max(n - 1, 0)))
+    rows = np.zeros((n, width), dtype=np.uint8)
+    rows[:, -1] = x % 10 + 48
+    for col in range(width - 1):
+        power = 10 ** (width - 1 - col)
+        rows[:, col] = np.where(x >= power, x // power % 10 + 48, 0)
+    return rows
+
+
+def _width(template, *fields):
+    """Bytes of one rendered row, NUL padding included."""
+    return sum(map(len, template)) + sum(f.shape[-1] for f in fields)
+
+
+def _render(template, *fields):
+    """One block of records as the rows of one uint8 matrix: the template's
+    byte strings are constant columns, and between them each field is a
+    matrix of one NUL-padded value per row (or one row for all).  The block
+    is the matrix's bytes without the NULs: json.dumps escapes a NUL in a
+    string as \\u0000, so none is ever part of the document."""
+    parts = [np.frombuffer(template[0], np.uint8)]
+    for field, text in zip(fields, template[1:]):
+        parts += [field, np.frombuffer(text, np.uint8)]
+    rows = max(len(f) for f in fields if f.ndim == 2)
+    out = np.empty((rows, sum(p.shape[-1] for p in parts)), dtype=np.uint8)
+    col = 0
+    for p in parts:
+        out[:, col : col + p.shape[-1]] = p
+        col += p.shape[-1]
+    flat = out.ravel()
+    return flat[flat != 0].tobytes()
 
 
 def build_ball(engine, radius, cap=DEFAULT_BALL_CAP) -> Ball:
@@ -552,6 +621,12 @@ class ElementBall(Ball):
 
     def iter_words(self):
         return map(self.engine.word_str, self.elements)
+
+    def _word_rows(self):
+        """The rows of `Ball._word_rows`, encoded from `iter_words`."""
+        words = self.iter_words()
+        for a, b in self._spheres():
+            yield _byte_rows([_escaped(word) for word in islice(words, b - a)])
 
 
 def bfs_ball(engine, radius, cap=DEFAULT_BALL_CAP) -> ElementBall:

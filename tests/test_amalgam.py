@@ -35,6 +35,7 @@ from conftest import CYCLE5, PATH4, RACG_GRAPHS, z_n_group
 from word_oracles import (
     amalgam_normal_form,
     amalgam_words,
+    assertion_2_1_walk,
     assertion_2_2_walk,
     ball_elements,
     dist_to_c,
@@ -79,33 +80,6 @@ def reference_assertion_2_2(ab, sections=None, dist=dist_to_c):
         if eng.norm(x) < dist(ctx, tail):
             return CheckVerdict("assertion-2.2", False, checked, witness=eng.word_str(x))
     return CheckVerdict("assertion-2.2", True, checked)
-
-
-def assertion_2_1_walk(ab):
-    """Assertion 2.1 by word arithmetic: in_factor(rep(u)^{-1} rep(v)) and the
-    level gap of every edge between distinct vertices u, v, in
-    `Ball.cayley_edges` order."""
-    ctx, dual, ball = ab.ctx, ab.dual, ab.ball
-    eng, words = ctx.engine, amalgam_words(ab)
-    checked = 0
-    for u, v in ball.cayley_edges():
-        ku, kv = int(dual.vertex_of_element[u]), int(dual.vertex_of_element[v])
-        checked += 1
-        if ku == kv:
-            continue
-        h = eng.multiply(eng.inverse(words.reps[ku]), words.reps[kv])
-        if in_factor(ctx, h) is None:
-            witness = (eng.word_str(words.elements[u]), eng.word_str(words.elements[v]))
-            return CheckVerdict("assertion-2.1", False, checked, witness=witness)
-        if abs(int(dual.level[ku]) - int(dual.level[kv])) > 1:
-            return CheckVerdict(
-                "assertion-2.1",
-                False,
-                checked,
-                witness=(u, v),
-                note="projection not 1-Lipschitz on this edge",
-            )
-    return CheckVerdict("assertion-2.1", True, checked)
 
 
 def reference_D_R(ab, u, R, side=None):

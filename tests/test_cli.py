@@ -125,8 +125,8 @@ def test_cover_ball_json_equals_json_dumps(tmp_path, doc, name):
 
 
 def test_cover_writes_ball_json_in_bounded_chunks(tmp_path, monkeypatch):
-    # every write to ball.json is one chunk, never the whole document
-    monkeypatch.setattr(groups, "BALL_JSON_CHUNK", 2)
+    # every write to ball.json is one block, never the whole document
+    monkeypatch.setattr(groups, "BALL_JSON_BYTES", 400)
     sizes = {}
 
     class Recording:
@@ -134,9 +134,9 @@ def test_cover_writes_ball_json_in_bounded_chunks(tmp_path, monkeypatch):
             self.file = open(path, *args, **kwargs)
             self.sizes = sizes.setdefault(Path(path).name, [])
 
-        def write(self, text):
-            self.sizes.append(len(text))
-            return self.file.write(text)
+        def write(self, block):
+            self.sizes.append(len(block))
+            return self.file.write(block)
 
         def __getattr__(self, name):
             return getattr(self.file, name)
@@ -150,7 +150,7 @@ def test_cover_writes_ball_json_in_bounded_chunks(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "open", Recording, raising=False)
     path = write(tmp_path, "dinf.json", DINF_DOC)
     assert main(["cover", path, "--r", "4", "--out", str(tmp_path / "o")]) == 0
-    bound = 2 * 200  # two records of under 200 characters each
+    bound = 400  # the byte budget, above any one record of this ball
     total = (tmp_path / "o" / "ball.json").stat().st_size
     assert total > 4 * bound
     assert sum(sizes["ball.json"]) == total

@@ -12,7 +12,7 @@ from asdimlab import groups
 from asdimlab.amalgam import TableAmalgam
 from asdimlab.errors import InputError, ResourceCapError, UnsupportedBackendError
 from asdimlab.groups import (
-    BALL_JSON_CHUNK,
+    BALL_JSON_BYTES,
     ElementBall,
     FiniteTableGroup,
     RacgEngine,
@@ -30,7 +30,7 @@ from conftest import (
     z34_loop,
     z_n_group,
 )
-from word_oracles import ball_elements
+from word_oracles import ball_elements, cayley_edges
 
 
 def parse_word(engine, text):
@@ -308,7 +308,7 @@ def test_cayley_edges_are_the_distinct_in_ball_pairs(z2z3_amalgam):
             for v in row
             if v >= 0 and v != u
         }
-        edges = ball.cayley_edges()
+        edges = cayley_edges(ball)
         assert edges == sorted(expected)
         assert all(type(u) is int and type(v) is int for u, v in edges)
 
@@ -322,7 +322,7 @@ def test_ball_json_shape(path3_engine):
 
 
 def reference_ball_json(ball):
-    return json.dumps(ball.to_json(), indent=2, sort_keys=True) + "\n"
+    return (json.dumps(ball.to_json(), indent=2, sort_keys=True) + "\n").encode()
 
 
 @pytest.mark.parametrize(
@@ -338,26 +338,35 @@ def reference_ball_json(ball):
 )
 def test_ball_json_stream_equals_json_dumps(request, make_engine, radius):
     ball = build_ball(make_engine(request), radius)
-    assert "".join(ball.iter_json()) == reference_ball_json(ball)
+    assert b"".join(ball.iter_json()) == reference_ball_json(ball)
 
 
-@pytest.mark.parametrize("chunk", [BALL_JSON_CHUNK, 3], ids=["default-chunk", "chunk-3"])
+def element_blocks(blocks):
+    """The blocks of `Ball.iter_json` that hold element records."""
+    return blocks[blocks.index(b',\n  "elements": [') + 1 : -1]
+
+
+# the budget of about three records, 70 to 90 bytes each here, splits spheres
+@pytest.mark.parametrize("budget", [BALL_JSON_BYTES, 250], ids=["default-chunk", "chunk-3"])
 @pytest.mark.parametrize("amalgam, radius", [("z4z2z4_amalgam", 6), ("a4z3z6_amalgam", 3)])
-def test_table_amalgam_ball_words_are_word_str(request, monkeypatch, amalgam, radius, chunk):
+def test_table_amalgam_ball_words_are_word_str(request, monkeypatch, amalgam, radius, budget):
     # C is not trivial, so words carry the .C. suffix, and the identity is e
-    monkeypatch.setattr(groups, "BALL_JSON_CHUNK", chunk)
+    monkeypatch.setattr(groups, "BALL_JSON_BYTES", budget)
     eng = request.getfixturevalue(amalgam).engine
     ball = build_ball(eng, radius)
     assert not isinstance(ball, ElementBall)
     expected = [eng.word_str(x) for x in ball_elements(ball)]
     assert expected[0] == "e" and any(".C." in w for w in expected)
-    chunks = list(ball.iter_json())
-    assert "".join(chunks) == reference_ball_json(ball)
-    streamed = [record["word"] for record in json.loads("".join(chunks))["elements"]]
+    blocks = list(ball.iter_json())
+    assert b"".join(blocks) == reference_ball_json(ball)
+    streamed = [record["word"] for record in json.loads(b"".join(blocks))["elements"]]
     assert streamed == list(ball.iter_words()) == expected
-    if chunk < len(ball):
-        # chunks end inside spheres
-        assert np.bincount(ball.norms)[1:].min() > chunk
+    # a block never spans two spheres, and the small budget splits spheres
+    spheres = int(ball.norms[-1]) + 1
+    if budget == BALL_JSON_BYTES:
+        assert len(element_blocks(blocks)) == spheres
+    else:
+        assert len(element_blocks(blocks)) > spheres
 
 
 def bfs_json_text(engine, radius):
@@ -377,7 +386,7 @@ def bfs_json_text(engine, radius):
             if u <= v
         ],
     }
-    return json.dumps(document, indent=2, sort_keys=True) + "\n"
+    return (json.dumps(document, indent=2, sort_keys=True) + "\n").encode()
 
 
 # every RACG graph of conftest, the 63-letter descent-bit limit, and the
@@ -399,7 +408,7 @@ def test_streamed_ball_json_equals_the_bfs_reference(name):
     engine = make()
     ball = build_ball(engine, radius)
     assert not isinstance(ball, ElementBall)
-    assert "".join(ball.iter_json()) == bfs_json_text(engine, radius)
+    assert b"".join(ball.iter_json()) == bfs_json_text(engine, radius)
 
 
 @settings(max_examples=30, deadline=None)
@@ -446,28 +455,86 @@ def test_dinf_ball_memory_is_linear_in_the_radius(dinf_amalgam):
 
 def test_ball_json_stream_radius_zero_has_empty_edge_list():
     ball = build_ball(RacgEngine(PATH3), 0)
-    text = "".join(ball.iter_json())
+    text = b"".join(ball.iter_json())
     assert text == reference_ball_json(ball)
-    assert '"edges": [],' in text
+    assert b'"edges": [],' in text
 
 
 def test_ball_json_stream_spans_chunks():
-    ball = build_ball(RacgEngine(CYCLE5), 6)
-    chunks = list(ball.iter_json())
-    assert len(ball) > BALL_JSON_CHUNK
-    assert len(chunks) > 6  # both arrays split across several chunks
-    assert "".join(chunks) == reference_ball_json(ball)
+    ball = build_ball(RacgEngine(CYCLE5), 8)
+    blocks = list(ball.iter_json())
+    text = b"".join(blocks)
+    assert len(text) > 8 * BALL_JSON_BYTES
+    assert len(element_blocks(blocks)) > 4  # both arrays split across several blocks
+    assert len(blocks) - len(element_blocks(blocks)) > 8
+    assert max(map(len, blocks)) <= BALL_JSON_BYTES
+    assert text == reference_ball_json(ball)
+
+
+BLOCK_BALLS = {
+    "racg": lambda: build_ball(RacgEngine(CYCLE5), 4),
+    "radius-0": lambda: build_ball(RacgEngine(PATH3), 0),
+    "table-bfs": lambda: build_ball(FiniteTableGroup(*cyclic_table(5), generators=[1, 4]), 3),
+    # the identity as a generator gives loops u -> u, records of ball.json
+    "loops-bfs": lambda: build_ball(FiniteTableGroup(*cyclic_table(7), generators=[0, 1, 6]), 2),
+    "racg64-bfs": lambda: build_ball(RacgEngine(commutation_matrix(64, [(0, 63)])), 1),
+}
+
+
+@pytest.mark.parametrize("budget", [1, 400, BALL_JSON_BYTES])
+@pytest.mark.parametrize("name", sorted(BLOCK_BALLS))
+def test_ball_json_blocks_at_any_byte_budget(monkeypatch, name, budget):
+    # budget 1 gives one-record blocks and one table row per edge block, so
+    # the 5-cycle ball's outer-sphere rows, whose entries all point back,
+    # yield no edge block; budget 400 splits its spheres across blocks
+    monkeypatch.setattr(groups, "BALL_JSON_BYTES", budget)
+    ball = BLOCK_BALLS[name]()
+    assert isinstance(ball, ElementBall) == name.endswith("-bfs")
+    blocks = list(ball.iter_json())
+    assert all(type(block) is bytes for block in blocks)
+    assert b"".join(blocks) == reference_ball_json(ball)
+    elements = element_blocks(blocks)
+    records = [block.count(b'"id": ') for block in elements]
+    assert sum(records) == len(ball)
+    assert all(n == 1 or len(block) <= budget for n, block in zip(records, elements))
+    spheres = int(ball.norms[-1]) + 1
+    if budget == 1:
+        assert records == [1] * len(ball)
+        with_edges = (ball.table >= np.arange(len(ball))[:, None]).any(axis=1)
+        assert len(blocks) - len(elements) - 4 == np.count_nonzero(with_edges)
+        if name == "racg":
+            assert not with_edges.all()
+    elif budget == 400 and name == "racg":
+        assert spheres < len(elements) < len(ball)
+    elif budget == BALL_JSON_BYTES:
+        assert len(elements) == spheres
+
+
+def test_ball_json_stream_peak_memory_is_below_the_edge_table():
+    # the edge records are rendered one block of table rows at a time: no
+    # (src, gen, dst) arrays of every directed edge, about 3x the table
+    ball = build_ball(RacgEngine(CYCLE5), 9)
+    tracemalloc.start()
+    try:
+        for _ in ball.iter_json():
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < ball.table.nbytes
 
 
 def test_ball_json_stream_escapes_names_as_json_dumps():
-    names = ["\u03b1", 'q"t', "b\\c"]
-    racg = build_ball(RacgEngine(PATH3, names=names), 3)
+    # json.dumps writes a NUL as \u0000, so dropping the padding's NUL
+    # bytes drops no byte of the document
+    names = ["\u03b1", 'q"t', "b\\c", "n\x00l"]
+    racg = build_ball(RacgEngine(commutation_matrix(4, [(0, 1), (1, 2)]), names=names), 3)
     table, _ = cyclic_table(3)
-    group = build_ball(FiniteTableGroup(table, names=["e", "\u00e9", "x\ty"]), 1)
+    group = build_ball(FiniteTableGroup(table, names=["e", "\u00e9\x00", "x\ty"]), 1)
     for ball in (racg, group):
-        text = "".join(ball.iter_json())
+        text = b"".join(ball.iter_json())
         assert text == reference_ball_json(ball)
-        assert text.isascii()
+        assert text.isascii() and b"\\u0000" in text
 
 
 def _table_amalgam_engine(n, stem_a, stem_b, embed):

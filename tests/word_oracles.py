@@ -1,9 +1,10 @@
 """Word arithmetic that no command runs, kept as the tests' oracles: each
-ball element as an engine value; C as a subgroup of an amalgam (membership,
-the distance to C, and C's own elements); seeded alternative sections; a
-coset's vertex by a word key, the factor and the section of a step of K; the
-normal form z_1...z_k c of an amalgam element walked along K; and assertion
-2.2 as one walk of K under any sections."""
+ball element as an engine value, and the ball's Cayley edges as a list of
+pairs; C as a subgroup of an amalgam (membership, the distance to C, and C's
+own elements); seeded alternative sections; a coset's vertex by a word key,
+the factor and the section of a step of K; the normal form z_1...z_k c of an
+amalgam element walked along K; assertion 2.1 over the Cayley edges; and
+assertion 2.2 as one walk of K under any sections."""
 
 import hashlib
 import random
@@ -25,6 +26,12 @@ def ball_elements(ball):
     reference = bfs_ball(ball.engine, ball.radius)
     assert np.array_equal(reference.table, ball.table)
     return reference.elements
+
+
+def cayley_edges(ball):
+    """`Ball.cayley_edge_arrays` as a list of int pairs."""
+    lo, hi = ball.cayley_edge_arrays()
+    return list(zip(lo.tolist(), hi.tolist()))
 
 
 def is_in_c(ctx, x):
@@ -192,6 +199,33 @@ def amalgam_normal_form(ab, x, sections=None) -> NormalFormAm:
         if s1 == s2:
             raise AssertionError("normal form letters fail to alternate")
     return NormalFormAm(letters=letters, sides=sides, c_part=c, length=len(letters))
+
+
+def assertion_2_1_walk(ab):
+    """Assertion 2.1 by word arithmetic: in_factor(rep(u)^{-1} rep(v)) and the
+    level gap of every edge between distinct vertices u, v, in
+    `cayley_edges` order."""
+    ctx, dual, ball = ab.ctx, ab.dual, ab.ball
+    eng, words = ctx.engine, amalgam_words(ab)
+    checked = 0
+    for u, v in cayley_edges(ball):
+        ku, kv = int(dual.vertex_of_element[u]), int(dual.vertex_of_element[v])
+        checked += 1
+        if ku == kv:
+            continue
+        h = eng.multiply(eng.inverse(words.reps[ku]), words.reps[kv])
+        if in_factor(ctx, h) is None:
+            witness = (eng.word_str(words.elements[u]), eng.word_str(words.elements[v]))
+            return CheckVerdict("assertion-2.1", False, checked, witness=witness)
+        if abs(int(dual.level[ku]) - int(dual.level[kv])) > 1:
+            return CheckVerdict(
+                "assertion-2.1",
+                False,
+                checked,
+                witness=(u, v),
+                note="projection not 1-Lipschitz on this edge",
+            )
+    return CheckVerdict("assertion-2.1", True, checked)
 
 
 def assertion_2_2_walk(ab, sections=None, dist=dist_to_c):
