@@ -963,13 +963,14 @@ def check_separation(ab: AmalgamBall, u, u_prime, R, boundary_override=None) -> 
     # must neither block nor carry paths
     core = ab.core_mask()
     masked = ab.metric.masked(np.concatenate([d_set, np.nonzero(~core)[0]]))
-    labels = masked.components()
 
     interior = core & (ab.ball.norms <= ab.ball.radius - 1)
-    fiber_up = [i for i in dual.fiber(u_prime).tolist() if interior[i]]
-    if not fiber_up:
+    fiber_up = dual.fiber(u_prime)
+    fiber_up = fiber_up[interior[fiber_up]]
+    if not len(fiber_up):
         raise OutOfBallError("pi^{-1}(u') has no interior witnesses in the core")
-    up_components = np.unique([labels[i] for i in fiber_up])
+    # the points with a path to pi^{-1}(u') that avoids D_R^u and the shell
+    reaches_up = masked.dist_field(fiber_up) < UNREACHED
 
     # which vertices v the statement covers: v < u or incomparable with u
     # (for the base vertex: the opposite side of K)
@@ -987,7 +988,7 @@ def check_separation(ab: AmalgamBall, u, u_prime, R, boundary_override=None) -> 
     blocked[d_set] = True
     candidates = interior & ~blocked & valid_v[dual.vertex_of_element]
     checked = int(candidates.sum())
-    leaks = candidates & np.isin(labels, up_components)
+    leaks = candidates & reaches_up
     if leaks.any():
         i = int(np.nonzero(leaks)[0][0])
         return CheckVerdict(

@@ -4,7 +4,7 @@ Two concrete backings: an explicit distance matrix (small abstract instances,
 random test fixtures) and the path metric of a graph given by its edge table,
 one row of neighbour ids per point (Cayley balls).  Distances are exact
 within the carrier; graph metrics additionally provide fast multi-source
-distance fields via scipy BFS.
+distance fields by a level-synchronous numpy BFS over the edge table.
 """
 
 from __future__ import annotations
@@ -12,8 +12,6 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components, dijkstra
 
 from .errors import InputError
 
@@ -128,18 +126,17 @@ class GraphMetric(FiniteMetric):
     are closed under inverses, and there the graph distance agrees with the
     word metric for all pairs whose true distance keeps a geodesic inside
     the enumerated ball.
+
+    Fields are read off the table by `dijkstra`, one BFS level per step.  A
+    point at equal distance from several sources takes, with
+    `with_sources=True`, the source of its lowest-id neighbour one level
+    closer to the sources (a source is its own).
     """
 
     def __init__(self, table):
-        self.table = table = np.asarray(table)
-        self.n = n = len(table)
-        edge = table >= 0
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(edge.sum(axis=1), out=indptr[1:])
-        indices = table[edge]
-        data = np.ones(len(indices), dtype=np.int8)
-        self.graph = csr_matrix((data, indices, indptr), shape=(n, n))
-        self._field_cache: dict[tuple[int, ...], np.ndarray] = {}
+        self.table = np.asarray(table)
+        self.n = len(self.table)
+        self._field_cache: dict[bytes, np.ndarray] = {}
 
     def masked(self, removed) -> "GraphMetric":
         """Graph metric with a point set removed (used for separation checks):
@@ -149,10 +146,6 @@ class GraphMetric(FiniteMetric):
         table = np.where(gone[self.table] | gone[: self.n, None], -1, self.table)
         return GraphMetric(table)
 
-    def components(self) -> np.ndarray:
-        _, labels = connected_components(self.graph, directed=False)
-        return labels
-
     def dist(self, x, y):
         self.check_point(x)
         self.check_point(y)
@@ -160,34 +153,24 @@ class GraphMetric(FiniteMetric):
         return float("inf") if d >= UNREACHED else float(d)
 
     def dist_field(self, sources, with_sources=False):
-        """Distance field of `sources`; with_sources=True also returns each
-        point's nearest source, -9999 where unreached.  A field returned
-        alone is read-only: it may be the cached array later callers get."""
-        sources = sorted(set(int(s) for s in sources))
-        if not sources:
+        """Distance field of `sources` (point ids, in any order, repeats
+        allowed); with_sources=True also returns each point's nearest source,
+        -9999 where unreached.  A field returned alone is read-only: it may be
+        the cached array later callers get."""
+        ids = sources if isinstance(sources, np.ndarray) else np.fromiter(sources, np.int64)
+        ids = np.unique(ids).astype(np.int64, copy=False)
+        if not len(ids):
             field = np.full(self.n, UNREACHED, dtype=float)
             field.flags.writeable = False
             return (field, None) if with_sources else field
-        key = tuple(sources)
-        if not with_sources and key in self._field_cache:
-            return self._field_cache[key]
-        # the graph holds both directions of every edge, so a directed BFS
-        # gives the undirected distances without re-symmetrising per call
+        self.check_point(ids[0])
+        self.check_point(ids[-1])
         if with_sources:
-            dist_m, _, src = dijkstra(
-                self.graph,
-                directed=True,
-                unweighted=True,
-                indices=sources,
-                min_only=True,
-                return_predecessors=True,
-            )
-            field = np.where(np.isinf(dist_m), UNREACHED, dist_m)
-            return field, src
-        dist_m = dijkstra(
-            self.graph, directed=True, unweighted=True, indices=sources, min_only=True
-        )
-        field = np.where(np.isinf(dist_m), UNREACHED, dist_m)
+            return dijkstra(self.table, ids, with_sources=True)
+        key = ids.tobytes()
+        if key in self._field_cache:
+            return self._field_cache[key]
+        field = dijkstra(self.table, ids)
         field.flags.writeable = False
         if len(self._field_cache) < 64:
             self._field_cache[key] = field
@@ -199,10 +182,11 @@ class GraphMetric(FiniteMetric):
 
         One multi-source BFS labels every reached point by its nearest
         source.  Returns (label of u, label of v, fld[u] + fld[v] + 1) over
-        the graph edges (u, v) whose ends get different labels; the smallest
-        gap is the least distance between two differently labelled points.
-        A caller that already holds `dist_field(labelled points,
-        with_sources=True)` passes it as `field`, and no BFS runs.
+        the graph edges (u, v) whose ends get different labels, each edge
+        once, from its lower end u; the smallest gap is the least distance
+        between two differently labelled points.  A caller that already
+        holds `dist_field(labelled points, with_sources=True)` passes it as
+        `field`, and no BFS runs.
         """
         labels = np.asarray(labels)
         if field is None:
@@ -211,11 +195,55 @@ class GraphMetric(FiniteMetric):
         reached = src >= 0
         node_label = np.full(self.n, -1, dtype=np.int64)
         node_label[reached] = labels[src[reached]]
-        u, gen = np.nonzero(self.table >= 0)
+        # the table lists every edge from both ends and a loop never crosses
+        u, gen = np.nonzero(self.table > np.arange(self.n)[:, None])
         v = self.table[u, gen]
         lu, lv = node_label[u], node_label[v]
         cross = (lu >= 0) & (lv >= 0) & (lu != lv)
         return lu[cross], lv[cross], fld[u[cross]] + fld[v[cross]] + 1
+
+
+def dijkstra(table, sources, with_sources=False):
+    """Unit-weight distances over the edge table `table` from the nearest of
+    `sources` (distinct valid ids, ascending), UNREACHED where no path
+    leads; with_sources=True also returns each point's nearest source,
+    -9999 where unreached.
+
+    A level-synchronous BFS: each level is one gather of the frontier's
+    table rows, keeping the ids not yet reached (a -1 entry reads the
+    sentinel slot n, which counts as reached).  A plain field keeps any one
+    occurrence of each new id; for sources, the new ids are taken at their
+    first occurrence in the rows of the ascending frontier, so each one gets
+    the source of its lowest-id neighbour on the level before, and the next
+    frontier is ascending again.  (Named after the routine it replaced: the
+    bench's traces count BFS runs by this name.)
+    """
+    n = len(table)
+    dist = np.full(n + 1, UNREACHED, dtype=float)
+    dist[n] = -1
+    dist[sources] = 0
+    frontier = sources
+    if with_sources:
+        src = np.full(n, -9999, dtype=np.int64)
+        src[sources] = sources
+    else:
+        mark = np.empty(n, dtype=np.intp)
+    level = 0
+    while len(frontier):
+        level += 1
+        reached = table[frontier].ravel()
+        if with_sources:
+            pos = np.flatnonzero(dist[reached] == UNREACHED)
+            reached, first = np.unique(reached[pos], return_index=True)
+            src[reached] = src[frontier[pos[first] // table.shape[1]]]
+        else:
+            reached = reached[dist[reached] == UNREACHED]
+            order = np.arange(len(reached))
+            mark[reached] = order
+            reached = reached[mark[reached] == order]
+        dist[reached] = level
+        frontier = reached
+    return (dist[:n], src) if with_sources else dist[:n]
 
 
 def line_metric(points) -> DenseMetric:

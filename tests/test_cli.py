@@ -113,6 +113,21 @@ def test_a_reader_that_closes_the_pipe_gets_exit_141_and_no_traceback(tmp_path):
     assert err == b""
 
 
+def test_cover_and_check_import_no_scipy(tmp_path):
+    # graph fields are a numpy BFS on the edge table; scipy is a test-only
+    # dependency, and importing it was most of a command's start-up time
+    path = write(tmp_path, "dinf.json", DINF_DOC)
+    script = (
+        "import sys; from asdimlab.cli import main; "
+        f"assert main(['cover', {path!r}, '--r', '4', '--verify']) == 0; "
+        f"assert main(['check', {path!r}, '--r', '8', '--R', '1', '--ball', '16']) == 0; "
+        "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "prop-2.1-separation: pass" in proc.stdout
+
+
 @pytest.mark.parametrize("doc, name", [(DINF_DOC, "dinf.json"), (PATH4_SPLIT_DOC, "p4.json")])
 def test_cover_ball_json_equals_json_dumps(tmp_path, doc, name):
     # the streamed ball.json is the byte oracle's text for the same ball

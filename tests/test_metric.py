@@ -1,11 +1,13 @@
 import math
 import tracemalloc
+from collections import deque
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import shortest_path
 
 from asdimlab.builder import color_gap
 from asdimlab.errors import InputError
@@ -30,10 +32,43 @@ def edge_table(n, pairs):
     return table
 
 
-def pattern(graph):
-    """The (row, col) pairs a sparse graph stores."""
-    coo = graph.tocoo()
-    return set(zip(coo.row.tolist(), coo.col.tolist()))
+def pattern(table):
+    """The (point, neighbour) pairs an edge table lists."""
+    u, gen = np.nonzero(table >= 0)
+    return set(zip(u.tolist(), table[u, gen].tolist()))
+
+
+def scipy_fields(table):
+    """The tests' oracle: scipy's all-pairs BFS distances of an edge table,
+    one row per source, UNREACHED where no path leads."""
+    n = len(table)
+    u, gen = np.nonzero(table >= 0)
+    graph = csr_matrix((np.ones(len(u)), (u, table[u, gen])), shape=(n, n))
+    dist = shortest_path(graph, directed=True, unweighted=True)
+    return np.where(np.isinf(dist), UNREACHED, dist)
+
+
+def lowest_neighbour_sources(table, sources):
+    """Reference for `dist_field(sources, with_sources=True)`: a plain deque
+    BFS for the distances; then, nearest first, each reached non-source
+    point takes the source of its lowest-id neighbour one level closer."""
+    n = len(table)
+    dist = [None] * n
+    queue = deque(sorted(set(sources)))
+    for s in queue:
+        dist[s] = 0
+    while queue:
+        p = queue.popleft()
+        for x in table[p].tolist():
+            if x >= 0 and dist[x] is None:
+                dist[x] = dist[p] + 1
+                queue.append(x)
+    src = [-9999] * n
+    for s in sources:
+        src[s] = s
+    for x in sorted((x for x in range(n) if dist[x]), key=lambda x: dist[x]):
+        src[x] = src[min(p for p in table[x].tolist() if p >= 0 and dist[p] == dist[x] - 1)]
+    return src
 
 
 def set_dist(m, a, b):
@@ -70,21 +105,28 @@ def test_graph_metric_path():
 
 def test_ball_graph_metric_is_the_in_ball_edge_graph(z2z3_amalgam):
     ball = build_ball(z2z3_amalgam.engine, 8)
-    src, gen = np.nonzero(ball.table >= 0)
-    reference = csr_matrix((np.ones(len(src)), (src, ball.table[src, gen])), shape=(len(ball),) * 2)
-    assert pattern(ball.graph_metric().graph) == pattern(reference)
+    metric = ball.graph_metric()
+    assert metric.table is ball.table
+    # every edge is listed from both ends, so fields need no symmetrising
+    assert pattern(ball.table) == {(v, u) for u, v in pattern(ball.table)}
+    reference = scipy_fields(ball.table)
+    for p in (0, 1, len(ball) // 2, len(ball) - 1):
+        assert np.array_equal(metric.dist_field([p]), reference[p])
 
 
 def test_ball_graph_metric_stores_each_table_entry_once(z2z3_amalgam):
     for ball in (build_ball(z2z3_amalgam.engine, 8), build_ball(RacgEngine(CYCLE5), 5)):
-        graph = ball.graph_metric().graph
-        assert graph.nnz == (ball.table >= 0).sum()
-        assert (graph.data == 1).all()
+        metric = ball.graph_metric()
+        assert metric.table is ball.table
+        # the inner ball's table is its rows of the ball's, edges leaving it cut
+        inner = ball.graph_metric(ball.radius - 1).table
+        n = len(inner)
+        assert np.array_equal(inner, np.where(ball.table[:n] < n, ball.table[:n], -1))
 
 
 def test_ball_graph_metric_peak_memory_is_near_the_table():
-    # the CSR is read off the table: at most 2x its bytes at the peak, where
-    # a doubled, re-symmetrised edge list took 7x
+    # the metric holds the table itself: at most 2x its bytes at the peak,
+    # where a doubled, re-symmetrised edge list took 7x
     ball = build_ball(RacgEngine(CYCLE5), 8)
     assert len(ball) == 7981
     tracemalloc.start()
@@ -106,10 +148,9 @@ def test_graph_metric_disconnected_reports_unreached():
 def test_graph_metric_masked_separation():
     g = GraphMetric(edge_table(5, [(0, 1), (1, 2), (2, 3), (3, 4)]))
     masked = g.masked([2])
-    labels = masked.components()
-    assert labels[0] == labels[1]
-    assert labels[3] == labels[4]
-    assert labels[0] != labels[4]
+    assert list(masked.dist_field([0]) < UNREACHED) == [True, True, False, False, False]
+    assert list(masked.dist_field([4]) < UNREACHED) == [False, False, False, True, True]
+    assert list(masked.dist_field([2]) < UNREACHED) == [False, False, True, False, False]
 
 
 def test_graph_metric_masked_matches_edge_scan():
@@ -122,14 +163,55 @@ def test_graph_metric_masked_matches_edge_scan():
         edge_table(80, [(u, v) for u, v in pairs if u not in removed and v not in removed])
     )
     masked = g.masked(removed)
-    assert pattern(masked.graph) == pattern(kept.graph)
-    assert np.array_equal(masked.components(), kept.components())
+    assert pattern(masked.table) == pattern(kept.table)
+    for p in range(80):
+        assert np.array_equal(masked.dist_field([p]), kept.dist_field([p]))
 
 
 def test_unknown_point_rejected():
     g = GraphMetric(edge_table(3, [(0, 1)]))
     with pytest.raises(InputError):
         g.dist(0, 7)
+
+
+@pytest.mark.parametrize("with_sources", [False, True], ids=["field", "sources"])
+@pytest.mark.parametrize("bad", [3, -1], ids=["past-the-end", "negative"])
+def test_dist_field_rejects_a_source_outside_the_carrier(bad, with_sources):
+    # 3 would read the BFS's sentinel slot and -1 would wrap to point 2
+    g = GraphMetric(edge_table(3, [(0, 1), (1, 2)]))
+    with pytest.raises(InputError, match=f"unknown point id {bad}"):
+        g.dist_field([0, bad], with_sources=with_sources)
+
+
+@st.composite
+def edge_tables(draw):
+    """Random edge tables: loops, repeated edges, isolated points and extra
+    -1 padding columns."""
+    n = draw(st.integers(1, 24))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=40))
+    table = edge_table(n, pairs)
+    pad = np.full((n, draw(st.integers(0, 2))), -1, dtype=np.int64)
+    return np.hstack([table, pad])
+
+
+@settings(max_examples=200, deadline=None)
+@given(edge_tables(), st.data())
+def test_bfs_fields_equal_scipy(table, data):
+    n = len(table)
+    sources = data.draw(st.lists(st.integers(0, n - 1), max_size=5))
+    g = GraphMetric(table)
+    fld, src = g.dist_field(sources, with_sources=True)
+    expected = (
+        scipy_fields(table)[sorted(set(sources))].min(axis=0)
+        if sources
+        else np.full(n, UNREACHED, dtype=float)
+    )
+    assert np.array_equal(g.dist_field(sources), expected)
+    if not sources:
+        assert src is None
+        return
+    assert np.array_equal(fld, expected)
+    assert src.tolist() == lowest_neighbour_sources(table, sources)
 
 
 def test_graph_metric_fields_are_read_only():
