@@ -147,7 +147,7 @@ def cmd_bound(args):
     cox = CoxeterSystem.from_json(data)
     report = bound_report(cox)
     if report["finite_group"]:
-        print(f"finite group, asdim = 0 (nerve is the full simplex)")
+        print("finite group, asdim = 0 (nerve is the full simplex)")
     print(
         f"dim N = {report['nerve_dim']}, asdim <= {report['asdim_bound']}, "
         f"ch bound = {report['chromatic_bound']}"
@@ -260,9 +260,9 @@ def cmd_davis(args):
         )
         g = ball.skeleton_graph()
         lines = ["graph davis {"]
-        for v in sorted(g.nodes):
+        for v in sorted(g):
             lines.append(f'  v{v} [label="{ball.vertex_labels[v]}"];')
-        for u, v in sorted(g.edges):
+        for u, v in sorted((u, v) for u in g for v in g[u] if u < v):
             lines.append(f"  v{u} -- v{v};")
         lines.append("}")
         _write(args.out, "davis.dot", "\n".join(lines) + "\n")

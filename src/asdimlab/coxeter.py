@@ -4,7 +4,8 @@ star/link decomposition, and finite-radius Davis-complex gluing.
 Only right-angled systems are supported beyond type validation; for them the
 nerve is the clique complex of the commutation graph (a parabolic subgroup on
 a pairwise-commuting letter set is (Z_2)^W, hence finite, and no other
-parabolic is).
+parabolic is).  A graph is an adjacency dict: each vertex, in insertion
+order, maps to the set of its neighbours.
 """
 
 from __future__ import annotations
@@ -12,12 +13,17 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
 
 from .errors import InputError, ResourceCapError, UnsupportedBackendError
 from .groups import CoxeterMatrix, RacgEngine, build_ball, first_sight
-from .simplicial import SimplicialComplex, barycentric_subdivision, clique_complex, cone
+from .simplicial import (
+    SimplicialComplex,
+    barycentric_subdivision,
+    clique_complex,
+    cone,
+    maximal_cliques,
+)
 
 
 class CoxeterSystem(CoxeterMatrix):
@@ -70,14 +76,11 @@ class CoxeterSystem(CoxeterMatrix):
         self.require_right_angled()
         return RacgEngine(self.matrix, names=self.names)
 
-    def commutation_graph(self) -> nx.Graph:
-        g = nx.Graph()
-        g.add_nodes_from(self.names)
-        for i in range(self.rank):
-            for j in range(i + 1, self.rank):
-                if self.matrix[i][j] == 2:
-                    g.add_edge(self.names[i], self.names[j])
-        return g
+    def commutation_graph(self) -> dict:
+        return {
+            name: {self.names[j] for j, m in enumerate(row) if m == 2}
+            for name, row in zip(self.names, self.matrix)
+        }
 
 
 def build_nerve(cox: CoxeterSystem) -> SimplicialComplex:
@@ -121,23 +124,31 @@ def chromatic_bound(cox: CoxeterSystem, exact_cap=20):
     """
     nerve = build_nerve(cox)
     graph = nerve.skeleton_graph()
-    if graph.number_of_nodes() == 0:
+    if not graph:
         return 0, True
-    if graph.number_of_nodes() > exact_cap:
-        greedy = nx.coloring.greedy_color(graph, strategy="largest_first")
-        return max(greedy.values()) + 1, False
+    if len(graph) > exact_cap:
+        return max(greedy_coloring(graph).values()) + 1, False
     ch = _chromatic_exact(graph)
     if ch < nerve.dim + 1:
         raise AssertionError("chromatic number below clique bound; coloring bug")
     return ch, True
 
 
-def _chromatic_exact(graph: nx.Graph):
-    order = sorted(graph.nodes, key=lambda v: (-graph.degree(v), str(v)))
-    adj = {v: set(graph.neighbors(v)) for v in order}
-    clique_lb = max((len(c) for c in nx.find_cliques(graph)), default=1)
-    greedy = nx.coloring.greedy_color(graph, strategy="largest_first")
-    upper = max(greedy.values()) + 1 if greedy else 1
+def greedy_coloring(graph: dict) -> dict:
+    """Largest-first greedy colouring (Welsh and Powell, 1967): the vertices
+    in dict order, stably sorted by degree descending, each given the least
+    colour that no coloured neighbour has."""
+    colors = {}
+    for v in sorted(graph, key=lambda u: len(graph[u]), reverse=True):
+        used = {colors[u] for u in graph[v] if u in colors}
+        colors[v] = next(c for c in range(len(used) + 1) if c not in used)
+    return colors
+
+
+def _chromatic_exact(graph: dict):
+    order = sorted(graph, key=lambda v: (-len(graph[v]), str(v)))
+    clique_lb = max((len(c) for c in maximal_cliques(graph)), default=1)
+    upper = max(greedy_coloring(graph).values(), default=0) + 1
 
     def colorable(k):
         colors = {}
@@ -146,7 +157,7 @@ def _chromatic_exact(graph: nx.Graph):
             if i == len(order):
                 return True
             v = order[i]
-            banned = {colors[u] for u in adj[v] if u in colors}
+            banned = {colors[u] for u in graph[v] if u in colors}
             for c in range(min(k, used_max + 2)):
                 if c in banned:
                     continue
@@ -216,16 +227,22 @@ class DecompositionTree:
         return "\n".join(lines) + "\n"
 
 
-def split_vertex_choice(graph: nx.Graph):
+def split_vertex_choice(graph: dict):
     """Lexicographically first vertex whose closed star omits some vertex."""
-    nodes = sorted(graph.nodes, key=str)
+    nodes = sorted(graph, key=str)
     for v in nodes:
-        if len(set(graph.neighbors(v))) + 1 < len(nodes):
+        if len(graph[v]) + 1 < len(nodes):
             return v
     return None
 
 
-def star_link_split(graph: nx.Graph):
+def induced_subgraph(graph: dict, vertices) -> dict:
+    """The subgraph of `graph` on `vertices`, in the graph's vertex order."""
+    keep = set(vertices)
+    return {v: graph[v] & keep for v in graph if v in keep}
+
+
+def star_link_split(graph: dict):
     """Theorem 3.1's split at `split_vertex_choice(graph)`.
 
     Returns (v, star, link, rest): the closed star of v (N1), its link (K)
@@ -235,9 +252,9 @@ def star_link_split(graph: nx.Graph):
     v = split_vertex_choice(graph)
     if v is None:
         return None
-    link = tuple(sorted(graph.neighbors(v), key=str))
+    link = tuple(sorted(graph[v], key=str))
     star = tuple(sorted(link + (v,), key=str))
-    rest = tuple(sorted((u for u in graph.nodes if u != v), key=str))
+    rest = tuple(sorted((u for u in graph if u != v), key=str))
     return v, star, link, rest
 
 
@@ -247,7 +264,7 @@ def decompose(cox: CoxeterSystem) -> DecompositionTree:
     graph = cox.commutation_graph()
 
     def rec(vertex_set):
-        split = star_link_split(graph.subgraph(vertex_set))
+        split = star_link_split(induced_subgraph(graph, vertex_set))
         verts = tuple(sorted(vertex_set, key=str))
         if split is None:
             return DecompositionTree(vertices=verts)
@@ -262,7 +279,7 @@ def decompose(cox: CoxeterSystem) -> DecompositionTree:
         _validate_split(node)
         return node
 
-    return rec(set(graph.nodes))
+    return rec(set(graph))
 
 
 def _validate_split(node: DecompositionTree):
@@ -286,7 +303,7 @@ def asdim_recursive(cox: CoxeterSystem):
         key = frozenset(vertex_set)
         if key in memo:
             return memo[key]
-        split = star_link_split(graph.subgraph(vertex_set))
+        split = star_link_split(induced_subgraph(graph, vertex_set))
         if split is None:
             memo[key] = 0
             return 0
@@ -295,7 +312,7 @@ def asdim_recursive(cox: CoxeterSystem):
         memo[key] = value
         return value
 
-    return rec(set(graph.nodes))
+    return rec(set(graph))
 
 
 @dataclass
@@ -308,14 +325,14 @@ class DavisBall:
     maximal_simplices: list
     dim: int
 
-    def skeleton_graph(self) -> nx.Graph:
-        g = nx.Graph()
-        g.add_nodes_from(range(self.vertex_count))
+    def skeleton_graph(self) -> dict:
+        graph = {v: set() for v in range(self.vertex_count)}
         for simplex in self.maximal_simplices:
-            for i, u in enumerate(simplex):
-                for v in simplex[i + 1 :]:
-                    g.add_edge(u, v)
-        return g
+            for u in simplex:
+                graph[u].update(simplex)
+        for v, nbrs in graph.items():
+            nbrs.discard(v)
+        return graph
 
     def to_json(self):
         return {

@@ -1,15 +1,15 @@
 """Small simplicial-complex type shared by the nerve and Davis constructions.
 
 A complex is stored as vertices plus its maximal faces; all faces are the
-downward closure.  Vertices are hashable labels (ints or strings).
+downward closure.  Vertices are hashable labels (ints or strings).  A graph
+is an adjacency dict: each vertex, in insertion order, maps to the set of
+its neighbours (no loops).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-
-import networkx as nx
 
 from .errors import InputError
 
@@ -58,15 +58,17 @@ class SimplicialComplex:
     def edges(self):
         return [f for f in self.faces() if len(f) == 2]
 
-    def skeleton_graph(self) -> nx.Graph:
-        g = nx.Graph()
-        g.add_nodes_from(self.vertices)
-        g.add_edges_from(self.edges())
-        return g
+    def skeleton_graph(self) -> dict:
+        graph = {v: set() for v in self.vertices}
+        for u, v in self.edges():
+            graph[u].add(v)
+            graph[v].add(u)
+        return graph
 
     def is_simplex(self):
-        """True iff the complex is a single full simplex on its vertices."""
-        return len(self.maximal_faces) == 1 and set(self.maximal_faces[0]) == set(
+        """True iff the complex is a single full simplex on its vertices; the
+        empty complex is the empty simplex."""
+        return len(self.maximal_faces) <= 1 and set().union(*self.maximal_faces) == set(
             self.vertices
         )
 
@@ -81,40 +83,56 @@ def _key(v):
     return (0, v) if isinstance(v, int) else (1, str(v))
 
 
-def clique_complex(graph: nx.Graph) -> SimplicialComplex:
+def maximal_cliques(graph: dict) -> list:
+    """Every maximal clique of an adjacency dict once, each a list, in no
+    fixed order: Bron-Kerbosch with a pivot of most candidate neighbours
+    (Tomita, Tanaka and Takahashi, TCS 2006).  The empty graph has none."""
+    cliques = []
+
+    def expand(clique, candidates, excluded):
+        if not candidates and not excluded:
+            cliques.append(clique)
+            return
+        pivot = max(candidates | excluded, key=lambda u: len(candidates & graph[u]))
+        for v in candidates - graph[pivot]:
+            expand(clique + [v], candidates & graph[v], excluded & graph[v])
+            candidates.remove(v)
+            excluded.add(v)
+
+    if graph:
+        expand([], set(graph), set())
+    return cliques
+
+
+def clique_complex(graph: dict) -> SimplicialComplex:
     """Flag complex of a graph: maximal faces are the maximal cliques."""
     cliques = sorted(
-        (tuple(sorted(c, key=_key)) for c in nx.find_cliques(graph)),
+        (tuple(sorted(c, key=_key)) for c in maximal_cliques(graph)),
         key=lambda f: (len(f), f),
     )
-    return SimplicialComplex(vertices=sorted(graph.nodes, key=_key), maximal_faces=cliques)
+    return SimplicialComplex(vertices=sorted(graph, key=_key), maximal_faces=cliques)
 
 
 def barycentric_subdivision(complex_: SimplicialComplex) -> SimplicialComplex:
     """N': vertices are the nonempty faces of N, simplices are chains of faces."""
-    faces = complex_.faces()
-    index = {f: i for i, f in enumerate(faces)}
-    # chains ordered by inclusion; maximal chains suffice as maximal faces
-    g = nx.DiGraph()
-    g.add_nodes_from(range(len(faces)))
-    for a in faces:
-        for b in faces:
-            if a != b and set(a) < set(b):
-                g.add_edge(index[a], index[b])
-    maximal_chains = []
+    faces = [set(f) for f in complex_.faces()]
+    # chains ordered by inclusion, grown from the faces with no proper
+    # subface; the complex keeps the maximal chains as its maximal faces
+    above = [[j for j, b in enumerate(faces) if a < b] for a in faces]
+    has_below = {j for js in above for j in js}
+    chains = []
 
-    def grow(chain, last):
-        extensions = sorted(g.successors(last))
+    def grow(chain):
+        extensions = above[chain[-1]]
         if not extensions:
-            maximal_chains.append(tuple(chain))
-            return
+            chains.append(tuple(chain))
         for nxt in extensions:
-            grow(chain + [nxt], nxt)
+            grow(chain + [nxt])
 
-    for start in sorted(g.nodes):
-        if g.in_degree(start) == 0:
-            grow([start], start)
-    return SimplicialComplex(vertices=list(range(len(faces))), maximal_faces=maximal_chains)
+    for start in range(len(faces)):
+        if start not in has_below:
+            grow([start])
+    return SimplicialComplex(vertices=list(range(len(faces))), maximal_faces=chains)
 
 
 def cone(complex_: SimplicialComplex, apex):

@@ -267,10 +267,10 @@ def test_criterion_9_davis_sanity():
         ok = ok and ball.dim == nerve_dim + 1
         details.append(f"{name}: dim {ball.dim} = dimN+1")
     z2 = build_davis_ball(CoxeterSystem([[1]]), 1)
-    g2 = z2.skeleton_graph()
+    g2 = nx.Graph(z2.skeleton_graph())
     ok = ok and z2.vertex_count == 3 and sorted(d for _, d in g2.degree()) == [1, 1, 2]
     dinf = build_davis_ball(CoxeterSystem([[1, 0], [0, 1]]), 3)
-    gd = dinf.skeleton_graph()
+    gd = nx.Graph(dinf.skeleton_graph())
     degrees = sorted(d for _, d in gd.degree())
     ok = ok and nx.is_connected(gd) and degrees.count(1) == 2 and degrees[-1] == 2
     report(9, ok, "; ".join(details) + "; Z2 ball is the 3-vertex path; Dinf ball is a subdivided interval")

@@ -75,6 +75,20 @@ def test_bound_simplex_reports_finite(tmp_path, capsys):
     assert "finite group, asdim = 0" in capsys.readouterr().out
 
 
+def test_bound_of_no_generators_reports_the_trivial_group(tmp_path, capsys):
+    # the empty nerve is the empty simplex: W is trivial, asdim 0
+    path = write(tmp_path, "trivial.json", {"generators": [], "matrix": []})
+    assert main(["bound", path, "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "finite group, asdim = 0 (nerve is the full simplex)",
+        "dim N = -1, asdim <= 0, ch bound = 0",
+    ]
+    report = json.loads((tmp_path / "out" / "bound.json").read_text())
+    assert report["finite_group"] is True and report["asdim_bound"] == 0
+    tree = json.loads((tmp_path / "out" / "decomposition.json").read_text())
+    assert tree == {"leaf": "simplex/finite", "vertices": []}
+
+
 def test_malformed_json_exits_2(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{nope")
@@ -126,6 +140,30 @@ def test_cover_and_check_import_no_scipy(tmp_path):
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "prop-2.1-separation: pass" in proc.stdout
+
+
+def test_coxeter_commands_import_no_networkx_or_scipy(tmp_path):
+    # nerve graphs are adjacency dicts; networkx, like scipy, is a test-only
+    # dependency and was most of the start-up time left
+    p4 = write(tmp_path, "p4.json", PATH4_DOC)
+    split = write(tmp_path, "p4split.json", {"type": "racg_amalgam", **PATH4_DOC})
+    runs = [
+        ["bound", p4, "--out", str(tmp_path / "bound")],
+        ["davis", p4, "--R", "2", "--out", str(tmp_path / "davis")],
+        ["dualgraph", split, "--out", str(tmp_path / "dual")],
+        ["cover", p4, "--r", "4", "--verify"],
+        ["check", split, "--r", "8", "--R", "1", "--ball", "9"],
+    ]
+    script = (
+        "import sys; from asdimlab.cli import main\n"
+        f"for argv in {runs!r}: assert main(argv) == 0, argv\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] in ('networkx', 'scipy'))\n"
+        "assert not loaded, loaded"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "prop-2.1-separation: pass" in proc.stdout
+    assert (tmp_path / "davis" / "davis.dot").is_file()
 
 
 @pytest.mark.parametrize("doc, name", [(DINF_DOC, "dinf.json"), (PATH4_SPLIT_DOC, "p4.json")])

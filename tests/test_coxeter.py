@@ -2,7 +2,7 @@ import types
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from asdimlab import builder, coxeter
@@ -17,12 +17,13 @@ from asdimlab.coxeter import (
     build_nerve,
     chromatic_bound,
     decompose,
+    greedy_coloring,
     parabolic_is_finite,
     star_link_split,
 )
 from asdimlab.errors import InputError, ResourceCapError, UnsupportedBackendError
 from asdimlab.groups import RacgEngine, build_ball
-from asdimlab.simplicial import SimplicialComplex, barycentric_subdivision, cone
+from asdimlab.simplicial import SimplicialComplex, barycentric_subdivision, cone, maximal_cliques
 
 from conftest import CYCLE5, PATH3, PATH4, commutation_matrix
 from word_oracles import ball_elements
@@ -62,6 +63,7 @@ def test_nerve_matches_finiteness_oracle_small_subsets():
 
 
 def test_asdim_bound_examples():
+    assert asdim_bound(CoxeterSystem([])) == (0, True)  # the trivial group
     assert asdim_bound(CoxeterSystem([[1]])) == (1, True)
     assert asdim_bound(CoxeterSystem([[1, 0], [0, 1]])) == (1, False)
     assert asdim_bound(CoxeterSystem(CYCLE5)) == (2, False)
@@ -135,7 +137,7 @@ def test_asdim_recursive_values():
 
 def test_davis_ball_z2_is_three_vertex_path():
     ball = build_davis_ball(CoxeterSystem([[1]]), 1)
-    g = ball.skeleton_graph()
+    g = nx.Graph(ball.skeleton_graph())
     assert ball.vertex_count == 3
     assert nx.is_connected(g)
     degrees = sorted(d for _, d in g.degree())
@@ -144,7 +146,7 @@ def test_davis_ball_z2_is_three_vertex_path():
 
 def test_davis_ball_dinf_is_subdivided_interval():
     ball = build_davis_ball(CoxeterSystem([[1, 0], [0, 1]]), 3)
-    g = ball.skeleton_graph()
+    g = nx.Graph(ball.skeleton_graph())
     assert nx.is_connected(g)
     degrees = sorted(d for _, d in g.degree())
     assert degrees[0] == 1 and degrees[-1] == 2
@@ -314,22 +316,22 @@ def small_graphs(draw):
     graph.add_nodes_from(names)
     keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     graph.add_edges_from(p for p, k in zip(pairs, keep) if k)
-    return graph
+    return {v: set(graph[v]) for v in graph}
 
 
 @settings(max_examples=150, deadline=None)
 @given(small_graphs())
 def test_star_link_split_covers_and_shrinks(graph):
     split = star_link_split(graph)
-    n = graph.number_of_nodes()
+    n = len(graph)
     if split is None:
-        assert graph.number_of_edges() == n * (n - 1) // 2
+        assert nx.Graph(graph).number_of_edges() == n * (n - 1) // 2
         return
     v, star, link, rest = split
     for part in (star, link, rest):
         assert list(part) == sorted(part, key=str)
     node = DecompositionTree(
-        vertices=tuple(sorted(graph.nodes, key=str)),
+        vertices=tuple(sorted(graph, key=str)),
         split_vertex=v,
         n1=DecompositionTree(vertices=star),
         k=link,
@@ -370,3 +372,101 @@ def test_every_caller_picks_the_same_split(matrix, monkeypatch):
     ctx = build_context({"type": "racg_amalgam", "generators": names, "matrix": matrix})
     parts = [tuple(sorted(names[i] for i in part)) for part in (ctx.n1, ctx.k, ctx.n2)]
     assert parts == [star, link, rest]
+
+
+@st.composite
+def labelled_graphs(draw):
+    """Graphs of 0-25 vertices in a shuffled insertion order: random edge
+    sets, and circulants, whose degrees all tie."""
+    n = draw(st.integers(0, 25))
+    names = [f"v{i}" for i in draw(st.permutations(range(n)))]
+    if draw(st.booleans()):
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        edges = [p for p, k in zip(pairs, keep) if k]
+    else:
+        offsets = draw(st.sets(st.integers(1, max(1, n // 2)), max_size=3))
+        edges = {tuple(sorted((i, (i + d) % n))) for i in range(n) for d in offsets}
+        edges = [(i, j) for i, j in edges if i != j]
+    graph = {v: set() for v in names}
+    for i, j in edges:
+        graph[names[i]].add(names[j])
+        graph[names[j]].add(names[i])
+    return graph
+
+
+def path_graph(n):
+    return {f"v{i}": {f"v{j}" for j in (i - 1, i + 1) if 0 <= j < n} for i in range(n)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(labelled_graphs())
+@example(graph={})
+@example(graph=path_graph(21))
+@example(graph={v: {"a", "b", "c"} - {v} for v in "cab"} | {"d": set()})
+def test_cliques_and_greedy_coloring_equal_networkx(graph):
+    reference = nx.Graph(graph)
+    cliques = [frozenset(c) for c in maximal_cliques(graph)]
+    assert len(cliques) == len(set(cliques))
+    assert set(cliques) == {frozenset(c) for c in nx.find_cliques(reference)}
+    # largest first, ties in insertion order: colour for colour
+    assert greedy_coloring(graph) == nx.coloring.greedy_color(reference, strategy="largest_first")
+
+
+@settings(max_examples=60, deadline=None)
+@given(labelled_graphs().filter(lambda g: len(g) > 20))
+@example(graph=path_graph(21))
+def test_chromatic_bound_past_the_cap_is_the_networkx_greedy_count(graph):
+    # the nerve's 1-skeleton lists its vertices sorted, so the reference
+    # greedy colouring runs on that order
+    names = list(graph)
+    matrix = [[1 if u == v else 2 if v in graph[u] else 0 for v in names] for u in names]
+    reference = nx.Graph({v: graph[v] for v in sorted(names)})
+    greedy = nx.coloring.greedy_color(reference, strategy="largest_first")
+    assert chromatic_bound(CoxeterSystem(matrix, names=names)) == (max(greedy.values()) + 1, False)
+
+
+def digraph_barycentric_subdivision(complex_):
+    """The networkx implementation of `barycentric_subdivision`: every
+    chain of the proper-inclusion digraph grown from its sources."""
+    faces = complex_.faces()
+    index = {f: i for i, f in enumerate(faces)}
+    g = nx.DiGraph()
+    g.add_nodes_from(range(len(faces)))
+    for a in faces:
+        for b in faces:
+            if a != b and set(a) < set(b):
+                g.add_edge(index[a], index[b])
+    maximal_chains = []
+
+    def grow(chain, last):
+        extensions = sorted(g.successors(last))
+        if not extensions:
+            maximal_chains.append(tuple(chain))
+            return
+        for nxt in extensions:
+            grow(chain + [nxt], nxt)
+
+    for start in sorted(g.nodes):
+        if g.in_degree(start) == 0:
+            grow([start], start)
+    return SimplicialComplex(vertices=list(range(len(faces))), maximal_faces=maximal_chains)
+
+
+@st.composite
+def small_complexes(draw):
+    n = draw(st.integers(0, 5))
+    faces = draw(st.lists(st.sets(st.integers(0, n - 1), min_size=1), max_size=4)) if n else []
+    return SimplicialComplex(vertices=list(range(n)), maximal_faces=faces)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_complexes())
+def test_barycentric_subdivision_equals_the_digraph_chains(complex_):
+    assert barycentric_subdivision(complex_) == digraph_barycentric_subdivision(complex_)
+
+
+@pytest.mark.parametrize("system", sorted(DAVIS_SYSTEMS))
+def test_barycentric_subdivision_of_nerves_equals_the_digraph_chains(system):
+    nerve = build_nerve(CoxeterSystem(DAVIS_SYSTEMS[system]))
+    assert barycentric_subdivision(nerve) == digraph_barycentric_subdivision(nerve)
