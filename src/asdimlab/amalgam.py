@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError, OutOfBallError, PreconditionError, ResourceCapError
+from .errors import InputError, OutOfBallError, PreconditionError
 from .groups import (
     DEFAULT_BALL_CAP,
     Ball,
@@ -29,7 +29,6 @@ from .groups import (
     SphereTable,
     build_ball,
     first_sight,
-    projected_ball_size,
     reserve_rows,
 )
 from .metric import UNREACHED, GraphMetric
@@ -245,7 +244,18 @@ class TableAmalgamEngine:
             coset_of[side, : grp.size] = self.coset_of[side]
         return table, inv, np.array(self.embed, dtype=np.int64), c_index, coset_of
 
-    def sphere_ball(self, radius, cap) -> Ball:
+    def sphere_sizes(self, radius, cap):
+        """|S(0)|, ..., |S(radius)|: a reduced word is an alternating string
+        of j non-trivial cosets followed by an element of C (Serre, Trees,
+        1980, 1.2), and the elements of C - {1} have norm 1."""
+        a, b = (len(cosets) - 1 for cosets in self.cosets)
+        yield 1
+        ends_a = ends_b = 1  # the strings of j cosets, by the side of the last
+        for j in range(1, radius + 1):
+            ends_a, ends_b = a * ends_b, b * ends_a
+            yield self.c_size * (ends_a + ends_b) + (self.c_size - 1 if j == 1 else 0)
+
+    def sphere_ball(self, radius) -> Ball:
         """`groups.build_ball` on integers, one numpy step per sphere.
 
         An element z_1...z_k c is keyed by its vertex, the letters
@@ -284,7 +294,7 @@ class TableAmalgamEngine:
         gen_of = np.full(mul.shape[:2], -1, dtype=np.int64)
         gen_of[gen_side, gen_elem] = np.arange(k)
 
-        spheres = SphereTable(k, cap)
+        spheres = SphereTable(k)
         # vertex columns (vertex 0 is the root), grown geometrically
         parent = np.full(1, -1, dtype=np.int64)
         last = np.full(1, -1, dtype=np.int64)
@@ -725,17 +735,11 @@ class AmalgamBall:
 def prepare(
     ctx: AmalgamContext, ball_radius, core_radius=None, cap=DEFAULT_BALL_CAP
 ) -> AmalgamBall:
-    """The ball of `ball_radius` with its dual graph and metric.  Its size is
-    projected from a radius-6 probe ball first (`projected_ball_size`), and a
-    projection past `cap` raises `ResourceCapError` before it is enumerated."""
+    """The ball of `ball_radius` with its dual graph and metric.  A ball past
+    `cap` raises `ResourceCapError` in `build_ball`, before it is
+    enumerated."""
     if core_radius is None:
         core_radius = ball_radius
-    if projected_ball_size(ctx.engine, ball_radius) > cap:
-        raise ResourceCapError(
-            f"ball of radius {ball_radius} for core {core_radius} is "
-            f"projected past the cap {cap}",
-            cap=cap,
-        )
     ball = build_ball(ctx.engine, ball_radius, cap)
     dual = build_dual_graph(ctx, ball)
     return AmalgamBall(

@@ -51,7 +51,6 @@ from .errors import (
     InputError,
     OutOfBallError,
     PreconditionError,
-    ResourceCapError,
     SchedulingError,
 )
 from .groups import DEFAULT_BALL_CAP, Ball, build_ball, projected_ball_size
@@ -463,13 +462,13 @@ def verify_certificate(cert: CoverCertificate) -> CertificateReport:
 # base case
 
 
-def cover_finite_group(engine, r, name=None) -> CoverCertificate:
+def cover_finite_group(engine, r, name=None, cap=DEFAULT_BALL_CAP) -> CoverCertificate:
     """A finite group is a bounded space: one color, one set, any scale.
 
-    The ball is enumerated to closure in one pass (a radius equal to the
-    element cap either closes or trips the cap) and takes its largest norm,
-    the group's diameter, as its radius."""
-    ball = build_ball(engine, DEFAULT_BALL_CAP)
+    The ball of radius `cap` is the whole group when the group fits the cap
+    (its exact size is checked before it is enumerated, `build_ball`), and
+    takes its largest norm, the group's diameter, as its radius."""
+    ball = build_ball(engine, cap, cap)
     ball.radius = int(ball.norms[-1])
     carrier = list(range(len(ball)))
     cover = Cover(sets=[frozenset(carrier)], colors=[0])
@@ -541,22 +540,17 @@ def make_schedule(r, min_core=0, R_override=None):
 
 def _grow_ball(cert: CoverCertificate, cap):
     """Move `cert` from the ball its sets were built on to the least ball
-    whose margin holds its claimed_r, or to the largest smaller one the cap
-    admits, judged by the spheres already built and by the enumeration
-    itself.  Ball ids are BFS order, so the sets carry over.  Held below its
-    claim by the cap, claimed_r falls to the margin of the ball kept
-    (`measure_certificate`)."""
+    whose margin holds its claimed_r, or to the largest smaller one whose
+    exact size fits the cap (`projected_ball_size`), built once.  Ball ids
+    are BFS order, so the sets carry over.  Held below its claim by the cap,
+    claimed_r falls to the margin of the ball kept (`measure_certificate`)."""
     first, engine = cert.ball, cert.ball.engine
     for radius in range(cert.core_radius + math.ceil(cert.claimed_r), first.radius, -1):
-        if projected_ball_size(engine, radius, ball=first) > cap:
-            continue
-        try:
+        if projected_ball_size(engine, radius, cap) <= cap:
             grown = build_ball(engine, radius, cap)
-        except ResourceCapError:
-            continue
-        _check_prefix(first, grown)
-        cert.ball = grown
-        break
+            _check_prefix(first, grown)
+            cert.ball = grown
+            break
     cert.claimed_r = min(cert.claimed_r, float(cert.margin))
 
 
@@ -638,7 +632,7 @@ def _c_certificate(ctx: AmalgamContext, min_scale, min_core, cap):
     if isinstance(ctx, TableAmalgam) or all(
         c.matrix[i][j] == 2 for i in range(c.rank) for j in range(c.rank) if i != j
     ):
-        return cover_finite_group(c, max(2, math.ceil(min_scale)), name="C")
+        return cover_finite_group(c, max(2, math.ceil(min_scale)), name="C", cap=cap)
     from .coxeter import CoxeterSystem
 
     cox = CoxeterSystem(c.matrix, names=c.names)
@@ -895,7 +889,9 @@ def cover_racg(
     cox.require_right_angled()
     split = star_link_split(cox.commutation_graph())
     if split is None:
-        cert = cover_finite_group(cox.engine(), r, name=f"racg({','.join(cox.names)})")
+        cert = cover_finite_group(
+            cox.engine(), r, name=f"racg({','.join(cox.names)})", cap=cap
+        )
         cert.trace["op"] = "cover_racg"
         cert.trace["nerve"] = "simplex"
         return cert

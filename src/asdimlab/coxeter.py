@@ -90,7 +90,7 @@ def build_nerve(cox: CoxeterSystem) -> SimplicialComplex:
 
 
 def parabolic_is_finite(cox: CoxeterSystem, letters, cap=10_000):
-    """Brute-force finiteness of Gamma_W via BFS closure with an element cap.
+    """Brute-force finiteness of Gamma_W via ball closure with an element cap.
 
     Returns (True, size) when the subgroup closes below the cap and
     (None, cap) as a 'presumed infinite' verdict otherwise.  Test oracle for
@@ -102,8 +102,8 @@ def parabolic_is_finite(cox: CoxeterSystem, letters, cap=10_000):
     engine = cox.engine()
     sub, _ = engine.sub_engine(letters)
     try:
-        # radius = cap guarantees the BFS either closes (finite group) or
-        # trips the element cap in one pass
+        # a ball of radius cap is the whole group when it fits the cap; past
+        # the cap, build_ball raises on the exact size without enumerating
         ball = build_ball(sub, cap, cap=cap)
     except ResourceCapError:
         return None, cap

@@ -3,14 +3,16 @@ Coxeter groups by confluent rewriting, and Cayley-ball enumeration.
 
 Engines share a small informal protocol: `identity`, `gen_count`,
 `gen_names`, `mul_gen(x, i)`, `norm(x)`, `inverse(x)`, `multiply(x, y)`,
-`word_str(x)`.  Elements are hashable opaque values (ints for table groups,
-letter tuples for Coxeter groups).  All enumeration orders are fixed by the
-generator order, so balls and everything derived from them are reproducible
-bit for bit.
+`word_str(x)`, and `sphere_sizes(radius, cap)`, the exact sphere sizes a
+ball's size is checked with before it is enumerated.  Elements are
+hashable opaque values (ints for table groups, letter tuples for Coxeter
+groups).  All enumeration orders are fixed by the generator order, so
+balls and everything derived from them are reproducible bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 from array import array
 from collections import deque
@@ -25,8 +27,6 @@ from .errors import InputError, ResourceCapError, UnsupportedBackendError
 from .metric import GraphMetric
 
 DEFAULT_BALL_CAP = 2_000_000
-# RACG balls keep right descent sets as int64 bitmasks of generator indices
-_DESCENT_BITS = 63
 
 # bytes of the uint8 matrix one block of `Ball.iter_json` is rendered in;
 # a record is a few dozen bytes plus its word
@@ -146,6 +146,11 @@ class FiniteTableGroup:
     @property
     def diameter(self):
         return max(self._norms)
+
+    def sphere_sizes(self, radius, cap):
+        """|S(0)|, ..., |S(radius)|, ending at the diameter: a bincount of
+        the norms."""
+        return np.bincount(self._norms)[: radius + 1].tolist()
 
     def elements(self):
         return range(self.size)
@@ -329,6 +334,65 @@ class RacgEngine(CoxeterMatrix):
         """Engine of the parabolic subgroup on a letter subset (re-indexed)."""
         letters = sorted(letters)
         return self.restrict(letters), letters
+
+    def letter_masks(self):
+        """(bits, comm): each letter's bit, and the mask of the letters it
+        commutes with, as int64 up to 63 letters and as Python ints (dtype
+        object) beyond."""
+        dtype = np.int64 if self.rank < 64 else object
+        bits = np.array([1 << g for g in range(self.rank)], dtype=dtype)
+        comm = np.array([sum(1 << j for j in c) for c in self.comm], dtype=dtype)
+        return bits, comm
+
+    def clique_counts(self, radius, cap):
+        """The number of cliques of the commutation graph (sets of pairwise
+        commuting letters, the empty one included) of each size 0, 1, ...,
+        up to `radius`, ending before the first size with none or after the
+        first size at which the total passes `cap`.  A clique is held as the
+        mask of the letters that extend it, those above its largest letter
+        that commute with all of it, and a size is counted before it is
+        held, so at most `cap` masks are held at once."""
+        bits, _ = self.letter_masks()
+        above = np.array(
+            [sum(1 << j for j in c if j > g) for g, c in enumerate(self.comm)], dtype=bits.dtype
+        )
+        counts = [1]
+        ext = np.array([(1 << self.rank) - 1], dtype=bits.dtype)  # the empty clique's
+        while len(counts) <= radius:
+            has = [(ext & bit) != 0 for bit in bits]
+            n = sum(int(np.count_nonzero(h)) for h in has)
+            if not n:
+                break
+            counts.append(n)
+            if sum(counts) > cap:
+                break
+            ext = np.concatenate([ext[h] & up for h, up in zip(has, above)])
+        return counts
+
+    def sphere_sizes(self, radius, cap):
+        """|S(0)|, ..., |S(radius)| in Python ints, from the growth series
+        1/W(t) = sum over the cliques s of (-t/(1+t))^|s| (Davis, The
+        Geometry and Topology of Coxeter Groups, 2008, ch. 17).  With f_s
+        cliques of size s and m the largest size counted, W(t) P(t) =
+        (1+t)^m for the polynomial P(t) = sum_s f_s (-t)^s (1+t)^(m-s), so a
+        term of W costs m products.  A clique larger than `radius` changes
+        no term up to it.  When the cliques up to `radius` pass `cap`, their
+        count is yielded alone: a clique's product is an element whose norm
+        is its size, one per clique, so the ball is already past the cap."""
+        counts = self.clique_counts(radius, cap)
+        if sum(counts) > cap:
+            yield sum(counts)
+            return
+        m = len(counts) - 1
+        poly = [
+            sum((-1) ** s * f * math.comb(m - s, n - s) for s, f in enumerate(counts[: n + 1]))
+            for n in range(m + 1)
+        ]
+        last = deque(maxlen=m)  # the previous m terms of W, newest first
+        for n in range(radius + 1):
+            w = math.comb(m, n) - sum(p * x for p, x in zip(poly[1:], last))
+            yield w
+            last.appendleft(w)
 
 
 @dataclass
@@ -576,7 +640,8 @@ def build_ball(engine, radius, cap=DEFAULT_BALL_CAP) -> Ball:
     """The closed ball of `radius` around the identity.  Ids follow BFS
     discovery order: sphere by sphere, and within a sphere by the first
     (element, generator) pair, in row-major order, whose product is new.
-    Raises ResourceCapError when the ball would exceed `cap` elements.
+    The ball's exact size is checked first (`projected_ball_size`): one past
+    `cap` elements raises ResourceCapError before anything is enumerated.
 
     A `RacgEngine` is enumerated on integers by right descent sets.  For x
     of length k and g not in D(x), y = xg has length k + 1 and
@@ -592,19 +657,22 @@ def build_ball(engine, radius, cap=DEFAULT_BALL_CAP) -> Ball:
     and a sphere's ranks sort its (parent rank, letter) pairs (Epstein et
     al., Word Processing in Groups, 1992: ShortLex is prefix-closed).
 
-    An engine with a `sphere_ball(radius, cap)` method enumerates its own
-    balls one sphere per step on a `SphereTable`
-    (`amalgam.TableAmalgamEngine`, on integer normal forms).  Every other
-    engine, and a RACG of more than `_DESCENT_BITS` generators, runs the
-    generic `bfs_ball`, the reference both sphere paths are tested against.
+    A `TableAmalgamEngine` enumerates its own balls one sphere per step on a
+    `SphereTable` (`sphere_ball`, on integer normal forms), and a
+    `FiniteTableGroup` runs the generic `bfs_ball`, the reference both
+    sphere paths are tested against.
     """
     if radius < 0:
         raise InputError("ball radius must be >= 0")
-    if isinstance(engine, RacgEngine) and engine.rank <= _DESCENT_BITS:
-        return _racg_ball(engine, radius, cap)
-    if hasattr(engine, "sphere_ball"):
-        return engine.sphere_ball(radius, cap)
-    return bfs_ball(engine, radius, cap)
+    if projected_ball_size(engine, radius, cap) > cap:
+        raise ResourceCapError(
+            f"ball of radius {radius} would exceed the element cap {cap}", cap=cap
+        )
+    if isinstance(engine, RacgEngine):
+        return _racg_ball(engine, radius)
+    if isinstance(engine, FiniteTableGroup):
+        return bfs_ball(engine, radius, cap)
+    return engine.sphere_ball(radius)
 
 
 @dataclass
@@ -665,26 +733,17 @@ def bfs_ball(engine, radius, cap=DEFAULT_BALL_CAP) -> ElementBall:
     return ElementBall(engine, radius, norms, table, parent, letter, elements)
 
 
-def projected_ball_size(engine, radius, probe_radius=6, ball=None):
-    """Growth-based estimate of |ball(radius)|: the spheres of `ball`, or of
-    a fresh probe ball of radius `probe_radius`, extrapolated at the ratio of
-    their last two sizes.  It is no upper bound: where the sphere ratios
-    alternate it keeps the last one, so Z2*Z3, whose ratios alternate between
-    3/2 and 4/3 and whose radius-6 probe reads 4/3, is projected about 2x
-    low (6,371 against 14,330 at radius 22).  The probe is enumerated by the
-    generic BFS, which beats the numpy sphere steps on balls this small."""
-    probe = ball if ball is not None else bfs_ball(engine, min(radius, probe_radius))
-    sizes = np.bincount(probe.norms, minlength=probe.radius + 1).astype(float)
-    if radius <= probe.radius:
-        return float(len(probe))
-    last = sizes[probe.radius]
-    prev = sizes[probe.radius - 1] if probe.radius >= 1 else 1.0
-    rate = max(1.0, last / max(prev, 1.0))
-    total = float(len(probe))
-    step = last
-    for _ in range(radius - probe.radius):
-        step *= rate
-        total += step
+def projected_ball_size(engine, radius, cap):
+    """|B(radius)| exactly, or a number above `cap` once the ball is known
+    to exceed it: the sum of the engine's `sphere_sizes(radius, cap)`, which
+    stops at the first empty sphere and once the total passes `cap`.  So a
+    finite group asked for any radius costs one term per sphere up to its
+    diameter, and an infinite one at most a term per element up to the cap."""
+    total = 0
+    for size in engine.sphere_sizes(radius, cap):
+        total += size
+        if not size or total > cap:
+            break
     return total
 
 
@@ -693,19 +752,15 @@ class SphereTable:
     one sphere per step: sphere j holds ids starts[j]:starts[j + 1], and the
     arrays grow geometrically as spheres are claimed."""
 
-    def __init__(self, k, cap):
+    def __init__(self, k):
         self.table = np.full((1, k), -1, dtype=np.int64)
         self.parent = np.full(1, -1, dtype=np.int32)
         self.letter = np.full(1, -1, dtype=np.int32)
         self.starts = [0, 1]
-        self.cap = cap
 
     def claim(self, m):
-        """Open the next sphere with m new ids and rows of -1.
-        Raises ResourceCapError when the ball would exceed the cap."""
+        """Open the next sphere with m new ids and rows of -1."""
         n = self.starts[-1]
-        if n + m > self.cap:
-            raise ResourceCapError(f"ball would exceed the element cap {self.cap}", cap=self.cap)
         for column in (self.table, self.parent, self.letter):
             reserve_rows(column, n + m)
         self.starts.append(n + m)
@@ -730,14 +785,14 @@ def reserve_rows(array, n):
         array[size:] = -1
 
 
-def _racg_ball(engine, radius, cap):
-    """`build_ball` for a RACG, one sphere per step with numpy."""
+def _racg_ball(engine, radius):
+    """`build_ball` for a RACG, one sphere per step with numpy, the descent
+    sets held as `letter_masks` are."""
     k = engine.rank
-    bits = np.left_shift(1, np.arange(k, dtype=np.int64))
-    comm = np.array([sum(1 << j for j in c) for c in engine.comm], dtype=np.int64)
-    spheres = SphereTable(k, cap)
+    bits, comm = engine.letter_masks()
+    spheres = SphereTable(k)
     table = spheres.table  # grows in place
-    descents = np.zeros(1, dtype=np.int64)  # of the current sphere
+    descents = np.zeros(1, dtype=bits.dtype)  # of the current sphere
     rank = np.zeros(1, dtype=np.int64)  # ShortLex ranks within the current sphere
     for _ in range(radius):
         lo, n = spheres.starts[-2], spheres.starts[-1]

@@ -571,22 +571,13 @@ def test_default_ball_certificate_equals_the_full_margin_one(request, name, r, r
     assert verify_certificate(cert).passed
 
 
-@pytest.mark.parametrize("projected", [True, False], ids=["projected", "enumerated"])
-def test_a_cap_below_the_claim_binds_claimed_r_at_the_margin(monkeypatch, dinf_amalgam, projected):
+def test_a_cap_below_the_claim_binds_claimed_r_at_the_margin(dinf_amalgam):
     # Dinf r 16 claims 4; a cap that admits B(core + 2) but not B(core + 3)
-    # keeps the first ball, by the projection from its spheres or, when
-    # that projection is fooled, by the enumeration's own cap check, and
-    # claimed_r is then the margin 2, measured on the ball kept
+    # keeps the first ball, by the exact ball sizes, and claimed_r is then
+    # the margin 2, measured on the ball kept
     core = make_schedule(16).core
     cap = len(build_ball(dinf_amalgam.engine, core + 2))
     assert cap < len(build_ball(dinf_amalgam.engine, core + 3))
-    if not projected:
-        real = builder.projected_ball_size
-        monkeypatch.setattr(
-            builder,
-            "projected_ball_size",
-            lambda engine, radius, ball=None: 0.0 if ball is not None else real(engine, radius),
-        )
     cert = cover_amalgam(dinf_amalgam, 16, cap=cap)
     assert cert.ball.radius == core + 2
     assert cert.claimed_r == cert.margin == 2.0

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -365,27 +366,34 @@ def test_cover_cap_at_core_plus_2_verifies(tmp_path, capsys):
 
 
 def record_ball_radii(monkeypatch):
-    """The radius of every ball enumerated from now on, probes included."""
-    radii, real = [], groups.bfs_ball
+    """The radius of every ball enumerated from now on, by any of the three
+    enumerators `build_ball` runs once the ball's size fits the cap."""
+    radii = []
 
-    def recording(engine, radius, *args, **kwargs):
-        radii.append(radius)
-        return real(engine, radius, *args, **kwargs)
+    def recording(real):
+        def enumerate_ball(*args, **kwargs):
+            radii.append(args[1])
+            return real(*args, **kwargs)
 
-    for module, name in ((builder, "build_ball"), (groups, "bfs_ball"), (amalgam, "build_ball")):
-        monkeypatch.setattr(module, name, recording)
+        return enumerate_ball
+
+    for owner, name in (
+        (groups, "_racg_ball"),
+        (groups, "bfs_ball"),
+        (amalgam.TableAmalgamEngine, "sphere_ball"),
+    ):
+        monkeypatch.setattr(owner, name, recording(getattr(owner, name)))
     return radii
 
 
 def test_cover_cap_below_core_plus_2_exits_3_before_enumerating(tmp_path, capsys, monkeypatch):
-    # the first ball's size is projected from a radius-6 probe ball, so a
-    # cap too small for B(core + 2) exits 3 with the probe the only ball
-    # enumerated
+    # the first ball's size is checked exactly before it is enumerated, so a
+    # cap too small for B(core + 2) exits 3 with no ball enumerated
     radii = record_ball_radii(monkeypatch)
     path = write(tmp_path, "dinf.json", DINF_DOC)
     assert main(["cover", path, "--r", "16", "--cap-elements", "46"]) == 3
     assert capsys.readouterr().err.startswith("resource cap exceeded: ")
-    assert radii == [6]
+    assert radii == []
 
 
 @pytest.mark.parametrize(
@@ -393,14 +401,63 @@ def test_cover_cap_below_core_plus_2_exits_3_before_enumerating(tmp_path, capsys
 )
 def test_an_explicit_ball_past_the_cap_exits_3_before_enumerating(tmp_path, capsys, monkeypatch, args):
     # B(1000000) of D-infinity has 2,000,001 elements: an explicit --ball is
-    # projected from the radius-6 probe too, and nothing larger is built
+    # checked exactly too, and nothing is built
     radii = record_ball_radii(monkeypatch)
     path = write(tmp_path, "dinf.json", DINF_DOC)
     assert main([args[0], path, *args[1:], "--ball", "1000000"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("resource cap exceeded: ball of radius 1000000 for core ")
-    assert radii == [6]
+    assert captured.err == (
+        "resource cap exceeded: ball of radius 1000000 would exceed the element cap 2000000\n"
+    )
+    assert radii == []
+
+
+def test_a_cap_between_the_ball_and_its_ratio_projection_exits_3_before_enumerating(
+    tmp_path, capsys, monkeypatch
+):
+    # B(22) of Z2*Z3 has 14,330 elements; extrapolating the last sphere
+    # ratio of a radius-6 ball, 4/3 where the ratios alternate with 3/2,
+    # gives 6,371, which a cap of 10,000 would let through
+    radii = record_ball_radii(monkeypatch)
+    path = write(tmp_path, "z2z3.json", Z2Z3_DOC)
+    argv = ["check", path, "--r", "8", "--R", "1", "--ball", "22", "--cap-elements", "10000"]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == (
+        "resource cap exceeded: ball of radius 22 would exceed the element cap 10000\n"
+    )
+    assert radii == []
+
+
+def test_a_ball_of_polynomial_growth_within_the_cap_is_built(tmp_path, capsys):
+    # the 4-cycle group is D-infinity x D-infinity: B(60) has 1 + 4 + 8 + ...
+    # + 240 = 7,321 elements, where extrapolating a radius-6 ball's last
+    # sphere ratio gives 2.7M
+    path = write(tmp_path, "c4.json", CYCLE4_DOC)
+    assert len(build_ball(build_context(CYCLE4_DOC).engine, 60)) == 7321
+    assert main(["dualgraph", path, "--R", "60"]) == 0
+    assert capsys.readouterr().out == "dual graph: vertices=121 pieces=122 max level=60\n"
+
+
+def test_a_large_racg_past_the_cap_exits_3_at_once(tmp_path, capsys):
+    # 40 generators, all commuting but one pair: the cliques of up to 6
+    # letters already number more than the cap, so no ball is enumerated
+    n = 40
+    matrix = [[1 if i == j else 2 for j in range(n)] for i in range(n)]
+    matrix[0][1] = matrix[1][0] = 0
+    doc = {"generators": [f"g{i}" for i in range(n)], "matrix": matrix}
+    path = write(tmp_path, "k40.json", doc)
+    start = time.perf_counter()
+    assert main(["cover", path, "--r", "4"]) == 3
+    assert time.perf_counter() - start < 2
+    assert capsys.readouterr().err.startswith("resource cap exceeded: ball of radius ")
+
+
+@pytest.mark.parametrize("cap, code", [(7, 3), (8, 0)])
+def test_a_finite_group_holds_to_the_element_cap(tmp_path, cap, code):
+    # Z2^3 has 8 elements
+    path = write(tmp_path, "z2cubed.json", {"matrix": [[1, 2, 2], [2, 1, 2], [2, 2, 1]]})
+    assert main(["cover", path, "--r", "4", "--cap-elements", str(cap)]) == code
 
 
 def test_internal_invariant_failure_exits_4(tmp_path, capsys, monkeypatch):

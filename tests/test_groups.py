@@ -1,5 +1,8 @@
+import importlib.util
 import json
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +13,8 @@ from scipy.sparse.csgraph import shortest_path
 
 from asdimlab import groups
 from asdimlab.amalgam import TableAmalgam
+from asdimlab.cli import build_context
+from asdimlab.coxeter import CoxeterSystem
 from asdimlab.errors import InputError, ResourceCapError, UnsupportedBackendError
 from asdimlab.groups import (
     BALL_JSON_BYTES,
@@ -18,6 +23,7 @@ from asdimlab.groups import (
     RacgEngine,
     bfs_ball,
     build_ball,
+    projected_ball_size,
 )
 
 from conftest import (
@@ -173,6 +179,16 @@ def test_ball_cap_error_reports_cap():
     assert err.value.cap == 100
 
 
+def test_cliques_larger_than_the_radius_do_not_count_against_the_cap():
+    # Z2^30 has 2^30 cliques, each a distinct element, but only those of up
+    # to 2 letters lie in its radius-2 ball: 1 + 30 + 435 elements
+    k = 30
+    eng = RacgEngine(commutation_matrix(k, [(i, j) for i in range(k) for j in range(i)]))
+    assert len(build_ball(eng, 2, cap=466)) == 466
+    with pytest.raises(ResourceCapError):
+        build_ball(eng, 2, cap=465)
+
+
 def test_distance_normal_form_vs_bfs_cross_oracle():
     eng = RacgEngine(CYCLE5)
     ball = build_ball(eng, 8)
@@ -231,13 +247,48 @@ def test_racg_ball_equals_generic_bfs(graph):
         assert not ball.table.flags.writeable
 
 
-@pytest.mark.parametrize("rank", [63, 64])
+@pytest.mark.parametrize("rank", [63, 64, 70])
 def test_racg_ball_at_the_descent_bit_limit(rank):
-    # 63 generators fill the int64 descent masks; 64 fall back to the BFS
+    # 63 generators fill the int64 descent masks; from 64 on they are
+    # Python ints
     eng = RacgEngine(commutation_matrix(rank, [(0, rank - 1), (rank - 2, rank - 1)]))
     ball, reference = build_ball(eng, 2), bfs_ball(eng, 2)
     assert_spells(ball, reference)
     assert np.array_equal(ball.table, reference.table)
+    assert b"".join(ball.iter_json()) == b"".join(reference.iter_json())
+    assert_exact_size(eng, 2, len(ball))
+
+
+def assert_exact_size(engine, radius, size):
+    """`projected_ball_size` is the ball's size at a cap of that size, and
+    above the cap at a cap one lower."""
+    assert projected_ball_size(engine, radius, size) == size
+    assert projected_ball_size(engine, radius, size - 1) > size - 1
+
+
+def load_bench(name):
+    """A module of perfbench/, loaded read-only from its file."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # a dataclass looks its module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_ball_size_is_the_bench_oracles_growth_series():
+    # the bench oracle's series are written apart from src: up to radius 40
+    # on every bench document and every RACG graph
+    oracle, workloads = load_bench("oracle"), load_bench("workloads")
+    docs = [*workloads.DOCUMENTS.values(), *({"matrix": m} for m in RACG_GRAPHS.values())]
+    for doc in docs:
+        if doc.get("type") == "table_amalgam":
+            engine = build_context(doc).engine
+        else:
+            engine = CoxeterSystem.from_json(doc).engine()
+        spheres = oracle.spheres_of(doc, 40)
+        for radius in range(41):
+            assert_exact_size(engine, radius, sum(spheres[: radius + 1]))
 
 
 # the table amalgams of conftest, with the radii their sphere enumeration
@@ -256,6 +307,7 @@ def test_table_amalgam_ball_equals_generic_bfs(request, amalgam):
     for radius in range(TABLE_AMALGAM_RADII[amalgam] + 1):
         ball, reference = build_ball(eng, radius), bfs_ball(eng, radius)
         assert_spells(ball, reference)
+        assert_exact_size(eng, radius, len(ball))
         assert ball.norms.dtype == reference.norms.dtype
         assert np.array_equal(ball.norms, reference.norms)
         assert ball.table.shape == reference.table.shape == (len(ball), eng.gen_count)
@@ -477,7 +529,9 @@ BLOCK_BALLS = {
     "table-bfs": lambda: build_ball(FiniteTableGroup(*cyclic_table(5), generators=[1, 4]), 3),
     # the identity as a generator gives loops u -> u, records of ball.json
     "loops-bfs": lambda: build_ball(FiniteTableGroup(*cyclic_table(7), generators=[0, 1, 6]), 2),
-    "racg64-bfs": lambda: build_ball(RacgEngine(commutation_matrix(64, [(0, 63)])), 1),
+    # build_ball enumerates any rank by descent sets; the reference BFS
+    # spells a 64-letter ball from its elements
+    "racg64-bfs": lambda: bfs_ball(RacgEngine(commutation_matrix(64, [(0, 63)])), 1),
 }
 
 
@@ -589,6 +643,15 @@ PREFIX_ENGINES = {
     "z5": (lambda: FiniteTableGroup(*cyclic_table(5), generators=[1, 4]), 3),
     "s3": (lambda: FiniteTableGroup(S3_TABLE, generators=[1, 2]), 4),
 }
+
+
+@pytest.mark.parametrize("name", sorted(PREFIX_ENGINES))
+def test_ball_size_is_exact_on_every_engine(name):
+    # a finite group's ball stops growing at its diameter
+    make, top = PREFIX_ENGINES[name]
+    engine = make()
+    for radius in range(top + 2):
+        assert_exact_size(engine, radius, len(build_ball(engine, radius)))
 
 
 @pytest.mark.parametrize("name", sorted(PREFIX_ENGINES))
