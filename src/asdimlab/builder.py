@@ -15,13 +15,16 @@ Certificates record *measured* parameters: the requested scale r fixes the
 schedule (R, E, L); the emitted claimed_r is the largest scale at which the
 colored families verify (never above the ball's margin, its radius minus the
 core radius), and claimed_d is the largest exact word-metric set diameter
-(`max_set_diameter`).  A set of largest norm t has diameter <= 2t through the
-identity; one eccentricity from the highest point of the largest set of
-highest bound seeds the maximum, and only the sets whose bound exceeds it
-run the exact bit-parallel BFS on the ball's edge table (`set_diameters`;
-Cayley balls are convex).  Verification reads the same maximum with
-claimed_d as its floor.  This realizes the d(r) of the (r,d)-dimension
-characterization empirically, the only honest option at fixed ball radius.
+(`max_set_diameter`).  A set of largest norm t whose points meet in the
+ball's parent tree at norm m has diameter <= 2(t - m), through that meet;
+one eccentricity from the highest point of the largest set of highest bound
+seeds the maximum, and only the sets whose bound exceeds it run the exact
+bit-parallel BFS on the ball's edge table (`set_diameters`; Cayley balls
+are convex).  On Z2*Z3 at r 16 the 512 slab sets have bounds <= 10 against
+d = 31, and only the seed and the top sphere of one 1,000-point set run a
+BFS.  Verification reads the same maximum with claimed_d as its floor.
+This realizes the d(r) of the (r,d)-dimension characterization
+empirically, the only honest option at fixed ball radius.
 
 Without an explicit ball radius the sets are built once on
 B(core + max(2, E)) and measured there with the schedule's margin, since
@@ -51,9 +54,10 @@ from .errors import (
     InputError,
     OutOfBallError,
     PreconditionError,
+    ResourceCapError,
     SchedulingError,
 )
-from .groups import DEFAULT_BALL_CAP, Ball, build_ball, projected_ball_size
+from .groups import DEFAULT_BALL_CAP, Ball, FiniteTableGroup, build_ball, projected_ball_size
 from .metric import GraphMetric
 
 # bytes of one `set_diameters` block: its reach bitsets and two temporaries
@@ -161,12 +165,17 @@ def set_diameters(ball: Ball, sets):
     """
     sets = [np.fromiter(s, dtype=np.int64, count=len(s)) for s in sets]
     rho = max((int(ball.norms[s].max()) for s in sets if len(s)), default=0)
-    return _set_diameters(ball, np.ascontiguousarray(ball.inner_table(rho).T), rho, sets)
+    nbr = np.ascontiguousarray(ball.inner_table(rho).T)
+    return _set_diameters(ball, nbr, rho, sets, [0] * len(sets))
 
 
-def _set_diameters(ball: Ball, nbr, rho, sets):
+def _set_diameters(ball: Ball, nbr, rho, sets, meets):
     """`set_diameters` of id arrays on `nbr`, the edge table of B(rho) as
-    one neighbour column per generator, rho at least every set's norm."""
+    one neighbour column per generator, rho at least every set's norm.  A
+    large set stops at 2(t - meets[i]) in place of 2t: meets[i] is the norm
+    of a common ancestor of its points in the parent tree (0, the identity,
+    is one), and points of norm <= t meet there within t - meets[i] steps
+    each (`max_set_diameter`)."""
     n = nbr.shape[1]
     width = 64 * max(1, DIAMETER_BLOCK_BYTES // (3 * 8 * (n + 1)))
     packed = min(PACKED_BLOCK_SOURCES, width)
@@ -188,7 +197,7 @@ def _set_diameters(ball: Ball, nbr, rho, sets):
             spheres = np.split(s, np.flatnonzero(np.diff(ball.norms[s])) + 1)[::-1]
             blocks = (sph[a : a + width] for sph in spheres for a in range(0, len(sph), width))
             for sources in blocks:
-                if out[i] >= 2 * int(ball.norms[sources[0]]):
+                if out[i] >= 2 * (int(ball.norms[sources[0]]) - meets[i]):
                     break
                 run([(i, sources, s)])
             continue
@@ -247,40 +256,71 @@ def _block_eccentricities(nbr, groups, limit):
     raise AssertionError("a set is not connected inside its ball")
 
 
+def _meet_norms(ball: Ball, sets):
+    """The norm of each set's lowest common ancestor in the ball's parent
+    tree (`Ball.parent`), for id arrays of at least two points each.  One
+    walk up the parent column serves every set: at each level, from the top
+    norm down, every point x of norm above the level moves to its parent,
+    so that it stands at its ancestor of norm min(|x|, level), and a set
+    whose points now share one id has met there."""
+    starts = np.cumsum([0, *map(len, sets[:-1])])
+    ids = np.concatenate(sets)
+    norms = ball.norms[ids]
+    meets = np.zeros(len(sets), dtype=np.int64)
+    open_sets = np.ones(len(sets), dtype=bool)
+    for level in range(int(norms.max()) - 1, 0, -1):
+        high = norms > level
+        ids[high] = ball.parent[ids[high]]
+        met = open_sets & (np.minimum.reduceat(ids, starts) == np.maximum.reduceat(ids, starts))
+        meets[met] = level
+        open_sets &= ~met
+    return meets.tolist()
+
+
 def max_set_diameter(ball: Ball, sets, floor=0.0):
     """max(floor, the largest exact word-metric diameter of the sets), as a
     float, for a floor >= 0, running a BFS only for the sets that can
     change it.
 
-    * Bound: a set whose largest norm is t has diameter <= 2t, since two of
-      its points meet through the identity inside B(t).  A set whose bound
-      is at most the best value so far needs no BFS.
+    * Bound: a set whose largest norm is t and whose points meet in the
+      parent tree at a point p of norm m (`_meet_norms`) has diameter
+      <= 2(t - m): each point x walks up its parent chain to p in |x| - m
+      steps through norms <= t, so inside B(t), for every engine.  A set
+      whose bound is at most the best value so far needs no BFS.
     * Seed: with floor 0, the best value starts at one eccentricity: that of
       the highest-norm point of the largest set of highest bound, within
       its set (one source, one BFS).  It is a diameter's lower bound.
     * Exact pass: the sets whose bound is above the best value then go
-      through `set_diameters`' blocks, on the same table as the seed.
+      through `set_diameters`' blocks, on the same table as the seed, each
+      large set stopping at its own bound 2(t_left - m).
 
     On the bench's RACG covers (5-cycle, path-4 at r 4, 8, 12) the seed
     reaches twice the core radius, which no bound exceeds, so no set of
-    the top certificate needs the exact pass.  Table-amalgam sets rarely
-    prune: on Z2*Z3 at r 16 the bounds are 32 and 42 against a largest
-    diameter of 31, and every set goes through the exact pass.
+    the top certificate needs the exact pass.  On Z2*Z3 at r 16 the 512
+    slab sets (norms 17-21, diameters 7 and 9) have bounds <= 10 against a
+    largest diameter of 31, so measuring and verifying that certificate
+    run 3 blocks from 513 sources (77 blocks from 18,211 sources with the
+    bound 2t through the identity).
     """
     sets = [np.fromiter(s, dtype=np.int64, count=len(s)) for s in sets if len(s) > 1]
-    # ids are BFS order, so a set's largest id has its largest norm
-    bounds = [2 * int(ball.norms[s.max()]) for s in sets]
     best = float(floor)
-    if not sets or best >= max(bounds):
+    if not sets:
         return best
-    rho = max(bounds) // 2
+    # ids are BFS order, so a set's largest id has its largest norm
+    tops = [int(ball.norms[s.max()]) for s in sets]
+    meets = _meet_norms(ball, sets)
+    bounds = [2 * (t - m) for t, m in zip(tops, meets)]
+    if best >= max(bounds):
+        return best
+    rho = max(t for t, bound in zip(tops, bounds) if bound > best)
     nbr = np.ascontiguousarray(ball.inner_table(rho).T)
     if not floor:
         seed = sets[max(range(len(sets)), key=lambda i: (bounds[i], len(sets[i])))]
         (ecc,) = _block_eccentricities(nbr, [(seed[seed.argmax()][None], seed)], 2 * rho)
         best = float(ecc)
-    left = [s for s, bound in zip(sets, bounds) if bound > best]
-    return max([best, *_set_diameters(ball, nbr, rho, left)])
+    left = [i for i, bound in enumerate(bounds) if bound > best]
+    diameters = _set_diameters(ball, nbr, rho, [sets[i] for i in left], [meets[i] for i in left])
+    return max([best, *diameters])
 
 
 def algebraic_diameter(elements, engine):
@@ -465,9 +505,16 @@ def verify_certificate(cert: CoverCertificate) -> CertificateReport:
 def cover_finite_group(engine, r, name=None, cap=DEFAULT_BALL_CAP) -> CoverCertificate:
     """A finite group is a bounded space: one color, one set, any scale.
 
-    The ball of radius `cap` is the whole group when the group fits the cap
-    (its exact size is checked before it is enumerated, `build_ball`), and
-    takes its largest norm, the group's diameter, as its radius."""
+    The group's order is checked against `cap` before anything is
+    enumerated: a `FiniteTableGroup` has one element per table row, and a
+    finite RACG is (Z2)^rank, its generators pairwise commuting.  The ball
+    of radius `cap` is then the whole group, and takes its largest norm,
+    the group's diameter, as its radius."""
+    order = engine.size if isinstance(engine, FiniteTableGroup) else 2**engine.rank
+    if order > cap:
+        raise ResourceCapError(
+            f"finite group of {order} elements exceeds the element cap {cap}", cap=cap
+        )
     ball = build_ball(engine, cap, cap)
     ball.radius = int(ball.norms[-1])
     carrier = list(range(len(ball)))

@@ -19,6 +19,7 @@ from asdimlab.builder import (
     cover_racg,
     make_schedule,
     max_set_diameter,
+    measure_certificate,
     set_diameters,
     verify_certificate,
 )
@@ -386,18 +387,59 @@ def diameter_ball(request, name):
     return build_ball(request.getfixturevalue(f"{name}_amalgam").engine, 7)
 
 
+def ancestors(ball, x):
+    """x and its ancestors in the ball's parent tree, up to the identity."""
+    chain = [x]
+    while chain[-1]:
+        chain.append(int(ball.parent[chain[-1]]))
+    return chain
+
+
+def cone_sets(ball, rng, count):
+    """Random sets of 2-12 descendants of one non-identity point with
+    children in the parent tree, so they meet below the identity."""
+    chains = [ancestors(ball, x) for x in range(len(ball))]
+    cones = [[x for x, chain in enumerate(chains) if p in chain] for p in range(1, len(ball))]
+    cones = [cone for cone in cones if len(cone) > 1]
+    sets = []
+    for i in rng.choice(len(cones), size=count, replace=False).tolist():
+        size = min(len(cones[i]), int(rng.integers(2, 13)))
+        sets.append(frozenset(rng.choice(cones[i], size=size, replace=False).tolist()))
+    return sets
+
+
+@pytest.mark.parametrize("name", ["path4", "cycle5", "z2z3", "z4z2z4"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_meet_norms_are_the_parent_tree_meets_and_bound_the_diameter(request, name, seed):
+    # against a walk up each point's parent chain; 2 (t - m) bounds every
+    # exact diameter, on random sets (which mostly meet at the identity)
+    # and on cones
+    ball = diameter_ball(request, name)
+    rng = np.random.default_rng(seed)
+    sets = [frozenset(rng.choice(len(ball), size=k, replace=False).tolist()) for k in (2, 3, 9, 25)]
+    sets += cone_sets(ball, rng, 6)
+    meets = builder._meet_norms(ball, [np.array(sorted(s)) for s in sets])
+    for s, m, d in zip(sets, meets, set_diameters(ball, sets)):
+        common = set.intersection(*(set(ancestors(ball, x)) for x in s))
+        assert m == max(int(ball.norms[p]) for p in common)
+        assert d <= 2 * (int(ball.norms[list(s)].max()) - m)
+    assert min(meets[4:]) >= 1
+
+
 @pytest.mark.parametrize("name", ["path4", "cycle5", "z2z3", "z4z2z4"])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_max_set_diameter_is_the_largest_exact_diameter(request, name, seed):
-    # random sets, an empty and a singleton set, and tight sets around a
-    # point of the outer sphere, whose norm bound 2 * radius is loose; the
-    # floor lies below, at and above the answer
+    # random sets, an empty and a singleton set, tight sets around a point
+    # of the outer sphere, whose norm bound 2 * radius is loose, and cones,
+    # whose meet bound is below it; the floor lies below, at and above the
+    # answer
     ball = diameter_ball(request, name)
     engine, elements = ball.engine, ball_elements(ball)
     rng = np.random.default_rng(seed)
     outer = np.nonzero(ball.norms == ball.radius)[0]
     sets = [frozenset(), frozenset([int(rng.integers(len(ball)))])]
     sets += [frozenset(rng.choice(len(ball), size=k, replace=False).tolist()) for k in (2, 9, 25)]
+    sets += cone_sets(ball, rng, 3)
     for x in rng.choice(outer, size=2, replace=False).tolist():
         near = {x, *ball.table[x].tolist()} - {-1}
         near = rng.choice(sorted(near), size=min(4, len(near)), replace=False)
@@ -427,6 +469,34 @@ def test_the_norm_bound_and_seed_settle_the_path4_slabs(monkeypatch):
     sources.clear()
     assert max_set_diameter(cert.ball, cert.cover.sets, floor=20.0) == 20.0
     assert sources == []
+
+
+def test_a_large_cone_stops_at_its_meet_bound(monkeypatch, z2z3_amalgam):
+    # the 381 descendants of a point of norm 3 in B(16) of Z2*Z3, whose
+    # diameter is 25: its top sphere (128 points, norm 16) reaches 25,
+    # which no pair of norm <= 15 can beat through the meet (2 * (15 - 3));
+    # through the identity (2 * 15) it would read three more blocks
+    ball = build_ball(z2z3_amalgam.engine, 16)
+    chains = [ancestors(ball, x) for x in range(len(ball))]
+    cones = ([x for x, chain in enumerate(chains) if p in chain] for p in range(len(ball)))
+    cone = next(c for c in cones if ball.norms[c[0]] == 3 and len(c) > builder.PACKED_BLOCK_SOURCES)
+    (d,) = set_diameters(ball, [cone])
+    assert (len(cone), d) == (381, 25.0)
+    sources = recorded_sources(monkeypatch)
+    assert max_set_diameter(ball, [cone], floor=d - 1) == d
+    assert sources == [128]
+
+
+def test_the_meet_bound_settles_the_z2z3_slabs(monkeypatch, z2z3_amalgam):
+    # Z2*Z3 r 16: the 512 slab sets (norms 17-21, diameters 7 and 9) meet
+    # within 5 of their top norm, so their bounds stay <= 10 < 31, and only
+    # the seed and the top sphere of the one set of bound 32 run a BFS (77
+    # blocks from 18,211 sources with the identity bound 2t)
+    cert = cover_amalgam(z2z3_amalgam, 16)
+    sources = recorded_sources(monkeypatch)
+    assert measure_certificate(cert).claimed_d == 31.0
+    assert verify_certificate(cert).passed
+    assert len(sources) <= 3 and sum(sources) <= 600
 
 
 def bench_cover(request, name, r, ball_radius=None):

@@ -460,6 +460,21 @@ def test_a_finite_group_holds_to_the_element_cap(tmp_path, cap, code):
     assert main(["cover", path, "--r", "4", "--cap-elements", str(cap)]) == code
 
 
+@pytest.mark.parametrize("rank, cap", [(3, 7), (70, 2_000_000)])
+def test_a_finite_group_past_the_cap_names_its_order(tmp_path, capsys, rank, cap, monkeypatch):
+    # the message names the group's element count, not the cap as a radius
+    # (Z2^3 has diameter 3), and no ball is enumerated, even for Z2^70
+    radii = record_ball_radii(monkeypatch)
+    matrix = [[1 if i == j else 2 for j in range(rank)] for i in range(rank)]
+    doc = {"generators": [f"g{i}" for i in range(rank)], "matrix": matrix}
+    path = write(tmp_path, "z2power.json", doc)
+    assert main(["cover", path, "--r", "4", "--cap-elements", str(cap)]) == 3
+    assert capsys.readouterr().err == (
+        f"resource cap exceeded: finite group of {2**rank} elements exceeds the element cap {cap}\n"
+    )
+    assert radii == []
+
+
 def test_internal_invariant_failure_exits_4(tmp_path, capsys, monkeypatch):
     # Dinf r 16 builds its sets on B(23) and grows to B(25); a grown ball
     # whose ids do not extend B(23) fails the builder's prefix check: exit 4
